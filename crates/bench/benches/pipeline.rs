@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use simprof_core::{classify_units, form_phases, select_points, SimProf, SimProfConfig};
-use simprof_stats::{choose_k, seeded, silhouette_score_cached, DistCache, Matrix};
+use simprof_stats::{choose_k, seeded, silhouette_scores, Matrix};
 use simprof_workloads::{Benchmark, Framework, WorkloadConfig};
 
 fn config() -> SimProfConfig {
@@ -51,7 +51,7 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| black_box(SimProf::new(config()).analyze(black_box(&trace)).unwrap()))
     });
 
-    // The k-selection sweep and its shared distance cache in isolation.
+    // The k-selection sweep and its fused silhouette pass in isolation.
     let rows: Vec<Vec<f64>> = (0..240)
         .map(|i| {
             (0..24)
@@ -60,13 +60,12 @@ fn bench_pipeline(c: &mut Criterion) {
         })
         .collect();
     let m = Matrix::from_rows(&rows);
-    c.bench_function("pipeline/choose_k sweep (cached+warm)", |b| {
+    c.bench_function("pipeline/choose_k sweep (fused+warm)", |b| {
         b.iter(|| black_box(choose_k(black_box(&m), 10, 0.9, 0.25, 11)))
     });
-    let cache = DistCache::build(&m);
     let assignments: Vec<usize> = (0..240).map(|i| i % 4).collect();
-    c.bench_function("pipeline/silhouette from cache", |b| {
-        b.iter(|| black_box(silhouette_score_cached(black_box(&cache), black_box(&assignments))))
+    c.bench_function("pipeline/silhouette fused pass", |b| {
+        b.iter(|| black_box(silhouette_scores(black_box(&m), &[black_box(assignments.as_slice())])))
     });
 }
 

@@ -3,10 +3,11 @@
 //! sequential baseline.
 //!
 //! The baseline replicates the pipeline before the parallel substrate and
-//! the distance cache landed: one worker thread, a fresh 4-restart cold
-//! k-means per candidate k, and the naive `O(n²·d)` silhouette per
-//! candidate. The optimized path is today's [`choose_k`]: shared distance
-//! cache, warm-started sweep, all parallel regions live.
+//! the one-pass silhouette sweep landed: one worker thread, a fresh
+//! 4-restart cold k-means per candidate k, and the naive `O(n²·d)`
+//! silhouette per candidate. The optimized path is today's [`choose_k`]:
+//! warm-started sweep, every candidate scored in one fused distance pass,
+//! all parallel regions live.
 //!
 //! ```text
 //! cargo run --release -p simprof-bench --bin bench_pipeline -- \
@@ -20,9 +21,9 @@
 //! Every run times the full simulate→analyze hot path in four phases —
 //! **synthesize** (trace generation), **simulate** (a real engine run with
 //! the parallel per-slot machine simulation, replayed at 1 thread to prove
-//! the trace bytes are identical), **cluster** (explicit [`DistCache`] build
-//! plus [`choose_k_with_cache`], with a 1-thread replay proving the
-//! assignments are identical), and **sampling** (the Eq. 1 allocator) — and
+//! the trace bytes are identical), **cluster** ([`choose_k`], with a
+//! 1-thread replay proving the assignments are identical), and
+//! **sampling** (the Eq. 1 allocator) — and
 //! records the per-phase wall-clocks in the JSON output, which the
 //! `perf_gate` bin compares against the committed canonical record in CI.
 //!
@@ -30,8 +31,9 @@
 //! straight into the chunked on-disk format (never materialized in memory)
 //! and analyzes it with the two-pass streaming pipeline in mini-batch
 //! phase-formation mode (`SimProfConfig::minibatch`) — the configuration
-//! that makes million-unit traces feasible where the exact `n²` silhouette
-//! cache would need terabytes. `--mem-cap-mb` bounds the analysis peak heap.
+//! that makes million-unit traces feasible where the exact sweep's `n²`
+//! distance work would take hours. `--mem-cap-mb` bounds the analysis peak
+//! heap.
 //!
 //! With `-o`, writes a JSON record (units analyzed/sec, sweep wall-clock,
 //! thread count, speedup, phase breakdowns) that CI uploads as the
@@ -73,8 +75,8 @@ use simprof_obs::TrackingAllocator;
 use simprof_profiler::{ProfileTrace, ProfilerConfig, SamplingUnit, UnitSink};
 use simprof_sim::{Counters, MachineConfig};
 use simprof_stats::{
-    choose_k, choose_k_with_cache, kmeans, optimal_allocation, seeded, silhouette_score, stddev,
-    DistCache, KMeans, Matrix, StratumStats,
+    choose_k, kmeans, optimal_allocation, seeded, silhouette_score, stddev, KMeans, Matrix,
+    StratumStats,
 };
 use simprof_trace::{
     read_trace, salvage_bytes, ChaosPlan, ChaosWriter, RetryPolicy, TraceMeta, TraceReader,
@@ -228,7 +230,7 @@ fn baseline_sweep(data: &Matrix, k_max: usize, seed: u64) -> (usize, Vec<(usize,
 /// Scale knobs for the streamed-vs-batch trace comparison. The point is a
 /// trace whose *units* are heavy (dense histograms, many slices) at a
 /// modest unit count — per-unit memory is what the streaming path saves,
-/// while the `choose_k` distance cache (n²·8 B) is paid by both paths.
+/// while the `choose_k` sweep's working set is the same on both paths.
 struct TraceScale {
     units: usize,
     hist_entries: usize,
@@ -940,17 +942,14 @@ fn main() {
     let baseline_secs = t0.elapsed().as_secs_f64();
     rayon::set_threads(threads);
 
-    // Cluster phase: explicit distance-cache build + cache-reusing sweep
-    // (what `form_phases` does internally), timed as one phase.
+    // Cluster phase: the `choose_k` sweep (what `form_phases` does
+    // internally), timed as one phase.
     let sweep_base = simprof_obs::current_alloc_bytes();
     simprof_obs::reset_peak();
     let t1 = Instant::now();
-    let (sel, cache_build_secs) = {
+    let sel = {
         let _span = simprof_obs::span!("bench.phase_formation");
-        let tc = Instant::now();
-        let cache = DistCache::build(&data);
-        let cache_build_secs = tc.elapsed().as_secs_f64();
-        (choose_k_with_cache(&data, &cache, args.k_max, 0.9, 0.25, args.seed), cache_build_secs)
+        choose_k(&data, args.k_max, 0.9, 0.25, args.seed)
     };
     let optimized_secs = t1.elapsed().as_secs_f64();
     let sweep_peak = simprof_obs::peak_alloc_bytes().saturating_sub(sweep_base);
@@ -990,7 +989,7 @@ fn main() {
     let ups_base = args.units as f64 / baseline_secs.max(1e-12);
     let ups_opt = args.units as f64 / optimized_secs.max(1e-12);
     println!("  baseline  (1 thread, naive):  {baseline_secs:>8.3} s  ({ups_base:>9.1} units/s)  k = {baseline_k}");
-    println!("  optimized ({threads} thread(s), cached): {optimized_secs:>8.3} s  ({ups_opt:>9.1} units/s)  k = {}", sel.k);
+    println!("  optimized ({threads} thread(s), fused):  {optimized_secs:>8.3} s  ({ups_opt:>9.1} units/s)  k = {}", sel.k);
     println!("  speedup: {speedup:.2}×  (assignments 1-vs-{threads} threads identical)");
 
     let large_scale = if args.scale == Scale::Large {
@@ -1035,7 +1034,6 @@ fn main() {
                 "trace_bytes_identical_1_vs_n": sim.identical,
             }),
             "cluster": serde_json::json!({
-                "cache_build_secs": cache_build_secs,
                 "assignments_identical_1_vs_n": assignments_identical,
             }),
             "large_scale": large_scale,

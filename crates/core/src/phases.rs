@@ -8,9 +8,9 @@
 //! — and per-phase CPI statistics.
 //!
 //! Phase formation is the pipeline's hot path. The `choose_k` sweep inside
-//! [`form_phases`] builds one pairwise-distance cache shared by every
-//! candidate scoring and warm-starts each k from the previous solution (see
-//! `simprof_stats::distcache`), and both the sweep and
+//! [`form_phases`] warm-starts each k from the previous solution and then
+//! scores every candidate in one fused pairwise-distance pass that keeps no
+//! `n²` matrix (see `simprof_stats::silhouette`), and both the sweep and
 //! [`classify_units`] run on the workspace's deterministic parallel
 //! substrate — output is bit-identical at every thread count (DESIGN.md
 //! §10).
@@ -130,11 +130,12 @@ pub fn form_phases_in_space(
 }
 
 /// The opt-in large-trace path ([`SimProfConfig::minibatch`]): the exact
-/// silhouette sweep — including its `n²` distance cache — runs on a
+/// silhouette sweep — whose distance pass is `O(n²)` time — runs on a
 /// deterministic systematic subsample of `sweep_units` units to choose k,
 /// then mini-batch k-means fits centers over the *full* projected matrix and
 /// hard-assigns every unit. Deterministic and thread-count-independent like
-/// the exact path, but memory stays `O(sweep_units² + n·dim)`.
+/// the exact path, but the sweep's time stays `O(sweep_units²)` instead of
+/// `O(n²)`.
 fn form_phases_minibatch(
     space: FeatureSpace,
     projected: &Matrix,

@@ -29,8 +29,8 @@ pub struct SimProfConfig {
     pub seed: u64,
     /// Opt-in scalable phase formation for very large traces (`None`, the
     /// default, keeps the exact sweep at every size). The exact silhouette
-    /// sweep holds an `n²` pairwise-distance cache, which stops being an
-    /// option around 10⁵ units; this mode bounds it by choosing k on a
+    /// sweep visits all `n²` unit pairs, which stops being an option around
+    /// 10⁵ units; this mode bounds its time by choosing k on a
     /// deterministic subsample and fitting the full-trace model with
     /// mini-batch k-means.
     #[serde(default)]
@@ -49,14 +49,14 @@ pub struct SimProfConfig {
 pub struct MinibatchPhases {
     /// Unit-count budget of the k-selection sweep: k is chosen by the exact
     /// silhouette rule on a systematic subsample of this many units, so the
-    /// distance cache stays at `sweep_units²` instead of `n²`.
+    /// sweep's distance pass visits `sweep_units²` pairs instead of `n²`.
     pub sweep_units: usize,
     /// Mini-batch size of the full-trace k-means fit.
     pub batch_size: usize,
 }
 
 impl Default for MinibatchPhases {
-    /// 2 000 sweep units (a 32 MB distance cache) and 4 096-unit batches.
+    /// 2 000 sweep units (4 million distance pairs) and 4 096-unit batches.
     fn default() -> Self {
         Self { sweep_units: 2_000, batch_size: 4_096 }
     }

@@ -1,21 +1,23 @@
-//! Shared pairwise-distance cache for the k-selection sweep.
+//! Dense pairwise-distance matrix: the reference arithmetic of the
+//! silhouette sweep.
 //!
-//! `choose_k` scores up to 19 candidate clusterings of the *same* data with
-//! the silhouette coefficient, and every score needs all `n·(n−1)/2`
-//! pairwise distances. Recomputing them per candidate costs
-//! `O(k_max · n² · d)`; building the matrix once turns the sweep into one
-//! `O(n² · d)` build plus `O(k_max · n²)` cache scans.
+//! `choose_k` no longer builds this matrix. Its candidates are scored by
+//! [`crate::silhouette_scores`], which computes every distance on the fly in
+//! one pass and is pinned bit for bit to [`DistCache::build`] +
+//! [`crate::silhouette_score_cached`] (see `tests/parallel_equivalence.rs`),
+//! the way the accelerated Lloyd loop is pinned to
+//! [`crate::kmeans_from_centers_reference`].
 //!
 //! The build uses the fused distance kernel [`Matrix::sq_dists_to_rows`]
-//! (the identity `‖x − y‖² = ‖x‖² + ‖y‖² − 2·x·y` with the row-norm cache
-//! from [`Matrix::row_sq_norms`]). Rows are computed independently (each
-//! row does its own full `n`-column pass), so the parallel build is
-//! deterministic at any worker count, and — because `dot` and `+` are
-//! bitwise commutative — the matrix is exactly symmetric.
+//! (the identity `‖x − y‖² = ‖x‖² + ‖y‖² − 2·x·y` of
+//! `Matrix::norm_sq_dist` with the row-norm cache from
+//! [`Matrix::row_sq_norms`]). Rows are computed independently (each row does
+//! its own full `n`-column pass), so the parallel build is deterministic at
+//! any worker count, and — because `dot` and `+` are bitwise commutative —
+//! the matrix is exactly symmetric.
 //!
-//! Memory is `n² × 8` bytes (a 2,000-unit trace caches 32 MB); the sweep in
-//! [`crate::choose_k`] is the intended scope, building once per call and
-//! dropping the cache with it.
+//! Memory is `n² × 8` bytes (a 2,000-unit trace needs 32 MB), which is why
+//! the production sweep does not use it.
 
 use rayon::prelude::*;
 

@@ -261,23 +261,29 @@ fn lloyd_impl(data: &Matrix, mut centers: Matrix, max_iter: usize, accel: bool) 
             }
         }
         // Empty clusters reseed to the farthest point from its current
-        // center; `reseeded` keeps the picks distinct when several clusters
-        // go empty in the same iteration (reusing one point would collapse
-        // them right back together). At most k−1 clusters can be empty and
-        // k ≤ n, so a distinct point always exists.
-        let mut reseeded: Vec<usize> = Vec::new();
+        // center; `taken` keeps the picks distinct when several clusters go
+        // empty in the same iteration (reusing one point would collapse them
+        // right back together). At most k−1 clusters can be empty and k ≤ n,
+        // so a distinct point always exists. The distances are the same for
+        // every empty cluster, so the first one computes them for all.
+        let mut far_sq: Vec<f64> = Vec::new();
+        let mut taken: Vec<bool> = Vec::new();
         #[allow(clippy::needless_range_loop)] // `c` also indexes `sums` rows
         for c in 0..k {
             if counts[c] == 0 {
+                if far_sq.is_empty() {
+                    far_sq = (0..n)
+                        .map(|i| Matrix::sq_dist(data.row(i), centers.row(assignments[i])))
+                        .collect();
+                    taken = vec![false; n];
+                }
                 let far = (0..n)
-                    .filter(|i| !reseeded.contains(i))
+                    .filter(|&i| !taken[i])
                     .max_by(|&a, &b| {
-                        let da = Matrix::sq_dist(data.row(a), centers.row(assignments[a]));
-                        let db = Matrix::sq_dist(data.row(b), centers.row(assignments[b]));
-                        da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+                        far_sq[a].partial_cmp(&far_sq[b]).unwrap_or(std::cmp::Ordering::Equal)
                     })
                     .expect("more points than empty clusters");
-                reseeded.push(far);
+                taken[far] = true;
                 sums.row_mut(c).copy_from_slice(data.row(far));
                 counts[c] = 1;
             }
@@ -313,7 +319,7 @@ fn lloyd_impl(data: &Matrix, mut centers: Matrix, max_iter: usize, accel: bool) 
 
         if !changed && iter > 0 {
             converged = true;
-            reseed_in_last = !reseeded.is_empty();
+            reseed_in_last = !far_sq.is_empty();
             all_exact_last = all_exact;
             break;
         }
@@ -584,6 +590,22 @@ mod tests {
             }
         }
         assert_eq!(r.inertia, 0.0);
+    }
+
+    #[test]
+    fn empty_cluster_reseed_tie_goes_to_the_last_farthest_point() {
+        // Center 1 starts empty; points 0 and 1 tie as the farthest from
+        // their center (distance 1 each). `max_by` keeps the last maximum,
+        // so center 1 reseeds onto point 1 and every point ends up alone.
+        let data = Matrix::from_rows(&[vec![-1.0], vec![1.0], vec![10.0]]);
+        let init = Matrix::from_rows(&[vec![0.0], vec![100.0], vec![10.0]]);
+        for r in [
+            kmeans_from_centers(&data, init.clone(), 50),
+            kmeans_from_centers_reference(&data, init, 50),
+        ] {
+            assert_eq!(r.assignments, vec![0, 1, 2]);
+            assert_eq!(r.centers, data);
+        }
     }
 
     #[test]

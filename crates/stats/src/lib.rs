@@ -10,10 +10,11 @@
 //! * [`kmeans`] — k-means clustering with k-means++ seeding (phase formation,
 //!   §III-B of the paper).
 //! * [`silhouette`] — silhouette-coefficient model selection implementing the
-//!   paper's "smallest k with at least 90 % of the best score" rule, with a
-//!   distance-cached scoring path and a warm-started sweep.
-//! * [`distcache`] — the pairwise-distance matrix built once per `choose_k`
-//!   sweep and shared across all candidate scorings.
+//!   paper's "smallest k with at least 90 % of the best score" rule: a
+//!   warm-started k-means sweep whose candidates are all scored in one
+//!   fused distance pass.
+//! * [`distcache`] — the dense pairwise-distance matrix, kept as the
+//!   reference arithmetic the fused silhouette pass is pinned to.
 //! * [`bic`] — SimPoint/X-means BIC model selection, the related-work
 //!   alternative the ablations compare against.
 //! * [`regression`] — univariate linear-regression (F-test) feature scoring
@@ -53,7 +54,8 @@ pub use regression::{
 pub use rng::{seeded, split_seed, SeedRng};
 pub use sampling::{srs_indices, srs_indices_seeded, systematic_indices};
 pub use silhouette::{
-    choose_k, choose_k_with_cache, silhouette_score, silhouette_score_cached, KSelection,
+    choose_k, kmeans_sweep, silhouette_score, silhouette_score_cached, silhouette_scores,
+    KSelection,
 };
 pub use stratified::{
     confidence_interval, optimal_allocation, proportional_allocation, required_sample_size,

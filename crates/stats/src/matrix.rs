@@ -203,16 +203,33 @@ impl Matrix {
         debug_assert_eq!(row_norms.len(), rows.rows());
         debug_assert_eq!(out.len(), rows.rows());
         for ((o, r), &nr) in out.iter_mut().zip(rows.iter_rows()).zip(row_norms) {
-            let sq = point_sq_norm + nr - 2.0 * Self::dot(point, r);
-            *o = if sq > 0.0 { sq } else { 0.0 };
+            *o = Self::norm_sq_dist(point, point_sq_norm, r, nr);
+        }
+    }
+
+    /// Squared Euclidean distance between `a` and `b` via the norm identity
+    /// `‖a‖² + ‖b‖² − 2·a·b`, clamped at `0` (cancellation can drive it
+    /// slightly negative for near-coincident points). `a_sq_norm` and
+    /// `b_sq_norm` are the callers' cached [`Matrix::dot`] self-products.
+    ///
+    /// The one definition of the identity's arithmetic: the fused kernel
+    /// above and the silhouette pass both call it, so their distances agree
+    /// bit for bit.
+    #[inline]
+    pub(crate) fn norm_sq_dist(a: &[f64], a_sq_norm: f64, b: &[f64], b_sq_norm: f64) -> f64 {
+        let sq = a_sq_norm + b_sq_norm - 2.0 * Self::dot(a, b);
+        if sq > 0.0 {
+            sq
+        } else {
+            0.0
         }
     }
 
     /// Squared Euclidean norm of every row (`‖x_i‖²`), via [`Matrix::dot`].
     ///
-    /// Cached by [`crate::DistCache`] so pairwise distances reduce to
-    /// `‖x‖² + ‖y‖² − 2·x·y` — one dot product instead of a subtract-square
-    /// pass per pair.
+    /// Computed once per silhouette pass so pairwise distances reduce to
+    /// `‖x‖² + ‖y‖² − 2·x·y` (`Matrix::norm_sq_dist`) — one dot product
+    /// instead of a subtract-square pass per pair.
     pub fn row_sq_norms(&self) -> Vec<f64> {
         (0..self.rows).map(|i| Self::dot(self.row(i), self.row(i))).collect()
     }

@@ -14,13 +14,22 @@
 //!
 //! # Performance
 //!
-//! `choose_k` builds one [`DistCache`] (the `O(n²·d)` part) and shares it
-//! across all candidate scorings ([`silhouette_score_cached`], `O(n²)` per
-//! candidate), and warm-starts each k's Lloyd run from the previous k's
-//! centers plus one ++-seeded center. Scoring walks the points in fixed
-//! [`SIL_CHUNK`]-sized chunks with one reused per-cluster buffer per chunk
-//! (not one allocation per point) and folds the per-chunk partial sums in
-//! chunk order, so the score is bit-identical at every worker count.
+//! `choose_k` runs in two stages. [`kmeans_sweep`] runs the warm-started
+//! k-means chain (each k starts from the previous k's centers plus one
+//! ++-seeded center) and keeps every candidate; no warm start depends on a
+//! score, so scoring waits until the chain ends. [`silhouette_scores`] then
+//! scores every candidate in **one distance pass**: each pairwise distance is
+//! computed once, on the fly, and scattered into per-(candidate, cluster,
+//! lane) sums — `O(n²·d + n²·Σk)` time, `O(threads · Σk · LANES)` scratch,
+//! and no `n × n` matrix.
+//!
+//! The pass is pinned bit for bit to the reference arithmetic of
+//! [`DistCache::build`] + [`silhouette_score_cached`]: the same
+//! `Matrix::norm_sq_dist` distance, per-cluster sums from `+0.0` in
+//! ascending `j`, per-point silhouettes summed in ascending `i` within fixed
+//! [`SIL_CHUNK`]-sized chunks, and the chunk partials folded in chunk order.
+//! The chunking never depends on the worker count, so every score is
+//! bit-identical at every thread count.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -34,6 +43,11 @@ use crate::rng::{seeded, split_seed};
 /// so the partial-sum association — and therefore the score bits — is the
 /// same at every thread count.
 const SIL_CHUNK: usize = 64;
+
+/// Points scored side by side in the fused pass: every distance from point
+/// `j` lands in `LANES` adjacent accumulators per cluster, so the adds are
+/// independent (no FP-add latency chain) and vectorize.
+const LANES: usize = 8;
 
 /// Cold k-means++ restarts per candidate k when a warm start is also
 /// available; the first k of the sweep (no warm start yet) uses the full
@@ -51,6 +65,29 @@ fn cluster_sizes(assignments: &[usize]) -> Vec<usize> {
         sizes[a] += 1;
     }
     sizes
+}
+
+/// Whether the degeneracy rule scores a clustering `0`: fewer than 2
+/// non-empty clusters.
+fn too_few_clusters(sizes: &[usize]) -> bool {
+    sizes.iter().filter(|&&s| s > 0).count() < 2
+}
+
+/// The silhouette of a point in cluster `own` (of size ≥ 2) from its
+/// per-cluster distance sums `sum(c)`.
+#[inline]
+fn silhouette_from_sums(own: usize, sizes: &[usize], sum: impl Fn(usize) -> f64) -> f64 {
+    let a = sum(own) / (sizes[own] - 1) as f64;
+    let b = (0..sizes.len())
+        .filter(|&c| c != own && sizes[c] > 0)
+        .map(|c| sum(c) / sizes[c] as f64)
+        .fold(f64::INFINITY, f64::min);
+    let denom = a.max(b);
+    if denom == 0.0 {
+        0.0
+    } else {
+        (b - a) / denom
+    }
 }
 
 /// The silhouette of point `i` given its row of distances to all points.
@@ -75,17 +112,7 @@ fn point_silhouette(
         }
         dist_sum[assignments[j]] += row(j);
     }
-    let a = dist_sum[own] / (sizes[own] - 1) as f64;
-    let b = (0..sizes.len())
-        .filter(|&c| c != own && sizes[c] > 0)
-        .map(|c| dist_sum[c] / sizes[c] as f64)
-        .fold(f64::INFINITY, f64::min);
-    let denom = a.max(b);
-    if denom == 0.0 {
-        0.0
-    } else {
-        (b - a) / denom
-    }
+    silhouette_from_sums(own, sizes, |c| dist_sum[c])
 }
 
 /// Mean silhouette over all points, parallel over fixed-size point chunks.
@@ -117,9 +144,9 @@ where
 /// fewer than 2 points. Singleton clusters contribute a silhouette of `0` for
 /// their point, per the standard convention.
 ///
-/// This is the reference implementation (`O(n²·d)` per call); the `choose_k`
-/// sweep scores through a shared [`DistCache`] with
-/// [`silhouette_score_cached`] instead.
+/// This is the textbook implementation (`Matrix::dist` per pair); the
+/// `choose_k` sweep scores through [`silhouette_scores`] instead, which uses
+/// the norm identity and so agrees with this one to floating-point noise.
 pub fn silhouette_score(data: &Matrix, assignments: &[usize]) -> f64 {
     let n = data.rows();
     assert_eq!(assignments.len(), n, "assignment length mismatch");
@@ -127,7 +154,7 @@ pub fn silhouette_score(data: &Matrix, assignments: &[usize]) -> f64 {
         return 0.0;
     }
     let sizes = cluster_sizes(assignments);
-    if sizes.iter().filter(|&&s| s > 0).count() < 2 {
+    if too_few_clusters(&sizes) {
         return 0.0;
     }
     silhouette_chunked(n, assignments, &sizes, |i| {
@@ -136,11 +163,13 @@ pub fn silhouette_score(data: &Matrix, assignments: &[usize]) -> f64 {
     })
 }
 
-/// Mean silhouette coefficient read from a prebuilt [`DistCache`] —
-/// `O(n²)` instead of `O(n²·d)`.
+/// Mean silhouette coefficient read from a prebuilt [`DistCache`].
 ///
-/// Same conventions as [`silhouette_score`]; the two agree to floating-point
-/// noise (the cache computes distances via the norm identity).
+/// The reference arithmetic the fused [`silhouette_scores`] pass is pinned
+/// to: both must return the same bits for every clustering (see
+/// `tests/parallel_equivalence.rs`). It needs `n² × 8` bytes for the cache,
+/// so prefer [`silhouette_scores`] for real work. Same conventions as
+/// [`silhouette_score`].
 pub fn silhouette_score_cached(cache: &DistCache, assignments: &[usize]) -> f64 {
     let n = cache.n();
     assert_eq!(assignments.len(), n, "assignment length mismatch");
@@ -148,13 +177,119 @@ pub fn silhouette_score_cached(cache: &DistCache, assignments: &[usize]) -> f64 
         return 0.0;
     }
     let sizes = cluster_sizes(assignments);
-    if sizes.iter().filter(|&&s| s > 0).count() < 2 {
+    if too_few_clusters(&sizes) {
         return 0.0;
     }
     silhouette_chunked(n, assignments, &sizes, |i| {
         let row = cache.row(i);
         move |j| row[j]
     })
+}
+
+/// One clustering taking part in the fused pass.
+struct Scored<'a> {
+    /// Index into the caller's clustering list.
+    index: usize,
+    assignments: &'a [usize],
+    sizes: Vec<usize>,
+    /// First cluster row of this clustering in the accumulator block.
+    base: usize,
+}
+
+/// Mean silhouette coefficients of several clusterings of the same `data`,
+/// in one pass over the pairwise distances.
+///
+/// Each distance is computed once and never stored: every chunk of
+/// [`SIL_CHUNK`] points is walked in blocks of [`LANES`] points against all
+/// `j`, adding each distance into per-(clustering, cluster, lane) sums. The
+/// result is bit-identical to [`silhouette_score_cached`] on each clustering
+/// at every worker count, including its degeneracy rules (`0.0` for fewer
+/// than 2 points or fewer than 2 non-empty clusters).
+///
+/// # Panics
+///
+/// Panics if any clustering's length differs from `data.rows()`.
+pub fn silhouette_scores(data: &Matrix, clusterings: &[&[usize]]) -> Vec<f64> {
+    let _span = simprof_obs::span!("stats.silhouette");
+    let n = data.rows();
+    let mut scores = vec![0.0; clusterings.len()];
+    let mut scored: Vec<Scored<'_>> = Vec::new();
+    let mut width = 0;
+    for (index, &assignments) in clusterings.iter().enumerate() {
+        assert_eq!(assignments.len(), n, "assignment length mismatch");
+        let sizes = cluster_sizes(assignments);
+        // Fewer than 2 points never make 2 non-empty clusters.
+        if !too_few_clusters(&sizes) {
+            let base = width;
+            width += sizes.len();
+            scored.push(Scored { index, assignments, sizes, base });
+        }
+    }
+    if scored.is_empty() {
+        return scores;
+    }
+
+    let norms = data.row_sq_norms();
+    // Point j's accumulator row in every clustering, laid out point-major
+    // so the scatter for one j reads one contiguous run.
+    let slots: Vec<usize> = (0..n)
+        .flat_map(|j| scored.iter().map(move |s| (s.base + s.assignments[j]) * LANES))
+        .collect();
+    let per_point = scored.len();
+
+    let partials: Vec<Vec<f64>> = (0..n.div_ceil(SIL_CHUNK))
+        .into_par_iter()
+        .map(|chunk| {
+            let end = ((chunk + 1) * SIL_CHUNK).min(n);
+            let mut sums = vec![0.0f64; width * LANES];
+            let mut partial = vec![0.0f64; per_point];
+            for i0 in (chunk * SIL_CHUNK..end).step_by(LANES) {
+                let lanes = (end - i0).min(LANES);
+                // A short last block repeats its last point in the spare
+                // lanes; their sums are never read.
+                let block: [usize; LANES] = std::array::from_fn(|l| (i0 + l).min(end - 1));
+                sums.fill(0.0);
+                for j in 0..n {
+                    let xj = data.row(j);
+                    let mut d: [f64; LANES] = std::array::from_fn(|l| {
+                        let i = block[l];
+                        Matrix::norm_sq_dist(data.row(i), norms[i], xj, norms[j])
+                    });
+                    for v in &mut d {
+                        *v = v.sqrt();
+                    }
+                    // The reference skips `j == i`; adding +0.0 to a sum of
+                    // non-negative distances leaves it unchanged bit for bit.
+                    if (i0..i0 + lanes).contains(&j) {
+                        d[j - i0] = 0.0;
+                    }
+                    for &slot in &slots[j * per_point..(j + 1) * per_point] {
+                        let acc: &mut [f64; LANES] =
+                            (&mut sums[slot..slot + LANES]).try_into().expect("LANES-wide slot");
+                        for (a, &dl) in acc.iter_mut().zip(&d) {
+                            *a += dl;
+                        }
+                    }
+                }
+                for l in 0..lanes {
+                    for (p, s) in partial.iter_mut().zip(&scored) {
+                        let own = s.assignments[i0 + l];
+                        *p += if s.sizes[own] <= 1 {
+                            0.0 // singleton convention
+                        } else {
+                            silhouette_from_sums(own, &s.sizes, |c| sums[(s.base + c) * LANES + l])
+                        };
+                    }
+                }
+            }
+            partial
+        })
+        .collect();
+
+    for (t, s) in scored.iter().enumerate() {
+        scores[s.index] = partials.iter().map(|p| p[t]).sum::<f64>() / n as f64;
+    }
+    scores
 }
 
 /// Outcome of the k-selection sweep.
@@ -205,75 +340,25 @@ fn extend_centers(data: &Matrix, prev: &Matrix, seed: u64) -> Matrix {
     centers
 }
 
-/// Sweeps `k ∈ 2..=k_max`, scores each clustering with the silhouette
-/// coefficient, and applies the paper's rule: the smallest `k` whose score is
-/// at least `threshold` (e.g. 0.9) times the best score.
+/// The clustering chain behind [`choose_k`]: one k-means result per
+/// candidate `k ∈ 2..=min(k_max, n)`, in ascending `k`.
 ///
-/// Falls back to `k = 1` when the data shows no cluster structure (best
-/// silhouette below `min_structure`) or has fewer than 3 rows.
-///
-/// Pairwise distances are computed once into a [`DistCache`] shared by every
-/// candidate's scoring, and each `k > 2` runs both a warm start (previous
-/// centers + one ++-seeded center) and [`SWEEP_COLD_RESTARTS`] cold
-/// restarts, keeping whichever converges to the lower inertia. Everything is
-/// deterministic in `seed` and bit-identical at every worker count.
-pub fn choose_k(
-    data: &Matrix,
-    k_max: usize,
-    threshold: f64,
-    min_structure: f64,
-    seed: u64,
-) -> KSelection {
-    let n = data.rows();
-    if n < 3 || k_max.min(n) < 2 {
-        let _span = simprof_obs::span!("stats.choose_k");
-        simprof_obs::gauge_set("stats.chosen_k", 1.0);
-        return KSelection { k: 1, result: kmeans(data, KMeans::new(1, seed)), scores: Vec::new() };
-    }
-    let cache = {
-        let _span = simprof_obs::span!("stats.dist_cache");
-        DistCache::build(data)
-    };
-    choose_k_with_cache(data, &cache, k_max, threshold, min_structure, seed)
-}
-
-/// [`choose_k`] against a caller-supplied [`DistCache`].
-///
-/// Repeated sweeps over the same data — sensitivity/coverage harnesses, or
-/// thread-count equivalence runs — pay the `O(n²·d)` cache build once and
-/// share it across every call; the selection itself is bit-identical to
-/// [`choose_k`] (which merely builds the cache and delegates here).
-///
-/// # Panics
-///
-/// Panics if the cache was built for a different number of rows.
-pub fn choose_k_with_cache(
-    data: &Matrix,
-    cache: &DistCache,
-    k_max: usize,
-    threshold: f64,
-    min_structure: f64,
-    seed: u64,
-) -> KSelection {
-    assert_eq!(cache.n(), data.rows(), "distance cache built for different data");
-    let _span = simprof_obs::span!("stats.choose_k");
-    let n = data.rows();
-    let k_max = k_max.min(n);
-    if n < 3 || k_max < 2 {
-        simprof_obs::gauge_set("stats.chosen_k", 1.0);
-        return KSelection { k: 1, result: kmeans(data, KMeans::new(1, seed)), scores: Vec::new() };
-    }
-
-    let mut candidates: Vec<(usize, KMeansResult, f64)> = Vec::with_capacity(k_max - 1);
-    let mut prev_centers: Option<Matrix> = None;
+/// `k = 2` runs the full [`KMeans::new`] default; each later `k` races a
+/// warm start (previous centers + one ++-seeded center) against
+/// [`SWEEP_COLD_RESTARTS`] cold restarts and keeps whichever converges to
+/// the lower inertia. Deterministic in `seed` and bit-identical at every
+/// worker count.
+pub fn kmeans_sweep(data: &Matrix, k_max: usize, seed: u64) -> Vec<KMeansResult> {
+    let k_max = k_max.min(data.rows());
+    let mut candidates: Vec<KMeansResult> = Vec::with_capacity(k_max.saturating_sub(1));
     for k in 2..=k_max {
         let mut config = KMeans::new(k, seed);
-        let result = match &prev_centers {
+        let result = match candidates.last() {
             None => kmeans(data, config),
             Some(prev) => {
                 config.n_init = SWEEP_COLD_RESTARTS;
                 let cold = kmeans(data, config);
-                let init = extend_centers(data, prev, split_seed(seed, 0x3A9E ^ k as u64));
+                let init = extend_centers(data, &prev.centers, split_seed(seed, 0x3A9E ^ k as u64));
                 let warm = kmeans_from_centers(data, init, config.max_iter);
                 if warm.inertia < cold.inertia {
                     warm
@@ -283,25 +368,54 @@ pub fn choose_k_with_cache(
             }
         };
         simprof_obs::histogram_observe("stats.kmeans.iterations", result.iterations as f64);
-        let s = silhouette_score_cached(cache, &result.assignments);
-        prev_centers = Some(result.centers.clone());
-        candidates.push((k, result, s));
+        candidates.push(result);
+    }
+    candidates
+}
+
+/// Sweeps `k ∈ 2..=k_max`, scores each clustering with the silhouette
+/// coefficient, and applies the paper's rule: the smallest `k` whose score is
+/// at least `threshold` (e.g. 0.9) times the best score.
+///
+/// Falls back to `k = 1` when the data shows no cluster structure (best
+/// silhouette below `min_structure`) or has fewer than 3 rows.
+///
+/// The candidates come from [`kmeans_sweep`] and are scored together by
+/// [`silhouette_scores`] in one distance pass, with no `n²` memory.
+/// Everything is deterministic in `seed` and bit-identical at every worker
+/// count.
+pub fn choose_k(
+    data: &Matrix,
+    k_max: usize,
+    threshold: f64,
+    min_structure: f64,
+    seed: u64,
+) -> KSelection {
+    let _span = simprof_obs::span!("stats.choose_k");
+    let n = data.rows();
+    if n < 3 || k_max.min(n) < 2 {
+        simprof_obs::gauge_set("stats.chosen_k", 1.0);
+        return KSelection { k: 1, result: kmeans(data, KMeans::new(1, seed)), scores: Vec::new() };
     }
 
-    let best = candidates.iter().map(|&(_, _, s)| s).fold(f64::NEG_INFINITY, f64::max);
-    let scores: Vec<(usize, f64)> = candidates.iter().map(|&(k, _, s)| (k, s)).collect();
+    let candidates = kmeans_sweep(data, k_max, seed);
+    let clusterings: Vec<&[usize]> = candidates.iter().map(|r| r.assignments.as_slice()).collect();
+    let scores: Vec<(usize, f64)> = (2..).zip(silhouette_scores(data, &clusterings)).collect();
+    let best = scores.iter().map(|&(_, s)| s).fold(f64::NEG_INFINITY, f64::max);
 
     if best < min_structure {
         simprof_obs::gauge_set("stats.chosen_k", 1.0);
         return KSelection { k: 1, result: kmeans(data, KMeans::new(1, seed)), scores };
     }
 
-    let chosen = candidates
-        .into_iter()
-        .find(|&(_, _, s)| s >= threshold * best)
+    let (chosen, result) = scores
+        .iter()
+        .zip(candidates)
+        .find(|&(&(_, s), _)| s >= threshold * best)
+        .map(|(&(k, _), result)| (k, result))
         .expect("at least the best-scoring k satisfies the threshold");
-    simprof_obs::gauge_set("stats.chosen_k", chosen.0 as f64);
-    KSelection { k: chosen.0, result: chosen.1, scores }
+    simprof_obs::gauge_set("stats.chosen_k", chosen as f64);
+    KSelection { k: chosen, result, scores }
 }
 
 #[cfg(test)]
@@ -420,32 +534,58 @@ mod tests {
     }
 
     #[test]
-    fn choose_k_with_prebuilt_cache_is_bit_identical() {
-        let data = blobs(&[(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], 12);
+    fn fused_scores_match_cached_reference_bitwise() {
+        // 150 points: two full chunks plus a ragged one, and a ragged last
+        // lane block. Clusterings cover singletons, an empty middle cluster
+        // and a degenerate one-cluster labelling.
+        let data = blobs(&[(0.0, 0.0), (6.0, 1.0), (2.0, 9.0)], 50);
+        let n = data.rows();
+        let striped: Vec<usize> = (0..n).map(|i| i % 3).collect();
+        let blocked: Vec<usize> = (0..n).map(|i| i / 50).collect();
+        let singletons: Vec<usize> = (0..n).map(|i| if i < 4 { i } else { 4 + i % 2 }).collect();
+        let gap: Vec<usize> = (0..n).map(|i| if i % 2 == 0 { 0 } else { 3 }).collect();
+        let one = vec![2usize; n];
+        let clusterings: Vec<&[usize]> = vec![&striped, &blocked, &singletons, &gap, &one];
+        let fused = silhouette_scores(&data, &clusterings);
         let cache = DistCache::build(&data);
-        let direct = choose_k(&data, 8, 0.9, 0.25, 42);
-        // Two sweeps off the same cache: both must match the build-per-call
-        // path exactly.
-        for _ in 0..2 {
-            let shared = choose_k_with_cache(&data, &cache, 8, 0.9, 0.25, 42);
-            assert_eq!(shared.k, direct.k);
-            assert_eq!(shared.result.assignments, direct.result.assignments);
-            assert_eq!(shared.result.centers, direct.result.centers);
-            assert_eq!(shared.result.inertia.to_bits(), direct.result.inertia.to_bits());
-            for (&(ka, sa), &(kb, sb)) in shared.scores.iter().zip(&direct.scores) {
-                assert_eq!(ka, kb);
-                assert_eq!(sa.to_bits(), sb.to_bits());
-            }
+        for (a, &s) in clusterings.iter().zip(&fused) {
+            assert_eq!(s.to_bits(), silhouette_score_cached(&cache, a).to_bits());
         }
+        assert_eq!(fused[4], 0.0);
+        assert!(fused[1] > 0.9, "blocked labelling scores {}", fused[1]);
     }
 
     #[test]
-    #[should_panic(expected = "distance cache built for different data")]
-    fn choose_k_with_cache_rejects_mismatched_cache() {
+    fn fused_scores_degenerate_inputs() {
+        assert!(silhouette_scores(&blobs(&[(0.0, 0.0)], 5), &[]).is_empty());
+        let tiny = Matrix::from_rows(&[vec![1.0]]);
+        assert_eq!(silhouette_scores(&tiny, &[&[0]]), vec![0.0]);
+        let empty = Matrix::zeros(0, 2);
+        assert_eq!(silhouette_scores(&empty, &[&[]]), vec![0.0]);
+    }
+
+    #[test]
+    fn choose_k_scores_are_the_fused_scores_of_the_sweep() {
+        let data = blobs(&[(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], 12);
+        let sel = choose_k(&data, 8, 0.9, 0.25, 42);
+        let sweep = kmeans_sweep(&data, 8, 42);
+        let clusterings: Vec<&[usize]> = sweep.iter().map(|r| r.assignments.as_slice()).collect();
+        let fused = silhouette_scores(&data, &clusterings);
+        assert_eq!(sel.scores.len(), sweep.len());
+        for (&(k, s), (r, f)) in sel.scores.iter().zip(sweep.iter().zip(&fused)) {
+            assert_eq!(r.centers.rows(), k);
+            assert_eq!(s.to_bits(), f.to_bits(), "k = {k}");
+        }
+        let chosen = &sweep[sel.k - 2];
+        assert_eq!(sel.result.assignments, chosen.assignments);
+        assert_eq!(sel.result.inertia.to_bits(), chosen.inertia.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "assignment length mismatch")]
+    fn fused_scores_reject_mismatched_assignments() {
         let data = blobs(&[(0.0, 0.0), (10.0, 0.0)], 8);
-        let other = blobs(&[(0.0, 0.0)], 5);
-        let cache = DistCache::build(&other);
-        let _ = choose_k_with_cache(&data, &cache, 4, 0.9, 0.25, 1);
+        let _ = silhouette_scores(&data, &[&[0, 1, 0]]);
     }
 
     #[test]

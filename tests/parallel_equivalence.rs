@@ -12,8 +12,8 @@ use proptest::prelude::*;
 
 use simprof::engine::FaultPlan;
 use simprof::stats::{
-    choose_k, kmeans_from_centers, kmeans_from_centers_reference, silhouette_score,
-    silhouette_score_cached, DistCache, Matrix,
+    choose_k, kmeans_from_centers, kmeans_from_centers_reference, kmeans_sweep, silhouette_score,
+    silhouette_score_cached, silhouette_scores, DistCache, Matrix,
 };
 use simprof::workloads::{Benchmark, Framework, WorkloadConfig};
 
@@ -33,9 +33,12 @@ fn one_vs_many<R>(threads: usize, f: impl Fn() -> R) -> (R, R) {
 }
 
 /// Strategy: a feature matrix with latent block structure — `rows` points,
-/// `cols` features, values loud on one band per latent behaviour.
+/// `cols` features, values loud on one band per latent behaviour. Rows
+/// reach past several 64-point silhouette chunks (and are mostly not
+/// multiples of the 8-point lane block); columns cover both `Matrix::dot`
+/// shapes, tail only (< 16) and full 16-lane blocks (≥ 16).
 fn matrix_strategy() -> impl Strategy<Value = Matrix> {
-    (3usize..60, 1usize..8, 2usize..5, any::<u64>()).prop_map(|(rows, cols, bands, seed)| {
+    (3usize..150, 1usize..40, 2usize..5, any::<u64>()).prop_map(|(rows, cols, bands, seed)| {
         let data: Vec<Vec<f64>> = (0..rows)
             .map(|i| {
                 (0..cols)
@@ -54,6 +57,21 @@ fn matrix_strategy() -> impl Strategy<Value = Matrix> {
             .collect();
         Matrix::from_rows(&data)
     })
+}
+
+/// A labelling of `n` points with a singleton cluster (label 0, point 0),
+/// an empty cluster (label 1 is never used), `groups` scattered clusters,
+/// and a trailing singleton when `n` allows.
+fn ragged_labels(n: usize, groups: usize, salt: u64) -> Vec<usize> {
+    (0..n)
+        .map(|i| match i {
+            0 => 0,
+            _ if i + 1 == n && n > 3 => 2 + groups,
+            _ => {
+                2 + ((i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize % groups
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -98,6 +116,38 @@ proptest! {
         prop_assert_eq!(one.0.to_bits(), many.0.to_bits());
         prop_assert_eq!(one.1.to_bits(), many.1.to_bits());
         prop_assert!((one.0 - one.1).abs() <= 1e-12, "naive {} vs cached {}", one.0, one.1);
+    }
+
+    /// The fused one-pass silhouette scoring behind `choose_k` returns, for
+    /// every candidate of a sweep and for a labelling with singleton and
+    /// empty clusters, the exact bits of the reference `DistCache` +
+    /// `silhouette_score_cached` arithmetic — at 1 thread and at N — and
+    /// `choose_k` reports exactly those scores.
+    #[test]
+    fn fused_silhouette_bit_identical_to_cached_reference(
+        m in matrix_strategy(),
+        seed in any::<u64>(),
+        groups in 1usize..4,
+        salt in any::<u64>(),
+        threads in 2usize..6,
+    ) {
+        let mut clusterings: Vec<Vec<usize>> =
+            kmeans_sweep(&m, 8, seed).into_iter().map(|r| r.assignments).collect();
+        let candidates = clusterings.len();
+        clusterings.push(ragged_labels(m.rows(), groups, salt));
+        let refs: Vec<&[usize]> = clusterings.iter().map(Vec::as_slice).collect();
+        let (one, many) = one_vs_many(threads, || silhouette_scores(&m, &refs));
+        let cache = DistCache::build(&m);
+        for (t, a) in refs.iter().enumerate() {
+            let reference = silhouette_score_cached(&cache, a).to_bits();
+            prop_assert_eq!(one[t].to_bits(), reference, "1 thread, clustering {}", t);
+            prop_assert_eq!(many[t].to_bits(), reference, "{} threads, clustering {}", threads, t);
+        }
+        let sel = choose_k(&m, 8, 0.9, 0.25, seed);
+        prop_assert_eq!(sel.scores.len(), candidates);
+        for (&(_, s), f) in sel.scores.iter().zip(&one) {
+            prop_assert_eq!(s.to_bits(), f.to_bits());
+        }
     }
 
     /// The Hamerly-accelerated Lloyd loop (the default behind `kmeans` and
