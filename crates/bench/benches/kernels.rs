@@ -1,17 +1,19 @@
 //! Criterion benchmarks for the performance-critical kernels: the
 //! statistics substrate (clustering, feature scoring, allocation), the
-//! machine model (cache walks, pattern cursors), and the instrumented
-//! engine kernels (quicksort trace, hash combine, k-way merge).
+//! machine model (cache walks, pattern cursors), the instrumented engine
+//! kernels (quicksort trace, hash combine, k-way merge), and job
+//! construction (input synthesis plus whole `Benchmark::build` calls).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use simprof_engine::ops;
+use simprof_engine::{ops, MethodRegistry};
 use simprof_sim::{AccessCursor, AccessPattern, Machine, MachineConfig, Region};
 use simprof_stats::{
     f_regression, kmeans, optimal_allocation, silhouette_score, srs_indices_seeded, KMeans, Matrix,
     StratumStats,
 };
+use simprof_workloads::{GraphInput, Kronecker, TextSynth, WorkloadConfig, WorkloadId};
 
 /// A deterministic feature matrix shaped like a profiled trace: `n` units,
 /// `d` features, `k` latent phases.
@@ -122,9 +124,36 @@ fn bench_ops(c: &mut Criterion) {
     });
 }
 
+fn bench_build(c: &mut Criterion) {
+    // Paper scale: the grep/sort corpus is 9 MiB of text, graphs have 2^14
+    // vertices.
+    let mut g = c.benchmark_group("workloads/build");
+    let cfg = WorkloadConfig::paper(1);
+    for w in WorkloadId::all() {
+        if !["sort_sp", "bayes_hp", "cc_hp"].contains(&w.label().as_str()) {
+            continue;
+        }
+        g.bench_function(&w.label(), |b| {
+            b.iter(|| {
+                let mut machine = Machine::new(cfg.machine);
+                let mut registry = MethodRegistry::new();
+                black_box(w.benchmark.build(w.framework, &cfg, &mut machine, &mut registry))
+            })
+        });
+    }
+    g.finish();
+
+    let synth = TextSynth::new(4_000, 1.0, 10, 1);
+    c.bench_function("synth/text_lines 9MB", |b| {
+        b.iter(|| black_box(synth.lines(black_box(9 << 20), 2)))
+    });
+    let kronecker = Kronecker::for_input(GraphInput::Google, 14, 8);
+    c.bench_function("synth/kronecker s14", |b| b.iter(|| black_box(kronecker.generate(3))));
+}
+
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_stats, bench_machine, bench_ops
+    targets = bench_stats, bench_machine, bench_ops, bench_build
 );
 criterion_main!(kernels);

@@ -10,7 +10,7 @@
 //! emerge mechanistically instead of being scripted.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use simprof_sim::{AccessPattern, Machine, Region};
 
@@ -49,6 +49,66 @@ pub mod costs {
     pub const MERGE_APKI: u32 = 30;
 }
 
+/// The Fx multiply–rotate hasher (as used inside rustc) for the
+/// build-time aggregation maps.
+///
+/// Their keys are synthesized words and vertex ids, never bytes from
+/// outside the program, so hash-flooding resistance buys nothing; and every
+/// map's contents are sorted before they reach a job, so the hasher cannot
+/// change a job's bytes — only how fast it is built.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(buf));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// `HashMap` with the [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// Tokenizes lines into whitespace-separated words, returning the real
 /// tokens and the cost item for the scan.
 pub fn tokenize(
@@ -59,16 +119,28 @@ pub fn tokenize(
 ) -> (Vec<&str>, WorkItem) {
     let bytes: u64 = lines.iter().map(|l| l.len() as u64).sum();
     let tokens: Vec<&str> = lines.iter().flat_map(|l| l.split_whitespace()).collect();
-    let instrs = bytes * costs::TOKENIZE_PER_BYTE + tokens.len() as u64 * costs::TOKEN_EMIT;
-    let item = WorkItem::compute(
+    let item = tokenize_item(bytes, tokens.len() as u64, path, input_region, seed);
+    (tokens, item)
+}
+
+/// The cost item of scanning `bytes` of input into `tokens` tokens — what
+/// [`tokenize`] charges, for callers that know the counts without
+/// materializing the tokens.
+pub fn tokenize_item(
+    bytes: u64,
+    tokens: u64,
+    path: Vec<MethodId>,
+    input_region: Region,
+    seed: u64,
+) -> WorkItem {
+    WorkItem::compute(
         path,
-        instrs,
+        bytes * costs::TOKENIZE_PER_BYTE + tokens * costs::TOKEN_EMIT,
         costs::SEQ_APKI,
         AccessPattern::Sequential,
         input_region,
         seed,
-    );
-    (tokens, item)
+    )
 }
 
 /// Scans lines for a literal substring (grep), returning matching line
@@ -105,7 +177,7 @@ pub fn scan_match(
 /// [`AccessPattern::Random`] for uniform keys.
 ///
 /// Returns the real aggregated pairs — **sorted by key**, so downstream
-/// routing is deterministic regardless of `HashMap` iteration order — and
+/// routing is deterministic regardless of map iteration order — and
 /// the cost items. `entry_bytes` is the modelled in-memory footprint of one
 /// map entry.
 #[allow(clippy::too_many_arguments)]
@@ -125,7 +197,7 @@ where
     F: FnMut(&mut V, V),
 {
     assert!(batch > 0, "batch must be positive");
-    let mut map: HashMap<K, V> = HashMap::new();
+    let mut map: FxHashMap<K, V> = FxHashMap::default();
     // (records processed, distinct keys after the batch) checkpoints.
     let mut checkpoints: Vec<(u64, u64)> = Vec::new();
     let mut in_batch = 0u64;
@@ -177,8 +249,8 @@ where
 /// partition's slice of `region`, so passes over partitions larger than a
 /// cache level miss in it and passes over small partitions hit — the
 /// mechanism behind the paper's non-homogeneous sort phases. Leaf partitions
-/// (`≤ LEAF` elements) are insertion-sorted and batched into combined
-/// low-footprint items to bound the trace length.
+/// (`≤ LEAF` elements) are finished with the standard library's stable sort
+/// and batched into combined low-footprint items to bound the trace length.
 pub fn quicksort_trace<T: Ord>(
     data: &mut [T],
     elem_bytes: u64,
@@ -216,7 +288,7 @@ pub fn quicksort_trace<T: Ord>(
             continue;
         }
         if s <= LEAF {
-            insertion_sort(&mut data[lo..hi]);
+            data[lo..hi].sort();
             pending_leaf_instrs += s as u64 * costs::SORT_LEAF * 2;
             if pending_leaf_instrs >= LEAF_FLUSH {
                 flush_leaves(&mut pending_leaf_instrs, &mut items, &mut emitted);
@@ -248,16 +320,6 @@ pub fn quicksort_trace<T: Ord>(
     }
     flush_leaves(&mut pending_leaf_instrs, &mut items, &mut emitted);
     items
-}
-
-fn insertion_sort<T: Ord>(a: &mut [T]) {
-    for i in 1..a.len() {
-        let mut j = i;
-        while j > 0 && a[j] < a[j - 1] {
-            a.swap(j, j - 1);
-            j -= 1;
-        }
-    }
 }
 
 /// Hoare partition with median-of-three pivot. Returns `p` such that

@@ -7,9 +7,8 @@
 //! memory-behaviour-different phase. On Hadoop the two steps are two
 //! chained MapReduce jobs (four stages); on Spark, three stages of one job.
 
-use std::collections::HashMap;
-
 use simprof_engine::hadoop::HadoopMethods;
+use simprof_engine::ops::FxHashMap;
 use simprof_engine::spark::SparkMethods;
 use simprof_engine::{ops, Job, MethodRegistry, OpClass, Stage, Task, WorkItem};
 use simprof_sim::{AccessPattern, Machine, Region};
@@ -26,18 +25,27 @@ const ENTRY_BYTES: u64 = 56;
 const BATCH: usize = 4_096;
 /// Instructions per token scored during classification.
 const SCORE_PER_TOKEN: u64 = CLASSES as u64 * 18;
+// Classes print as one digit, so `(class, word)` tuple order equals the
+// byte order of the `"class:word"` shuffle key.
+const _: () = assert!(CLASSES <= 10);
 
 fn corpus(cfg: &WorkloadConfig) -> LabeledCorpus {
     let synth = TextSynth::new(5_000, 1.0, 9, cfg.sub_seed(0xBA1E5));
     LabeledCorpus::generate(&synth, CLASSES, cfg.text_bytes / 2, cfg.sub_seed(5))
 }
 
-/// The trained model: `(class, word-hash) → count` plus per-class totals.
+/// The trained model: `(class, word-hash) → count` plus per-class totals,
+/// and each word's per-class log-likelihood terms.
 #[derive(Debug, Clone, Default)]
 pub struct BayesModel {
-    counts: HashMap<(usize, u64), i64>,
+    counts: FxHashMap<(usize, u64), i64>,
     class_tokens: [i64; CLASSES],
     class_docs: [i64; CLASSES],
+    /// `ln((count + 1) / denom_c)` for each class `c`, per word hash the
+    /// model has seen (filled in by [`finish`](Self::finish)).
+    terms: FxHashMap<u64, [f64; CLASSES]>,
+    /// The same terms for a word no class has seen.
+    unseen: [f64; CLASSES],
 }
 
 impl BayesModel {
@@ -46,20 +54,33 @@ impl BayesModel {
         self.class_tokens[class] += 1;
     }
 
+    /// Computes every word's Laplace-smoothed log-likelihood terms once
+    /// training is complete.
+    fn finish(&mut self) {
+        let vocab = self.counts.len() as f64 + 1.0;
+        let denom: [f64; CLASSES] = std::array::from_fn(|c| self.class_tokens[c] as f64 + vocab);
+        let term = |c: usize, count: i64| ((count as f64 + 1.0) / denom[c]).ln();
+        self.unseen = std::array::from_fn(|c| term(c, 0));
+        for (&(c, h), &count) in &self.counts {
+            self.terms.entry(h).or_insert(self.unseen)[c] = term(c, count);
+        }
+    }
+
     /// Classifies a document by maximum log-likelihood with Laplace
-    /// smoothing.
+    /// smoothing. Each class's score sums its prior and then the document's
+    /// word terms in document order.
     pub fn classify(&self, doc: &str) -> usize {
         let total_docs: i64 = self.class_docs.iter().sum::<i64>().max(1);
-        let vocab = self.counts.len() as f64 + 1.0;
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for c in 0..CLASSES {
-            let prior = (self.class_docs[c].max(1) as f64 / total_docs as f64).ln();
-            let denom = self.class_tokens[c] as f64 + vocab;
-            let mut score = prior;
-            for w in doc.split_whitespace() {
-                let count = self.counts.get(&(c, fnv1a(w))).copied().unwrap_or(0);
-                score += ((count as f64 + 1.0) / denom).ln();
+        let mut scores: [f64; CLASSES] =
+            std::array::from_fn(|c| (self.class_docs[c].max(1) as f64 / total_docs as f64).ln());
+        for w in doc.split_whitespace() {
+            let terms = self.terms.get(&fnv1a(w)).unwrap_or(&self.unseen);
+            for (score, term) in scores.iter_mut().zip(terms) {
+                *score += term;
             }
+        }
+        let mut best = (0usize, f64::NEG_INFINITY);
+        for (c, &score) in scores.iter().enumerate() {
             if score > best.1 {
                 best = (c, score);
             }
@@ -87,7 +108,32 @@ fn train(docs: &[(usize, String)]) -> BayesModel {
             model.observe(class, w);
         }
     }
+    model.finish();
     model
+}
+
+/// The `"class:word"` shuffle key of a combined `(class, word)` pair.
+fn class_word(class: usize, word: &str) -> String {
+    format!("{class}:{word}")
+}
+
+/// The tokenize item of a partition's `"class document"` input records
+/// (one class digit, a space, the document), counted without building them.
+fn labeled_tokenize_item(
+    docs: &[(usize, String)],
+    path: Vec<simprof_engine::MethodId>,
+    in_region: Region,
+    seed: u64,
+) -> WorkItem {
+    let bytes = docs.iter().map(|(_, l)| l.len() as u64 + 2).sum();
+    let tokens = docs.iter().map(|(_, l)| l.split_whitespace().count() as u64 + 1).sum();
+    ops::tokenize_item(bytes, tokens, path, in_region, seed)
+}
+
+/// A partition's `((class, word), 1)` records, keyed on borrowed words.
+fn labeled_pairs(docs: &[(usize, String)]) -> impl Iterator<Item = ((usize, &str), i64)> {
+    docs.iter()
+        .flat_map(|&(class, ref line)| line.split_whitespace().map(move |w| ((class, w), 1i64)))
 }
 
 /// Classification items for one partition of documents: a streaming scan
@@ -150,15 +196,15 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
         let bytes: u64 = docs.iter().map(|(_, l)| l.len() as u64 + 1).sum();
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
-        let lines: Vec<String> = docs.iter().map(|(c, l)| format!("{c} {l}")).collect();
-        let (tokens, tok_item) =
-            ops::tokenize(&lines, vec![sm.map_partitions_with_index, emit_fn], in_region, seed);
+        let tok_item = labeled_tokenize_item(
+            docs,
+            vec![sm.map_partitions_with_index, emit_fn],
+            in_region,
+            seed,
+        );
         items.push(tok_item.with_io_stall(cfg.hdfs.read_stall(bytes)));
-        let pairs = docs.iter().flat_map(|&(class, ref line)| {
-            line.split_whitespace().map(move |w| (format!("{class}:{w}"), 1i64))
-        });
         let (combined, combine_items) = ops::hash_combine(
-            pairs,
+            labeled_pairs(docs),
             |a, b| *a += b,
             ENTRY_BYTES,
             BATCH,
@@ -168,7 +214,6 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
             seed,
         );
         items.extend(combine_items);
-        let _ = tokens;
         let out = combined.len() as u64 * 18;
         items.push(spill_item(
             &cfg.hdfs,
@@ -177,7 +222,8 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
             vec![sm.shuffle_writer_write, sm.serialize_object],
             seed,
         ));
-        for (k, v) in combined {
+        for ((class, w), v) in combined {
+            let k = class_word(class, w);
             reducer_inputs[route(&k, cfg.reducers)].push((k, v));
         }
         map_tasks.push(Task::new(sm.shuffle_map_base(), items));
@@ -277,9 +323,12 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         let bytes: u64 = docs.iter().map(|(_, l)| l.len() as u64 + 1).sum();
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
-        let lines: Vec<String> = docs.iter().map(|(c, l)| format!("{c} {l}")).collect();
-        let (_tokens, tok_item) =
-            ops::tokenize(&lines, vec![mapper, hm.map_output_buffer_collect], in_region, seed);
+        let tok_item = labeled_tokenize_item(
+            docs,
+            vec![mapper, hm.map_output_buffer_collect],
+            in_region,
+            seed,
+        );
         items.push(tok_item.with_io_stall(cfg.hdfs.read_stall(bytes)));
         // Spill sort over emitted (class:word) key hashes, with the real
         // bounded-buffer multi-spill pipeline.
@@ -299,11 +348,8 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
             seed,
         ));
         // Combine.
-        let pairs = docs.iter().flat_map(|&(class, ref line)| {
-            line.split_whitespace().map(move |w| (format!("{class}:{w}"), 1i64))
-        });
         let (combined, combine_items) = ops::hash_combine(
-            pairs,
+            labeled_pairs(docs),
             |a, b| *a += b,
             ENTRY_BYTES,
             BATCH,
@@ -322,7 +368,8 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
             seed,
         ));
         let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
-        for (k, _) in combined {
+        for ((class, w), _) in combined {
+            let k = class_word(class, w);
             let r = route(&k, cfg.reducers);
             per_r[r].push(fnv1a(&k));
             count_per_reducer[r] += 1;

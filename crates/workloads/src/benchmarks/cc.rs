@@ -32,8 +32,17 @@ pub struct SuperstepStats {
     /// Messages received by each target vertex-partition.
     pub msgs_to: Vec<usize>,
     /// The actual message target ids emitted from each source partition
-    /// (used by the Hadoop builder's spill sort).
+    /// (used by the Hadoop builder's spill sort; empty unless recorded).
     pub targets_from: Vec<Vec<u64>>,
+}
+
+/// The partition of every vertex under [`partition_ranges`]`(n, partitions)`.
+pub(crate) fn vertex_partitions(n: usize, partitions: usize) -> Vec<u32> {
+    let mut part = Vec::with_capacity(n);
+    for (p, &(lo, hi)) in partition_ranges(n, partitions).iter().enumerate() {
+        part.resize(part.len() + (hi - lo), u32::try_from(p).expect("partition count fits u32"));
+    }
+    part
 }
 
 /// The real label propagation, with per-superstep activity accounting.
@@ -74,13 +83,10 @@ pub fn undirected(g: &SynthGraph) -> SynthGraph {
 
 /// Runs synchronous min-label propagation, recording per-superstep activity
 /// for `partitions` vertex partitions. Stops at convergence or `cap`
-/// supersteps.
-pub fn propagate(und: &SynthGraph, partitions: usize, cap: usize) -> CcRun {
+/// supersteps. Message target ids are kept only with `record_targets`.
+pub fn propagate(und: &SynthGraph, partitions: usize, cap: usize, record_targets: bool) -> CcRun {
     let n = und.n;
-    let ranges = partition_ranges(n, partitions);
-    let part_of = |v: usize| -> usize {
-        ranges.iter().position(|&(lo, hi)| v >= lo && v < hi).expect("vertex in some partition")
-    };
+    let part = vertex_partitions(n, partitions);
     let mut labels: Vec<u32> = (0..n as u32).collect();
     let mut active: Vec<bool> = vec![true; n];
     let mut supersteps = Vec::new();
@@ -96,11 +102,13 @@ pub fn propagate(und: &SynthGraph, partitions: usize, cap: usize) -> CcRun {
                 continue;
             }
             any_active = true;
-            let p = part_of(v);
+            let p = part[v] as usize;
             for &t in und.neighbors(v) {
                 edges_from[p] += 1;
-                targets_from[p].push(t as u64);
-                msgs_to[part_of(t as usize)] += 1;
+                if record_targets {
+                    targets_from[p].push(t as u64);
+                }
+                msgs_to[part[t as usize] as usize] += 1;
                 if labels[v] < next[t as usize] {
                     next[t as usize] = labels[v];
                 }
@@ -357,7 +365,7 @@ pub fn spark_on_graph(
     g: &SynthGraph,
 ) -> Job {
     let und = undirected(g);
-    let run = propagate(&und, cfg.partitions, cfg.max_iterations);
+    let run = propagate(&und, cfg.partitions, cfg.max_iterations, false);
     let regions = alloc_graph_regions(machine, &und);
 
     let mut stages = vec![load_stage(cfg, sm, &und, &regions)];
@@ -405,7 +413,7 @@ pub fn hadoop_on_graph(
     let reducer_m = reg.intern("org.bigdatabench.cc.MinLabelReducer.reduce", OpClass::Reduce);
     let und = undirected(g);
     let hp_cap = (cfg.max_iterations / 4).max(2);
-    let run = propagate(&und, cfg.partitions, hp_cap);
+    let run = propagate(&und, cfg.partitions, hp_cap, true);
     let regions = alloc_graph_regions(machine, &und);
 
     let mut stages = Vec::new();
@@ -589,7 +597,7 @@ mod tests {
     fn propagation_matches_union_find() {
         let g = Kronecker::for_input(GraphInput::Google, 9, 5).generate(2);
         let und = undirected(&g);
-        let run = propagate(&und, 4, 64);
+        let run = propagate(&und, 4, 64, false);
         let expect = components_by_union_find(&und);
         assert_eq!(run.labels, expect, "min-label propagation finds the components");
     }
@@ -598,7 +606,7 @@ mod tests {
     fn activity_decays_over_supersteps() {
         let g = Kronecker::for_input(GraphInput::Google, 11, 6).generate(3);
         let und = undirected(&g);
-        let run = propagate(&und, 4, 64);
+        let run = propagate(&und, 4, 64, false);
         assert!(run.supersteps.len() >= 3, "{}", run.supersteps.len());
         let first: usize = run.supersteps[0].edges_from.iter().sum();
         let last: usize = run.supersteps.last().unwrap().edges_from.iter().sum();

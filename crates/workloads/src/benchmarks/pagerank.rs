@@ -13,7 +13,7 @@ use simprof_sim::Machine;
 
 use super::cc::{
     alloc_graph_regions, graphx_superstep_stages, hadoop_superstep_stages, init_degrees_stage,
-    SuperstepStats,
+    vertex_partitions, SuperstepStats,
 };
 use super::{hdfs_write_item, partition_ranges};
 use crate::config::WorkloadConfig;
@@ -34,10 +34,7 @@ pub struct PrRun {
 /// Runs `iters` power iterations on the directed graph.
 pub fn pagerank(g: &SynthGraph, partitions: usize, iters: usize, record_targets: bool) -> PrRun {
     let n = g.n;
-    let ranges = partition_ranges(n, partitions);
-    let part_of = |v: usize| -> usize {
-        ranges.iter().position(|&(lo, hi)| v >= lo && v < hi).expect("vertex in some partition")
-    };
+    let part = vertex_partitions(n, partitions);
     let mut ranks = vec![1.0 / n as f64; n];
     let mut iterations = Vec::with_capacity(iters);
 
@@ -53,11 +50,11 @@ pub fn pagerank(g: &SynthGraph, partitions: usize, iters: usize, record_targets:
                 dangling += rank;
                 continue;
             }
-            let p = part_of(v);
+            let p = part[v] as usize;
             let share = DAMPING * rank / deg as f64;
             for &t in g.neighbors(v) {
                 edges_from[p] += 1;
-                msgs_to[part_of(t as usize)] += 1;
+                msgs_to[part[t as usize] as usize] += 1;
                 if record_targets {
                     targets_from[p].push(t as u64);
                 }
@@ -91,8 +88,7 @@ pub fn spark_on_graph(
     g: &SynthGraph,
 ) -> Job {
     let run = pagerank(g, cfg.partitions, cfg.max_iterations, false);
-    let fake_und = SynthGraph { n: g.n, offsets: g.offsets.clone(), targets: g.targets.clone() };
-    let regions = alloc_graph_regions(machine, &fake_und);
+    let regions = alloc_graph_regions(machine, g);
 
     let mut stages = Vec::new();
     // Load stage: reuse the CC loader shape via an inline build.
@@ -161,8 +157,7 @@ pub fn hadoop_on_graph(
     let reducer_m = reg.intern("org.bigdatabench.rank.RankSumReducer.reduce", OpClass::Reduce);
     let hp_iters = (cfg.max_iterations / 4).max(2);
     let run = pagerank(g, cfg.partitions, hp_iters, true);
-    let fake_und = SynthGraph { n: g.n, offsets: g.offsets.clone(), targets: g.targets.clone() };
-    let regions = alloc_graph_regions(machine, &fake_und);
+    let regions = alloc_graph_regions(machine, g);
 
     let mut stages = Vec::new();
     for (step, ss) in run.iterations.iter().enumerate() {

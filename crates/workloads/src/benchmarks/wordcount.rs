@@ -15,9 +15,8 @@
 //! CPI variance (Fig. 15) — followed by a reduce wave with fetch, k-way
 //! merge, sum, and HDFS write.
 
-use std::collections::HashMap;
-
 use simprof_engine::hadoop::HadoopMethods;
+use simprof_engine::ops::FxHashMap;
 use simprof_engine::spark::SparkMethods;
 use simprof_engine::{ops, Job, MethodRegistry, OpClass, Stage, Task, WorkItem};
 use simprof_sim::{AccessPattern, Machine};
@@ -60,8 +59,9 @@ fn fused_scan_combine(
     use simprof_engine::ops::costs;
     const CHUNK_LINES: usize = 16;
 
-    // Real incremental aggregation, with per-chunk checkpoints.
-    let mut map: HashMap<String, i64> = HashMap::new();
+    // Real incremental aggregation, with per-chunk checkpoints. Keys borrow
+    // from the corpus; a `String` is made once per distinct word at the end.
+    let mut map: FxHashMap<&str, i64> = FxHashMap::default();
     // (bytes, tokens, distinct-after-chunk)
     let mut checkpoints: Vec<(u64, u64, u64)> = Vec::new();
     for chunk in lines.chunks(CHUNK_LINES) {
@@ -70,7 +70,7 @@ fn fused_scan_combine(
         for line in chunk {
             for w in line.split_whitespace() {
                 tokens += 1;
-                *map.entry(w.to_owned()).or_insert(0) += 1;
+                *map.entry(w).or_insert(0) += 1;
             }
         }
         checkpoints.push((bytes, tokens, map.len() as u64));
@@ -111,9 +111,9 @@ fn fused_scan_combine(
             seed.wrapping_add(2 * i as u64 + 1),
         ));
     }
-    let mut combined: Vec<(String, i64)> = map.into_iter().collect();
+    let mut combined: Vec<(&str, i64)> = map.into_iter().collect();
     combined.sort_unstable();
-    (combined, items)
+    (combined.into_iter().map(|(w, c)| (w.to_owned(), c)).collect(), items)
 }
 
 /// Leaf frames observed below the fused combine operation.
@@ -248,7 +248,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     // Per reducer: one sorted run of key hashes per mapper, plus the real
     // (word, count) pairs for the reduce computation.
     let mut runs_per_reducer: Vec<Vec<Vec<u64>>> = vec![Vec::new(); cfg.reducers];
-    let mut pairs_per_reducer: Vec<Vec<(String, i64)>> = vec![Vec::new(); cfg.reducers];
+    let mut pairs_per_reducer: Vec<Vec<(&str, i64)>> = vec![Vec::new(); cfg.reducers];
 
     let mut map_tasks = Vec::with_capacity(ranges.len());
     for (p, &(lo, hi)) in ranges.iter().enumerate() {
@@ -279,7 +279,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         ));
 
         // Combiner over the (sorted) pairs.
-        let pairs = tokens.iter().map(|t| (t.to_string(), 1i64));
+        let pairs = tokens.iter().map(|&t| (t, 1i64));
         let (combined, combine_items) = ops::hash_combine(
             pairs,
             |a, b| *a += b,
@@ -306,8 +306,8 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         // run per reducer.
         let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
         for (w, c) in combined {
-            let r = route(&w, cfg.reducers);
-            per_r[r].push(fnv1a(&w));
+            let r = route(w, cfg.reducers);
+            per_r[r].push(fnv1a(w));
             pairs_per_reducer[r].push((w, c));
         }
         for (r, mut run) in per_r.into_iter().enumerate() {
@@ -332,7 +332,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
 
         // The real reduce: sum counts per word (sequential over sorted runs).
         let pairs = std::mem::take(&mut pairs_per_reducer[r]);
-        let mut sums: HashMap<String, i64> = HashMap::new();
+        let mut sums: FxHashMap<&str, i64> = FxHashMap::default();
         for (w, c) in pairs {
             *sums.entry(w).or_insert(0) += c;
         }
@@ -404,7 +404,7 @@ mod tests {
         let region = m.alloc(1024);
         let (combined, items) = fused_scan_combine(&lines, region, 0, &mut m, &sm, &leaves, 1);
         // Independent recount.
-        let mut naive: HashMap<&str, i64> = HashMap::new();
+        let mut naive: std::collections::HashMap<&str, i64> = Default::default();
         for l in &lines {
             for w in l.split_whitespace() {
                 *naive.entry(w).or_insert(0) += 1;

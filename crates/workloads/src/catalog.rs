@@ -1,9 +1,10 @@
 //! The Table I benchmark matrix and its runner.
 //!
 //! `Benchmark × Framework` enumerates the paper's twelve workloads
-//! (`sort_hp`, `sort_sp`, `wc_hp`, …). [`Benchmark::run`] builds the job,
-//! schedules it on a fresh machine with the sampling profiler attached, and
-//! returns the [`simprof_profiler::ProfileTrace`] plus the method registry.
+//! (`sort_hp`, `sort_sp`, `wc_hp`, …). [`Benchmark::run`] builds the job
+//! (under a `workloads.build` span), schedules it on a fresh machine with the
+//! sampling profiler attached, and returns the
+//! [`simprof_profiler::ProfileTrace`] plus the method registry.
 
 use serde::{Deserialize, Serialize};
 
@@ -107,7 +108,7 @@ impl Benchmark {
     ) -> RunOutput {
         let mut machine = Machine::new(cfg.machine);
         let mut registry = MethodRegistry::new();
-        let job = self.build(framework, cfg, &mut machine, &mut registry);
+        let job = traced_build(|| self.build(framework, cfg, &mut machine, &mut registry));
         let trace = profile_job_with_sinks(&job, cfg, &mut machine, &mut registry, sinks);
         RunOutput {
             trace,
@@ -145,7 +146,8 @@ impl Benchmark {
         );
         let mut machine = Machine::new(cfg.machine);
         let mut registry = MethodRegistry::new();
-        let job = wordcount::spark_with_corpus(cfg, &mut machine, &mut registry, lines);
+        let job =
+            traced_build(|| wordcount::spark_with_corpus(cfg, &mut machine, &mut registry, lines));
         let trace = profile_job(&job, cfg, &mut machine, &mut registry);
         RunOutput {
             trace,
@@ -170,7 +172,7 @@ impl Benchmark {
         assert!(self.is_graph(), "only graph benchmarks take a graph input");
         let mut machine = Machine::new(cfg.machine);
         let mut registry = MethodRegistry::new();
-        let job = match (self, framework) {
+        let job = traced_build(|| match (self, framework) {
             (Benchmark::ConnectedComponents, Framework::Spark) => {
                 let sm = SparkMethods::intern(&mut registry);
                 cc::spark_on_graph(cfg, &mut machine, &mut registry, &sm, graph)
@@ -186,7 +188,7 @@ impl Benchmark {
                 pagerank::hadoop_on_graph(cfg, &mut machine, &mut registry, graph)
             }
             _ => unreachable!(),
-        };
+        });
         let trace = profile_job(&job, cfg, &mut machine, &mut registry);
         RunOutput {
             trace,
@@ -318,7 +320,8 @@ impl WorkloadId {
     ) -> Option<f64> {
         let mut machine = Machine::new(cfg.machine);
         let mut registry = MethodRegistry::new();
-        let job = self.benchmark.build(self.framework, cfg, &mut machine, &mut registry);
+        let job =
+            traced_build(|| self.benchmark.build(self.framework, cfg, &mut machine, &mut registry));
         let start = unit * unit_instrs;
         let mut sched = cfg.sched;
         sched.cold_restart = Some((0, start.saturating_sub(warmup)));
@@ -330,6 +333,13 @@ impl WorkloadId {
             _ => None,
         }
     }
+}
+
+/// Constructs a job under the `workloads.build` span, so input synthesis
+/// and the build-time kernels show up in run reports as their own layer.
+fn traced_build(build: impl FnOnce() -> Job) -> Job {
+    let _span = simprof_obs::span!("workloads.build");
+    build()
 }
 
 fn profile_job(

@@ -151,38 +151,35 @@ impl Kronecker {
         let [a, b, c, d] = self.initiator;
         let total = (a + b + c + d).max(f64::MIN_POSITIVE);
         let (pa, pb, pc) = (a / total, b / total, c / total);
+        // Quadrant thresholds: quadrant q (0 = a, 1 = b, 2 = c, 3 = d) is
+        // the number of thresholds the draw reaches.
+        let (t1, t2, t3) = (pa, pa + pb, pa + pb + pc);
         let mut rng = seeded(split_seed(seed, 0x6B40));
 
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.edges);
+        // Edges packed as `u << 32 | v`, so sorting the packed words sorts by
+        // `(u, v)`.
+        let mut pairs: Vec<u64> = Vec::with_capacity(self.edges);
         for _ in 0..self.edges {
             let mut u = 0usize;
             let mut v = 0usize;
             for _ in 0..self.scale {
                 let x: f64 = rng.random();
-                let (du, dv) = if x < pa {
-                    (0, 0)
-                } else if x < pa + pb {
-                    (0, 1)
-                } else if x < pa + pb + pc {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                u = (u << 1) | du;
-                v = (v << 1) | dv;
+                let q = usize::from(x >= t1) + usize::from(x >= t2) + usize::from(x >= t3);
+                u = (u << 1) | (q >> 1);
+                v = (v << 1) | (q & 1);
             }
-            pairs.push((u as u32, v as u32));
+            pairs.push((u as u64) << 32 | v as u64);
         }
         pairs.sort_unstable();
 
         let mut offsets = vec![0u32; n + 1];
-        for &(u, _) in &pairs {
-            offsets[u as usize + 1] += 1;
+        for &e in &pairs {
+            offsets[(e >> 32) as usize + 1] += 1;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let targets = pairs.into_iter().map(|(_, v)| v).collect();
+        let targets = pairs.into_iter().map(|e| e as u32).collect();
         SynthGraph { n, offsets, targets }
     }
 }

@@ -12,33 +12,92 @@ use rayon::prelude::*;
 
 use simprof_stats::{seeded, split_seed, SeedRng};
 
+/// Buckets of the rank-draw guide table. A power of two, so `x · GUIDE` is
+/// exact for every `f64` in `[0, 1)` and the bucket of a draw is exact too.
+const GUIDE: usize = 4096;
+
 /// Seeded Zipfian text generator.
 #[derive(Debug, Clone)]
 pub struct TextSynth {
-    /// Vocabulary size.
-    pub vocab: usize,
-    /// Zipf exponent (1.0 ≈ natural language).
-    pub exponent: f64,
-    /// Words per line.
-    pub words_per_line: usize,
-    /// Cumulative distribution over ranks.
-    cdf: Vec<f64>,
+    /// Vocabulary size (1 ..= 65 536).
+    vocab: usize,
+    /// Words per line (at least 1).
+    words_per_line: usize,
+    ranks: RankTable,
     words: Vec<String>,
+    /// Byte length of each vocabulary word.
+    word_len: Vec<u8>,
+}
+
+/// Cumulative distribution of `P(rank r) ∝ 1 / r^s` over `vocab` ranks.
+fn zipf_cdf(vocab: usize, exponent: f64) -> Vec<f64> {
+    let mut weights: Vec<f64> = (1..=vocab).map(|r| 1.0 / (r as f64).powf(exponent)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut acc = 0.0;
+    for w in &mut weights {
+        acc += *w / total;
+        *w = acc;
+    }
+    weights
+}
+
+/// Inverse-CDF lookup from a uniform draw to a rank, bracketed by a guide
+/// table.
+#[derive(Debug, Clone)]
+struct RankTable {
+    /// Cumulative distribution over ranks, followed by `window` entries of
+    /// `+∞`.
+    cdf: Vec<f64>,
+    /// `guide[b]` is the first rank whose cumulative probability reaches
+    /// `b / GUIDE` (`GUIDE + 1` entries).
+    guide: Vec<u32>,
+    /// The most ranks any guide bucket spans.
+    window: usize,
+}
+
+impl RankTable {
+    fn new(mut cdf: Vec<f64>) -> Self {
+        let guide: Vec<u32> = (0..=GUIDE)
+            .map(|b| {
+                let edge = b as f64 / GUIDE as f64;
+                u32::try_from(cdf.partition_point(|&c| c < edge)).expect("vocabulary fits u32")
+            })
+            .collect();
+        let window = guide.windows(2).map(|g| (g[1] - g[0]) as usize).max().unwrap_or(0);
+        cdf.resize(cdf.len() + window, f64::INFINITY);
+        Self { cdf, guide, window }
+    }
+
+    /// The first rank whose cumulative probability reaches `x ∈ [0, 1)`:
+    /// `cdf.partition_point(|&c| c < x)`, which is the vocabulary size when
+    /// the last entry rounds below `x`. For `x` in bucket `b`, entries below
+    /// `b / GUIDE` are below `x` and entries reaching `(b + 1) / GUIDE`
+    /// reach `x`, so the answer lies in `guide[b] ..= guide[b + 1]`, at most
+    /// `window` past `guide[b]`. Searching that fixed-width (`+∞`-padded)
+    /// window takes the same steps for every draw.
+    fn rank(&self, x: f64) -> usize {
+        let lo = self.guide[(x * GUIDE as f64) as usize] as usize;
+        lo + self.cdf[lo..lo + self.window].partition_point(|&c| c < x)
+    }
 }
 
 impl TextSynth {
-    /// Builds a generator with a `vocab`-word synthetic vocabulary.
+    /// Builds a generator with a `vocab`-word synthetic vocabulary and Zipf
+    /// exponent `exponent` (1.0 ≈ natural language).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `vocab` is 0 or above 65 536 (ranks are stored as `u16`),
+    /// or when `words_per_line` is 0.
     pub fn new(vocab: usize, exponent: f64, words_per_line: usize, seed: u64) -> Self {
         assert!(vocab > 0, "vocabulary must be non-empty");
-        let mut weights: Vec<f64> = (1..=vocab).map(|r| 1.0 / (r as f64).powf(exponent)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        for w in &mut weights {
-            acc += *w / total;
-            *w = acc;
-        }
+        assert!(vocab <= 1 << 16, "vocabulary must fit u16 ranks (at most 65 536 words)");
+        assert!(words_per_line > 0, "lines must hold at least one word");
+        let ranks = RankTable::new(zipf_cdf(vocab, exponent));
         let words = Self::make_words(vocab, seed);
-        Self { vocab, exponent, words_per_line, cdf: weights, words }
+        let word_len =
+            words.iter().map(|w| u8::try_from(w.len()).expect("words are short")).collect();
+        Self { vocab, words_per_line, ranks, words, word_len }
     }
 
     /// Synthesizes a vocabulary of distinct pronounceable-ish words.
@@ -64,7 +123,7 @@ impl TextSynth {
 
     fn draw_rank(&self, rng: &mut SeedRng) -> usize {
         let x: f64 = rng.random();
-        self.cdf.partition_point(|&c| c < x).min(self.vocab - 1)
+        self.ranks.rank(x).min(self.vocab - 1)
     }
 
     /// Draws one word.
@@ -80,37 +139,40 @@ impl TextSynth {
 
     /// Generates lines totalling approximately `bytes` of text.
     ///
-    /// Two passes, bit-identical to the original single-pass generator at
-    /// any worker count: pass 1 draws Zipf ranks sequentially (consuming
-    /// the RNG stream in exactly the old order) and tracks produced bytes
-    /// from the known word lengths; pass 2 assembles the rank lists into
-    /// strings in parallel (pure lookups, order preserved by the pool).
+    /// Two passes, bit-identical at any worker count: pass 1 draws Zipf
+    /// ranks sequentially into one flat buffer (`words_per_line` per line,
+    /// consuming the RNG stream in line order) and tracks produced bytes
+    /// from the word-length table; pass 2 assembles each line's string in
+    /// parallel (pure lookups, order preserved by the pool).
     pub fn lines(&self, bytes: usize, seed: u64) -> Vec<String> {
+        let wpl = self.words_per_line;
         let mut rng = seeded(split_seed(seed, 0x11E5));
-        let mut line_ranks: Vec<Vec<usize>> = Vec::new();
+        let mut ranks: Vec<u16> = Vec::new();
         let mut produced = 0usize;
         while produced < bytes {
-            let mut ranks = Vec::with_capacity(self.words_per_line);
-            let mut len = 0usize;
-            for i in 0..self.words_per_line {
+            // `wpl` word lengths, `wpl - 1` separators and the newline.
+            let mut len = wpl;
+            for _ in 0..wpl {
                 let r = self.draw_rank(&mut rng);
-                len += self.words[r].len() + usize::from(i > 0);
-                ranks.push(r);
+                len += usize::from(self.word_len[r]);
+                ranks.push(r as u16);
             }
-            produced += len + 1;
-            line_ranks.push(ranks);
+            produced += len;
         }
-        line_ranks
+        (0..ranks.len() / wpl)
             .into_par_iter()
-            .map(|ranks| {
-                let mut line = String::with_capacity(self.words_per_line * 7);
-                for (i, &r) in ranks.iter().enumerate() {
-                    if i > 0 {
-                        line.push(' ');
+            .map(|i| {
+                let line = &ranks[i * wpl..(i + 1) * wpl];
+                let len =
+                    line.iter().map(|&r| usize::from(self.word_len[usize::from(r)])).sum::<usize>();
+                let mut out = String::with_capacity(len + wpl - 1);
+                for (j, &r) in line.iter().enumerate() {
+                    if j > 0 {
+                        out.push(' ');
                     }
-                    line.push_str(&self.words[r]);
+                    out.push_str(&self.words[usize::from(r)]);
                 }
-                line
+                out
             })
             .collect()
     }
@@ -227,6 +289,63 @@ impl LabeledCorpus {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    #[test]
+    #[should_panic(expected = "at least one word")]
+    fn empty_lines_are_rejected() {
+        let _ = TextSynth::new(100, 1.0, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit u16 ranks")]
+    fn oversized_vocabulary_is_rejected() {
+        let _ = TextSynth::new((1 << 16) + 1, 1.0, 10, 1);
+    }
+
+    /// The plain inverse-CDF search the guide table brackets.
+    fn plain_rank(cdf: &[f64], x: f64) -> usize {
+        cdf.partition_point(|&c| c < x)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The guided draw equals the plain search for random draws, for
+        /// draws exactly on bucket edges `k / 4096`, and on Zipf CDFs of
+        /// any size and skew.
+        #[test]
+        fn guided_rank_matches_plain_search(
+            vocab in 1usize..20_000,
+            exponent in 0.3f64..2.0,
+            xs in proptest::collection::vec(0.0f64..1.0, 64),
+            edges in proptest::collection::vec(0usize..GUIDE, 64),
+        ) {
+            let cdf = zipf_cdf(vocab, exponent);
+            let table = RankTable::new(cdf.clone());
+            let edge_xs = edges.iter().map(|&k| k as f64 / GUIDE as f64);
+            for x in xs.iter().copied().chain(edge_xs) {
+                proptest::prop_assert_eq!(table.rank(x), plain_rank(&cdf, x), "x = {}", x);
+            }
+        }
+    }
+
+    #[test]
+    fn guided_rank_handles_a_cdf_ending_below_one() {
+        // The last entry rounds below 1.0: draws above it land one past the
+        // last rank, exactly as the plain search does (the caller clamps).
+        let cdf = vec![0.25, 0.5, 0.75, 1.0 - 1e-12];
+        let table = RankTable::new(cdf.clone());
+        assert_eq!(table.guide[GUIDE] as usize, cdf.len());
+        let top = 1.0 - f64::EPSILON / 2.0;
+        for x in [0.0, 0.25, 0.25 + 1e-17, 0.6, 0.75, 1.0 - 1e-12, 1.0 - 5e-13, top] {
+            assert_eq!(table.rank(x), plain_rank(&cdf, x), "x = {x}");
+        }
+        assert_eq!(table.rank(top), cdf.len());
+        for k in 0..GUIDE {
+            let x = k as f64 / GUIDE as f64;
+            assert_eq!(table.rank(x), plain_rank(&cdf, x), "edge {k}");
+        }
+    }
 
     #[test]
     fn lines_reach_requested_bytes() {

@@ -47,7 +47,9 @@ fn reporting_session_does_not_perturb_the_pipeline() {
     assert_eq!(baseline, observed, "observed run must be bit-identical to the unobserved run");
 
     // The session saw every pipeline stage while changing none of them.
-    for span in ["engine.run", "core.analyze", "core.form_phases", "core.select_points"] {
+    for span in
+        ["workloads.build", "engine.run", "core.analyze", "core.form_phases", "core.select_points"]
+    {
         assert!(report.find_span(span).is_some(), "report lacks span `{span}`");
     }
     assert!(report.metrics.counters.contains_key("core.units_analyzed"));
@@ -121,4 +123,32 @@ fn event_streaming_and_timeline_export_do_not_perturb_the_pipeline() {
 
     // A rerun with everything torn down is still byte-identical.
     assert_eq!(baseline, run_pipeline(), "pipeline output must not drift after streaming");
+}
+
+#[test]
+fn job_construction_is_its_own_span_under_the_profile_span() {
+    let _serial = SESSION.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = std::env::temp_dir().join("simprof_obs_build_span");
+    std::fs::create_dir_all(&dir).unwrap();
+    let report_path = dir.join("run_report.json");
+    let argv: Vec<String> = ["run", "-w", "wc_sp", "--scale", "tiny", "--seed", "5", "-n", "5"]
+        .into_iter()
+        .map(str::to_owned)
+        .chain(["--report".to_owned(), report_path.to_string_lossy().into_owned()])
+        .collect();
+    simprof_cli::dispatch(&argv).expect("run succeeds");
+    let text = std::fs::read_to_string(&report_path).unwrap();
+    let report: obs::RunReport = serde_json::from_str(text.trim_end()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Input synthesis and job construction are a layer of their own inside
+    // the profile step, finished before the engine starts.
+    let profile = report.find_span("cli.profile").expect("report records the profile span");
+    let build = profile.find("workloads.build").expect("job construction nests under profile");
+    let engine = profile.find("engine.run").expect("engine run nests under profile");
+    assert!(build.elapsed_us > 0, "the build span covers real work");
+    assert!(
+        build.start_us + build.elapsed_us <= engine.start_us,
+        "the job is built before it runs"
+    );
 }
