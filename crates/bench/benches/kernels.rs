@@ -1,13 +1,15 @@
 //! Criterion benchmarks for the performance-critical kernels: the
 //! statistics substrate (clustering, feature scoring, allocation), the
-//! machine model (cache walks, pattern cursors), the instrumented engine
-//! kernels (quicksort trace, hash combine, k-way merge), and job
-//! construction (input synthesis plus whole `Benchmark::build` calls).
+//! machine model (4-core cache-hierarchy walks, pattern cursors), whole
+//! paper-scale engine runs, the instrumented engine kernels (quicksort
+//! trace, hash combine, k-way merge), and job construction (input
+//! synthesis plus whole `Benchmark::build` calls).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use simprof_engine::{ops, MethodRegistry};
+use simprof_engine::{ops, MethodRegistry, Scheduler};
+use simprof_profiler::SamplingManager;
 use simprof_sim::{AccessCursor, AccessPattern, Machine, MachineConfig, Region};
 use simprof_stats::{
     f_regression, kmeans, optimal_allocation, silhouette_score, srs_indices_seeded, KMeans, Matrix,
@@ -66,21 +68,50 @@ fn bench_stats(c: &mut Criterion) {
 }
 
 fn bench_machine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sim/cache_walk_64k_accesses");
-    for (name, pattern) in [
-        ("sequential", AccessPattern::Sequential),
-        ("random", AccessPattern::Random),
-        ("zipf", AccessPattern::Zipf),
+    // The benchmark machine's hierarchy: 4 cores with private 8 KiB L1 and
+    // 64 KiB L2 over one shared 512 KiB LLC, cores interleaved access by
+    // access. Sequential 384 KiB misses L1 and L2 but fits the LLC.
+    let mut g = c.benchmark_group("sim/hierarchy_4core_64k_accesses");
+    for (name, pattern, bytes) in [
+        ("sequential 384KiB", AccessPattern::Sequential, 384 << 10),
+        ("random 1MiB", AccessPattern::Random, 1 << 20),
+        ("zipf 1MiB", AccessPattern::Zipf, 1 << 20),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let mut machine = Machine::new(MachineConfig::scaled(1));
-                let region = machine.alloc(1 << 20);
+                let mut machine = Machine::new(MachineConfig::scaled(4));
+                let region = machine.alloc(bytes);
                 let mut cur = AccessCursor::new(region, pattern, 5);
-                for _ in 0..65_536 {
-                    machine.access(0, cur.next_addr());
+                for i in 0..65_536 {
+                    machine.access(i & 3, cur.next_addr());
                 }
                 black_box(machine.counters(0))
+            })
+        });
+    }
+    g.finish();
+}
+
+/// One paper-scale `Scheduler::run` as the catalog runs it (GC noise,
+/// profiler listener), on a cold copy of the machine the job was built
+/// on. The build itself stays outside the timed loop.
+fn bench_engine(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine/run");
+    let cfg = WorkloadConfig::paper(1);
+    for w in WorkloadId::all() {
+        if !["sort_hp", "wc_sp", "rank_sp"].contains(&w.label().as_str()) {
+            continue;
+        }
+        let mut machine = Machine::new(cfg.machine);
+        let mut registry = MethodRegistry::new();
+        let job = w.benchmark.build(w.framework, &cfg, &mut machine, &mut registry);
+        let sched = cfg.run_sched(&mut registry);
+        g.bench_function(w.label(), |b| {
+            b.iter(|| {
+                let mut m = machine.clone();
+                let mut manager = SamplingManager::new(cfg.profiler);
+                Scheduler::new(sched).run(&mut m, &job, &mut manager);
+                black_box(manager.finish())
             })
         });
     }
@@ -154,6 +185,6 @@ fn bench_build(c: &mut Criterion) {
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_stats, bench_machine, bench_ops, bench_build
+    targets = bench_stats, bench_machine, bench_engine, bench_ops, bench_build
 );
 criterion_main!(kernels);

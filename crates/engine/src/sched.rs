@@ -31,6 +31,14 @@
 //! Features that couple cores mid-turn (speculative twins, migration noise,
 //! a pending cold restart) force the serial path; the result is the same
 //! either way.
+//!
+//! The gate checks whether speculation is *enabled*, not whether a
+//! straggler can fire, and the default plan ([`FaultPlan::none`]) has
+//! `speculative: true`; the paper preset also turns migration noise on.
+//! So only runs that set `speculative: false` and leave migrations off
+//! reach the parallel path — no catalog, CLI or service run does. The
+//! `engine.parallel_batches` counter (recorded once per run, next to
+//! `engine.quanta`) says how many batches a run took.
 
 use std::collections::VecDeque;
 
@@ -488,6 +496,8 @@ struct RunState<'l> {
     log: FaultLog,
     migration: MigrationClock,
     turn_counter: u64,
+    /// Calls to `parallel_batch` (scatter → script → merge rounds).
+    parallel_batches: u64,
     cold_restart: Option<(usize, u64)>,
     listener: &'l mut dyn ExecListener,
 }
@@ -527,6 +537,7 @@ impl Scheduler {
             log: FaultLog::new(),
             migration: MigrationClock::new(self.config.perturbations, cores),
             turn_counter: 0,
+            parallel_batches: 0,
             cold_restart: self.config.cold_restart,
             listener,
         };
@@ -597,6 +608,7 @@ impl Scheduler {
         // Aggregated locally, recorded once: hot-loop turns never touch the
         // registry.
         simprof_obs::counter_add("engine.quanta", rs.turn_counter);
+        simprof_obs::counter_add("engine.parallel_batches", rs.parallel_batches);
         simprof_obs::counter_add("engine.fault_events", rs.log.len() as u64);
         rs.log
     }
@@ -810,6 +822,7 @@ impl Scheduler {
         let cores = machine.core_count();
         let plan = self.config.faults;
         let quantum = self.config.quantum;
+        rs.parallel_batches += 1;
 
         // Scatter: move each running slot's private caches and attempt
         // state into a per-slot work unit.

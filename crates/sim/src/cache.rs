@@ -1,12 +1,20 @@
 //! One set-associative LRU cache level.
 //!
-//! Tags and LRU stamps live in flat arrays (`sets × ways`) so a lookup is a
-//! short linear scan over one set — at most `ways` comparisons on contiguous
-//! memory, which keeps full-job simulations fast.
+//! Per set the model keeps each way's line tag, a valid mask (one bit per
+//! way) and the set's recency order packed into one `u128`: 5-bit way
+//! numbers, most recently touched first. A touch moves its way to the front
+//! with a few word operations, and the victim of a miss is the first
+//! invalid way, else the last way in the order, read off without a scan.
+//! Caches built with [`Cache::with_line_index`] also keep a line → way
+//! index, so a lookup needs no tag scan either.
 
 use serde::{Deserialize, Serialize};
 
 use crate::LINE_BYTES;
+
+/// The largest associativity a [`Cache`] supports: the recency order packs
+/// one 5-bit way number per way into a `u128`.
+pub const MAX_WAYS: usize = 25;
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,9 +30,11 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if capacity is not a positive multiple of `ways × 64 B`.
+    /// Panics if `ways` is 0 or above [`MAX_WAYS`], or if capacity is not a
+    /// positive multiple of `ways × 64 B`.
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
         assert!(ways > 0, "cache needs at least one way");
+        assert_ways_supported(ways);
         assert!(capacity_bytes > 0, "cache needs capacity");
         assert_eq!(
             capacity_bytes % (ways as u64 * LINE_BYTES),
@@ -45,35 +55,124 @@ impl CacheConfig {
     }
 }
 
+fn assert_ways_supported(ways: usize) {
+    assert!(ways <= MAX_WAYS, "cache supports at most {MAX_WAYS} ways, got {ways}");
+}
+
+/// Bits per way number in a set's packed recency order.
+const FIELD_BITS: u32 = 5;
+
+/// The low bit of every recency field.
+const FIELD_ONES: u128 = {
+    let mut x = 0u128;
+    let mut i = 0;
+    while i < MAX_WAYS {
+        x |= 1 << (i as u32 * FIELD_BITS);
+        i += 1;
+    }
+    x
+};
+
+/// The high bit of every recency field.
+const FIELD_HIGHS: u128 = FIELD_ONES << (FIELD_BITS - 1);
+
+/// One recency field.
+const FIELD_MASK: u128 = (1 << FIELD_BITS) - 1;
+
+/// Moves `way` to the front (most recent position) of a packed recency
+/// order. The way's position is the lowest field equal to `way`: XOR turns
+/// it into the lowest zero field, which the borrow trick below flags
+/// exactly (higher fields may be flagged spuriously, lower ones never).
+/// The fields before it shift up one place; fields past it, including
+/// those past the cache's associativity, stay untouched. Constant shifts
+/// only, no branch.
+#[inline]
+fn move_to_front(order: u128, way: usize) -> u128 {
+    let x = order ^ (FIELD_ONES * way as u128);
+    let flags = x.wrapping_sub(FIELD_ONES) & !x & FIELD_HIGHS;
+    let first = flags & flags.wrapping_neg(); // high bit of `way`'s field
+    let before = (first >> (FIELD_BITS - 1)) - 1;
+    let through = before << FIELD_BITS | FIELD_MASK;
+    order & !through | (order & before) << FIELD_BITS | way as u128
+}
+
+/// Line → way index growth step, in lines (64 KiB of index): the index is
+/// sized in exact steps rather than doubled, so it stays within one step
+/// of the highest line the cache has held.
+const INDEX_STEP: usize = 1 << 16;
+
+/// Grows a line → way index to cover line `at`, in [`INDEX_STEP`] steps.
+#[cold]
+fn grow_index(index: &mut Vec<u8>, at: usize) {
+    let len = (at + 1).next_multiple_of(INDEX_STEP);
+    index.reserve_exact(len - index.len());
+    index.resize(len, 0);
+}
+
 /// A set-associative LRU cache over 64-byte lines.
 ///
-/// Stores line tags only — the model tracks presence, not data. A global
-/// access counter provides LRU ordering. `u64::MAX` marks an invalid way.
+/// Stores line tags only — the model tracks presence, not data. Replacement
+/// fills the first invalid way of the set, else evicts the least recently
+/// touched way (hit or fill).
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     sets: usize,
     ways: usize,
+    /// `tags[set * ways + way]`: the line held there, [`INVALID`] if none.
     tags: Vec<u64>,
-    stamps: Vec<u64>,
-    clock: u64,
+    /// Per set: bit `w` is set exactly when way `w`'s tag is valid.
+    valid: Vec<u32>,
+    /// Per set: the ways in recency order, 5 bits each, most recent in the
+    /// low field. Order among valid ways is exactly the order of their last
+    /// touch; the positions of invalid ways never matter because a miss
+    /// fills an invalid way before it evicts.
+    recency: Vec<u128>,
+    /// The recency fields in use (`ways` × 5 bits).
+    order_mask: u128,
+    /// `index[line]`: the way holding `line` plus one, 0 when absent.
+    /// Mirrors the valid tags exactly; grown on the first fill beyond its
+    /// length. `None` for caches that find lines by scanning their set.
+    index: Option<Vec<u8>>,
 }
 
+/// Tag of an empty way (no line number reaches it: lines are `addr / 64`).
 const INVALID: u64 = u64::MAX;
 
 impl Cache {
-    /// Builds an empty (all-invalid) cache.
+    /// Builds an empty (all-invalid) cache that finds lines by scanning the
+    /// set's tags — the cheapest layout for small, low-associativity levels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than [`MAX_WAYS`] ways.
     pub fn new(config: CacheConfig) -> Self {
+        assert_ways_supported(config.ways);
         let sets = config.sets();
         let ways = config.ways;
+        let identity = (0..ways).fold(0u128, |acc, w| acc | (w as u128) << (w as u32 * FIELD_BITS));
         Self {
             config,
             sets,
             ways,
             tags: vec![INVALID; sets * ways],
-            stamps: vec![0; sets * ways],
-            clock: 0,
+            valid: vec![0; sets],
+            recency: vec![identity; sets],
+            order_mask: (1 << (ways as u32 * FIELD_BITS)) - 1,
+            index: None,
         }
+    }
+
+    /// Builds an empty cache that also keeps a line → way index (one byte
+    /// per line of the address space below the highest line it has held),
+    /// so hits and misses are decided without scanning the set. Behaviour
+    /// is identical to [`Cache::new`]; only the lookup cost differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than [`MAX_WAYS`] ways.
+    pub fn with_line_index(config: CacheConfig) -> Self {
+        Self { index: Some(Vec::new()), ..Self::new(config) }
     }
 
     /// The geometry this cache was built with.
@@ -81,57 +180,95 @@ impl Cache {
         self.config
     }
 
-    /// Looks up the line containing `addr`, inserting it on miss (allocate-on-
-    /// miss, LRU eviction). Returns `true` on hit.
-    pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / LINE_BYTES;
-        let set = if self.sets.is_power_of_two() {
+    #[inline]
+    fn set_of(&self, line: u64) -> usize {
+        if self.sets.is_power_of_two() {
             (line as usize) & (self.sets - 1)
         } else {
             (line as usize) % self.sets
-        };
-        self.clock += 1;
-        let base = set * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
-        // Hit scan.
-        let mut lru_idx = 0;
-        let mut lru_stamp = u64::MAX;
-        for (i, &t) in slots.iter().enumerate() {
-            if t == line {
-                self.stamps[base + i] = self.clock;
-                return true;
-            }
-            let s = if t == INVALID { 0 } else { self.stamps[base + i] };
-            if s < lru_stamp {
-                lru_stamp = s;
-                lru_idx = i;
+        }
+    }
+
+    /// The way of `set` holding `line`, if any.
+    #[inline]
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        match &self.index {
+            Some(index) => match index.get(line as usize) {
+                Some(&w) if w != 0 => Some(w as usize - 1),
+                _ => None,
+            },
+            None => {
+                let base = set * self.ways;
+                self.tags[base..base + self.ways].iter().position(|&t| t == line)
             }
         }
-        // Miss: fill the LRU (or an invalid) way.
-        self.tags[base + lru_idx] = line;
-        self.stamps[base + lru_idx] = self.clock;
+    }
+
+    /// Looks up the line containing `addr`, inserting it on miss (allocate-on-
+    /// miss, LRU eviction). Returns `true` on hit.
+    #[inline]
+    pub fn access(&mut self, addr: u64) -> bool {
+        let line = addr / LINE_BYTES;
+        let set = self.set_of(line);
+        if let Some(way) = self.find(set, line) {
+            self.recency[set] = move_to_front(self.recency[set], way);
+            return true;
+        }
+        self.fill(set, line);
         false
+    }
+
+    /// Miss path: puts `line` into the first invalid way of `set`, else
+    /// into its least recently touched way.
+    fn fill(&mut self, set: usize, line: u64) {
+        let valid = self.valid[set];
+        let full = (1u32 << self.ways) - 1;
+        let order = self.recency[set];
+        let (way, order) = if valid != full {
+            let way = (!valid).trailing_zeros() as usize;
+            (way, move_to_front(order, way))
+        } else {
+            // Evict the last way in the order and rotate it to the front.
+            let way = (order >> ((self.ways as u32 - 1) * FIELD_BITS) & FIELD_MASK) as usize;
+            (way, order << FIELD_BITS & self.order_mask | way as u128)
+        };
+        let slot = set * self.ways + way;
+        if let Some(index) = &mut self.index {
+            if self.tags[slot] != INVALID {
+                index[self.tags[slot] as usize] = 0;
+            }
+            let at = line as usize;
+            if at >= index.len() {
+                grow_index(index, at);
+            }
+            index[at] = way as u8 + 1;
+        }
+        self.tags[slot] = line;
+        self.valid[set] = valid | 1 << way;
+        self.recency[set] = order;
     }
 
     /// Checks for presence without updating LRU state or inserting.
     pub fn probe(&self, addr: u64) -> bool {
         let line = addr / LINE_BYTES;
-        let set = if self.sets.is_power_of_two() {
-            (line as usize) & (self.sets - 1)
-        } else {
-            (line as usize) % self.sets
-        };
-        let base = set * self.ways;
-        self.tags[base..base + self.ways].contains(&line)
+        self.find(self.set_of(line), line).is_some()
     }
 
     /// Invalidates every line (e.g. context lost after an OS migration).
     pub fn flush(&mut self) {
+        if let Some(index) = &mut self.index {
+            for &t in self.tags.iter().filter(|&&t| t != INVALID) {
+                index[t as usize] = 0;
+            }
+        }
         self.tags.fill(INVALID);
+        self.valid.fill(0);
     }
 
     /// Invalidates roughly `fraction` of all lines, deterministically chosen
     /// from `seed`. Used by the perturbation model for partial-flush events.
+    /// Each physical slot (set-major, then way) draws once from the stream,
+    /// valid or not, so the choice depends only on the geometry and seed.
     pub fn flush_fraction(&mut self, fraction: f64, seed: u64) {
         let fraction = fraction.clamp(0.0, 1.0);
         if fraction >= 1.0 {
@@ -140,20 +277,27 @@ impl Cache {
         }
         let threshold = (fraction * u64::MAX as f64) as u64;
         let mut state = seed | 1;
-        for t in &mut self.tags {
-            // xorshift64* stream: cheap, deterministic per-slot decision.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            if state.wrapping_mul(0x2545_F491_4F6C_DD1D) < threshold {
-                *t = INVALID;
+        let Self { tags, valid, index, ways, .. } = self;
+        for (set_tags, valid) in tags.chunks_exact_mut(*ways).zip(valid.iter_mut()) {
+            for (w, t) in set_tags.iter_mut().enumerate() {
+                // xorshift64* stream: cheap, deterministic per-slot decision.
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state.wrapping_mul(0x2545_F491_4F6C_DD1D) < threshold && *t != INVALID {
+                    *valid &= !(1 << w);
+                    if let Some(index) = index {
+                        index[*t as usize] = 0;
+                    }
+                    *t = INVALID;
+                }
             }
         }
     }
 
     /// Number of currently valid lines (test/diagnostic helper).
     pub fn valid_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID).count()
+        self.valid.iter().map(|v| v.count_ones() as usize).sum()
     }
 }
 
@@ -177,6 +321,26 @@ mod tests {
     #[should_panic(expected = "multiple of ways")]
     fn rejects_bad_geometry() {
         let _ = CacheConfig::new(1000, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 25 ways, got 26")]
+    fn rejects_too_many_ways() {
+        let _ = CacheConfig::new(26 * 64 * 4, 26);
+    }
+
+    #[test]
+    fn move_to_front_keeps_a_permutation() {
+        // 20 ways in identity order; touch the last, the first, a middle one.
+        let mut order = (0..20u32).fold(0u128, |acc, w| acc | (w as u128) << (w * FIELD_BITS));
+        for way in [19, 0, 7, 7, 19] {
+            order = move_to_front(order, way);
+            assert_eq!(order & 0x1F, way as u128);
+        }
+        let fields: Vec<u128> = (0..20).map(|i| order >> (i * FIELD_BITS) & 0x1F).collect();
+        let expected = [19, 7, 0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18];
+        assert_eq!(fields, expected);
+        assert_eq!(order >> (20 * FIELD_BITS), 0, "fields past the ways stay zero");
     }
 
     #[test]

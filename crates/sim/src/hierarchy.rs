@@ -9,7 +9,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{Cache, CacheConfig};
 
-/// Which level served a memory access.
+/// Which level served a memory access. Variants are in depth order
+/// (`outcome as u64` = number of levels missed), which the machine's
+/// counter update relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AccessOutcome {
     /// Served by the L1 data cache.
@@ -45,9 +47,12 @@ pub struct PrivateCaches {
 }
 
 impl PrivateCaches {
-    /// Builds empty private caches with the given geometries.
+    /// Builds empty private caches with the given geometries. L2 keeps a
+    /// line → way index ([`Cache::with_line_index`]); L1 scans its sets:
+    /// indexing it too bought no measurable speed and would cost another
+    /// byte per simulated line per core.
     pub fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
-        Self { l1: Cache::new(l1), l2: Cache::new(l2) }
+        Self { l1: Cache::new(l1), l2: Cache::with_line_index(l2) }
     }
 
     /// Walks one address through L1 → L2 → `llc` and reports the serving

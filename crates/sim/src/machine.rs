@@ -101,7 +101,7 @@ pub struct Machine {
     config: MachineConfig,
     cores: Vec<CoreState>,
     llcs: Vec<Cache>,
-    cores_per_llc: usize,
+    penalties: Penalties,
     next_addr: u64,
 }
 
@@ -109,24 +109,53 @@ pub struct Machine {
 struct CoreState {
     caches: PrivateCaches,
     counters: Counters,
+    /// The LLC domain (index into `Machine::llcs`) this core belongs to.
+    domain: usize,
+}
+
+/// Per-access penalty cycles by `[streaming][outcome]`, precomputed from the
+/// cost model so charging a penalty needs no division.
+#[derive(Debug, Clone, Copy)]
+struct Penalties([[u64; 4]; 2]);
+
+impl Penalties {
+    fn new(cost: &CostModel) -> Self {
+        let outcomes = [
+            AccessOutcome::L1Hit,
+            AccessOutcome::L2Hit,
+            AccessOutcome::LlcHit,
+            AccessOutcome::Memory,
+        ];
+        Self([
+            outcomes.map(|o| cost.access_cycles(o)),
+            outcomes.map(|o| cost.access_cycles_streaming(o)),
+        ])
+    }
+
+    #[inline]
+    fn cycles(&self, outcome: AccessOutcome, streaming: bool) -> u64 {
+        self.0[streaming as usize][outcome as usize]
+    }
 }
 
 impl Machine {
     /// Builds a cold machine.
     pub fn new(config: MachineConfig) -> Self {
         assert!(config.cores > 0, "machine needs at least one core");
-        let cores = (0..config.cores)
-            .map(|_| CoreState {
-                caches: PrivateCaches::new(config.l1, config.l2),
-                counters: Counters::default(),
-            })
-            .collect();
         let cores_per_llc =
             if config.cores_per_llc == 0 { config.cores } else { config.cores_per_llc };
+        let cores = (0..config.cores)
+            .map(|core| CoreState {
+                caches: PrivateCaches::new(config.l1, config.l2),
+                counters: Counters::default(),
+                domain: core / cores_per_llc,
+            })
+            .collect();
         let domains = config.cores.div_ceil(cores_per_llc);
-        let llcs = (0..domains).map(|_| Cache::new(config.llc)).collect();
+        let llcs = (0..domains).map(|_| Cache::with_line_index(config.llc)).collect();
+        let penalties = Penalties::new(&config.cost);
         // Start the heap away from 0 so "null" never aliases data.
-        Self { config, cores, llcs, cores_per_llc, next_addr: 0x1_0000 }
+        Self { config, cores, llcs, penalties, next_addr: 0x1_0000 }
     }
 
     /// Number of LLC domains (nodes in a cluster configuration).
@@ -136,7 +165,7 @@ impl Machine {
 
     /// The LLC domain (node) a core belongs to.
     pub fn domain_of(&self, core: CoreId) -> usize {
-        core / self.cores_per_llc
+        self.cores[core].domain
     }
 
     /// The configuration this machine was built with.
@@ -179,28 +208,15 @@ impl Machine {
     /// sequential / short-stride work items).
     #[inline]
     pub fn access_hinted(&mut self, core: CoreId, addr: u64, streaming: bool) -> AccessOutcome {
-        let domain = core / self.cores_per_llc;
         let c = &mut self.cores[core];
-        let outcome = c.caches.access(&mut self.llcs[domain], addr);
+        let outcome = c.caches.access(&mut self.llcs[c.domain], addr);
+        // Outcomes are ordered by depth: each level missed counts once.
+        let depth = outcome as u64;
         c.counters.accesses += 1;
-        match outcome {
-            AccessOutcome::L1Hit => {}
-            AccessOutcome::L2Hit => c.counters.l1_misses += 1,
-            AccessOutcome::LlcHit => {
-                c.counters.l1_misses += 1;
-                c.counters.l2_misses += 1;
-            }
-            AccessOutcome::Memory => {
-                c.counters.l1_misses += 1;
-                c.counters.l2_misses += 1;
-                c.counters.llc_misses += 1;
-            }
-        }
-        c.counters.cycles += if streaming {
-            self.config.cost.access_cycles_streaming(outcome)
-        } else {
-            self.config.cost.access_cycles(outcome)
-        };
+        c.counters.l1_misses += (depth >= 1) as u64;
+        c.counters.l2_misses += (depth >= 2) as u64;
+        c.counters.llc_misses += (depth >= 3) as u64;
+        c.counters.cycles += self.penalties.cycles(outcome, streaming);
         outcome
     }
 
@@ -225,8 +241,7 @@ impl Machine {
     /// Evicts a deterministic fraction of one core's LLC domain only (a
     /// node-local cold start).
     pub fn flush_domain_llc(&mut self, core: CoreId, fraction: f64, seed: u64) {
-        let domain = core / self.cores_per_llc;
-        self.llcs[domain].flush_fraction(fraction, seed);
+        self.llcs[self.cores[core].domain].flush_fraction(fraction, seed);
     }
 
     /// Evicts a deterministic fraction of every LLC domain (models other
@@ -244,6 +259,7 @@ impl Machine {
     /// real ones back; the shared LLC never leaves the machine.
     pub fn detach_core_sims(&mut self) -> Vec<CoreSim> {
         let cost = self.config.cost;
+        let penalties = self.penalties;
         self.cores
             .iter_mut()
             .map(|c| CoreSim {
@@ -252,6 +268,7 @@ impl Machine {
                     PrivateCaches::new(self.config.l1, self.config.l2),
                 ),
                 cost,
+                penalties,
             })
             .collect()
     }
@@ -276,21 +293,14 @@ impl Machine {
     /// exactly what [`Machine::access_hinted`] would have.
     #[inline]
     pub fn resolve_llc(&mut self, core: CoreId, addr: u64, streaming: bool) -> AccessOutcome {
-        let domain = core / self.cores_per_llc;
-        let outcome = if self.llcs[domain].access(addr) {
+        let c = &mut self.cores[core];
+        let outcome = if self.llcs[c.domain].access(addr) {
             AccessOutcome::LlcHit
         } else {
             AccessOutcome::Memory
         };
-        let c = &mut self.cores[core];
-        if outcome == AccessOutcome::Memory {
-            c.counters.llc_misses += 1;
-        }
-        c.counters.cycles += if streaming {
-            self.config.cost.access_cycles_streaming(outcome)
-        } else {
-            self.config.cost.access_cycles(outcome)
-        };
+        c.counters.llc_misses += (outcome == AccessOutcome::Memory) as u64;
+        c.counters.cycles += self.penalties.cycles(outcome, streaming);
         outcome
     }
 
@@ -320,6 +330,7 @@ impl Machine {
 pub struct CoreSim {
     caches: PrivateCaches,
     cost: CostModel,
+    penalties: Penalties,
 }
 
 impl CoreSim {
@@ -352,11 +363,7 @@ impl CoreSim {
             PrivateOutcome::L1Hit => false,
             PrivateOutcome::L2Hit => {
                 delta.l1_misses += 1;
-                delta.cycles += if streaming {
-                    self.cost.access_cycles_streaming(AccessOutcome::L2Hit)
-                } else {
-                    self.cost.access_cycles(AccessOutcome::L2Hit)
-                };
+                delta.cycles += self.penalties.cycles(AccessOutcome::L2Hit, streaming);
                 false
             }
             PrivateOutcome::NeedsLlc => {

@@ -358,17 +358,7 @@ fn profile_job_with_sinks(
     registry: &mut MethodRegistry,
     sinks: Vec<Box<dyn UnitSink>>,
 ) -> ProfileTrace {
-    let mut sched = cfg.sched;
-    if cfg.gc_noise_ppm > 0 {
-        // JVM runtime noise: GC safepoints observed by the profiler.
-        let gc = registry.intern("jvm.GCTaskThread.run", simprof_engine::OpClass::Framework);
-        sched.gc = Some(simprof_engine::sched::GcModel {
-            method: gc,
-            probability_ppm: cfg.gc_noise_ppm,
-            pause_cycles: 800,
-            seed: cfg.sub_seed(0x6C),
-        });
-    }
+    let sched = cfg.run_sched(registry);
     let mut manager = SamplingManager::new(cfg.profiler);
     for sink in sinks {
         manager.add_sink(sink);

@@ -9,7 +9,8 @@
 //! seconds while preserving the working-set-vs-cache relationships that
 //! produce the phase behaviour.
 
-use simprof_engine::{FaultPlan, Hdfs, Network, SchedConfig};
+use simprof_engine::sched::GcModel;
+use simprof_engine::{FaultPlan, Hdfs, MethodRegistry, Network, OpClass, SchedConfig};
 use simprof_profiler::ProfilerConfig;
 use simprof_sim::{MachineConfig, Perturbations};
 
@@ -120,6 +121,24 @@ impl WorkloadConfig {
     /// Derives a sub-seed for a named purpose.
     pub fn sub_seed(&self, salt: u64) -> u64 {
         simprof_stats_split(self.seed, salt)
+    }
+
+    /// The scheduler config a catalog run uses: [`WorkloadConfig::sched`]
+    /// plus, when `gc_noise_ppm > 0`, the JVM GC noise model, whose method
+    /// is interned into `registry` (call it after the job is built, as the
+    /// catalog does, so method ids match).
+    pub fn run_sched(&self, registry: &mut MethodRegistry) -> SchedConfig {
+        let mut sched = self.sched;
+        if self.gc_noise_ppm > 0 {
+            // JVM runtime noise: GC safepoints observed by the profiler.
+            sched.gc = Some(GcModel {
+                method: registry.intern("jvm.GCTaskThread.run", OpClass::Framework),
+                probability_ppm: self.gc_noise_ppm,
+                pause_cycles: 800,
+                seed: self.sub_seed(0x6C),
+            });
+        }
+        sched
     }
 
     /// Fraction of shuffle traffic crossing the network: `(N−1)/N` under

@@ -11,6 +11,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use simprof::engine::FaultPlan;
+use simprof::obs::ObsContext;
 use simprof::stats::{
     choose_k, kmeans_from_centers, kmeans_from_centers_reference, kmeans_sweep, silhouette_score,
     silhouette_score_cached, silhouette_scores, DistCache, Matrix,
@@ -183,25 +184,34 @@ proptest! {
 /// trace bytes** — the serialized [`simprof::profiler::ProfileTrace`], i.e.
 /// every sampling unit's counters, stacks, and fault events — bit-identical
 /// to a 1-thread run, here across full engine+profiler workload runs with GC
-/// noise and a chaotic (non-speculative) fault plan.
+/// noise and a chaotic (non-speculative) fault plan. The run's
+/// `engine.parallel_batches` counter proves the parallel path actually ran
+/// (it needs `speculative: false`, no migration noise, and > 1 worker).
 #[test]
 fn parallel_simulation_trace_bytes_identical_across_thread_counts() {
     let _guard = THREADS_LOCK.lock().unwrap();
     let run = || {
         let mut cfg = WorkloadConfig::tiny(7);
         cfg.sched.faults = FaultPlan { speculative: false, ..FaultPlan::uniform(90_000, 13) };
-        let trace = Benchmark::WordCount.run(Framework::Spark, &cfg);
-        serde_json::to_string(&trace).expect("trace serializes").into_bytes()
+        let ctx = ObsContext::new();
+        let trace = {
+            let _installed = ctx.install();
+            Benchmark::WordCount.run(Framework::Spark, &cfg)
+        };
+        let batches = ctx.finish_report().metrics.counters.get("engine.parallel_batches").copied();
+        (serde_json::to_string(&trace).expect("trace serializes").into_bytes(), batches)
     };
     rayon::set_threads(1);
-    let serial_bytes = run();
+    let (serial_bytes, serial_batches) = run();
+    assert_eq!(serial_batches, Some(0), "one worker never takes the parallel path");
     for threads in [2, 8] {
         rayon::set_threads(threads);
-        let parallel_bytes = run();
+        let (parallel_bytes, batches) = run();
         assert_eq!(
             serial_bytes, parallel_bytes,
             "trace bytes diverged between 1 and {threads} threads"
         );
+        assert!(batches > Some(0), "{threads} threads ran no parallel batch: {batches:?}");
     }
     rayon::set_threads(0);
 }
