@@ -2,19 +2,21 @@
 //! statistics substrate (clustering, feature scoring, allocation), the
 //! machine model (4-core cache-hierarchy walks, pattern cursors), whole
 //! paper-scale engine runs, the instrumented engine kernels (quicksort
-//! trace, hash combine, k-way merge), and job construction (input
-//! synthesis plus whole `Benchmark::build` calls).
+//! trace, hash combine, k-way merge), job construction (input synthesis
+//! plus whole `Benchmark::build` calls), and the trace codec (JSON chunk
+//! decode/encode, LZ decode; reported per MB of raw JSON).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use simprof_engine::{ops, MethodRegistry, Scheduler};
-use simprof_profiler::SamplingManager;
+use simprof_profiler::{ProfilerConfig, SamplingManager, SamplingUnit};
 use simprof_sim::{AccessCursor, AccessPattern, Machine, MachineConfig, Region};
 use simprof_stats::{
     f_regression, kmeans, optimal_allocation, silhouette_score, srs_indices_seeded, KMeans, Matrix,
     StratumStats,
 };
+use simprof_trace::{codec, Codec, DEFAULT_CHUNK_UNITS, MAX_FRAME_LEN};
 use simprof_workloads::{GraphInput, Kronecker, TextSynth, WorkloadConfig, WorkloadId};
 
 /// A deterministic feature matrix shaped like a profiled trace: `n` units,
@@ -182,9 +184,60 @@ fn bench_build(c: &mut Criterion) {
     c.bench_function("synth/kronecker s14", |b| b.iter(|| black_box(kronecker.generate(3))));
 }
 
+/// The trace's per-chunk codec work as a reader and writer do it, over
+/// every 32-unit chunk of a paper-scale `wc_sp` profile at 10 000-instruction
+/// units (the granularity of stored analysis traces): `chunk_decode` parses
+/// each chunk's JSON into units, `chunk_encode` renders it, and `lz_decode`
+/// inflates each chunk's LZ frame payload. One iteration covers the whole
+/// trace; the per-MB figure is per MB of raw chunk JSON.
+fn bench_trace(c: &mut Criterion) {
+    let w = WorkloadId::all()
+        .into_iter()
+        .find(|w| w.label() == "wc_sp")
+        .expect("wc_sp is in the catalog");
+    let mut cfg = WorkloadConfig::paper(1);
+    cfg.profiler = ProfilerConfig::with_unit(10_000);
+    let units = w.run_full(&cfg).trace.units;
+    let chunks: Vec<&[SamplingUnit]> = units.chunks(DEFAULT_CHUNK_UNITS).collect();
+    let texts: Vec<String> =
+        chunks.iter().map(|c| serde_json::to_string(c).expect("units encode")).collect();
+    let packed: Vec<Vec<u8>> =
+        texts.iter().map(|t| codec::encode(Codec::Lz, t.as_bytes()).1).collect();
+    let raw_bytes: usize = texts.iter().map(String::len).sum();
+
+    let mut g = c.benchmark_group("trace");
+    g.throughput(Throughput::Bytes(raw_bytes as u64));
+    g.bench_function("chunk_decode", |b| {
+        b.iter(|| {
+            for t in &texts {
+                black_box(
+                    serde_json::from_str::<Vec<SamplingUnit>>(black_box(t)).expect("decodes"),
+                );
+            }
+        })
+    });
+    g.bench_function("chunk_encode", |b| {
+        b.iter(|| {
+            for c in &chunks {
+                black_box(serde_json::to_string(black_box(c)).expect("encodes"));
+            }
+        })
+    });
+    g.bench_function("lz_decode", |b| {
+        b.iter(|| {
+            for p in &packed {
+                black_box(
+                    codec::decode(codec::CODEC_LZ, black_box(p), MAX_FRAME_LEN).expect("inflates"),
+                );
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_stats, bench_machine, bench_engine, bench_ops, bench_build
+    targets = bench_stats, bench_machine, bench_engine, bench_ops, bench_build, bench_trace
 );
 criterion_main!(kernels);

@@ -214,4 +214,18 @@ mod tests {
         assert!(load_jobs(path).unwrap_err().contains("empty"));
         let _ = std::fs::remove_file(path);
     }
+
+    #[test]
+    fn deeply_nested_jobs_file_is_an_error_not_a_crash() {
+        let path = std::env::temp_dir().join("simprof_service_jobs_deep.json");
+        let path = path.to_str().unwrap();
+        let deep =
+            format!(r#"[{{"id": "a", "workload": "grep_sp", "x": {}}}]"#, "[".repeat(100_000));
+        for text in ["[".repeat(100_000), deep] {
+            std::fs::write(path, text).unwrap();
+            let err = load_jobs(path).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
 }

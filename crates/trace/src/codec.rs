@@ -231,12 +231,16 @@ fn lz_decompress(stored: &[u8], max_len: usize) -> Result<Vec<u8>, String> {
                         "corrupt match (length {len} overruns the declared {raw_len}-byte payload)"
                     ));
                 }
-                // Byte-by-byte so overlapping matches (off < len) replicate
-                // the most recent bytes, RLE-style.
+                // A match overlapping its own output (off < len) repeats
+                // the last `off` bytes RLE-style: copy the source in
+                // chunks that double as the copied run grows, each chunk
+                // lying wholly inside the bytes already produced.
                 let start = out.len() - off;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                let mut copied = 0;
+                while copied < len {
+                    let n = (len - copied).min(off + copied);
+                    out.extend_from_within(start..start + n);
+                    copied += n;
                 }
             }
         }

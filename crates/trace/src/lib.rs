@@ -875,15 +875,14 @@ pub fn read_trace(path: &str) -> Result<(ProfileTrace, TraceFooter), String> {
     Ok((trace, footer))
 }
 
-/// Reads one frame, returning its kind, decoded payload, and codec id
-/// (always [`codec::CODEC_RAW`] below v3). Validates the length against
-/// [`MAX_FRAME_LEN`] *before* allocating, verifies the frame's CRC32
-/// (v2+) over the *stored* bytes, and only then decompresses (v3) — so a
-/// corrupt frame fails the checksum, not the decompressor.
 /// Reads one frame, returning `(kind, decoded payload, codec id, stored
-/// payload length)`. The stored length is what the frame occupies on
-/// disk before decoding, so readers can account compression without
-/// re-encoding.
+/// payload length)`. The codec id is always [`codec::CODEC_RAW`] below v3;
+/// the stored length is what the frame occupies on disk before decoding,
+/// so readers can account compression without re-encoding. Validates the
+/// length against [`MAX_FRAME_LEN`] *before* allocating, verifies the
+/// frame's CRC32 (v2+) over the *stored* bytes, and only then
+/// decompresses (v3) — so a corrupt frame fails the checksum, not the
+/// decompressor.
 fn read_frame<R: Read>(
     file: &mut R,
     path: &str,
@@ -990,6 +989,25 @@ mod tests {
         }
         w.finish(&MethodRegistry::new()).unwrap();
         w.into_bytes()
+    }
+
+    #[test]
+    fn deeply_nested_chunk_with_a_valid_crc_is_an_error_not_a_crash() {
+        // A hostile chunk whose checksum is recomputed passes the CRC; the
+        // JSON parser's depth cap must stop it, on both layouts.
+        let hostile = "[".repeat(100_000);
+        for v3 in [false, true] {
+            let mut w = if v3 {
+                TraceWriter::in_memory_compressed(&meta(), Codec::Lz).unwrap()
+            } else {
+                TraceWriter::in_memory(&meta()).unwrap()
+            };
+            w.write_frame(FRAME_UNITS, hostile.as_bytes()).unwrap();
+            w.finish(&MethodRegistry::new()).unwrap();
+            let mut r = TraceReader::from_reader(Cursor::new(w.into_bytes()), "hostile").unwrap();
+            let err = r.next_unit().unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
     }
 
     #[test]

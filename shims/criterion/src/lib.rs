@@ -1,10 +1,11 @@
 //! Offline stand-in for `criterion`.
 //!
 //! Implements the small surface the workspace's benches use — `Criterion`,
-//! `Bencher::iter`, benchmark groups, `BenchmarkId`, and the
+//! `Bencher::iter`, benchmark groups, `BenchmarkId`, `Throughput`, and the
 //! `criterion_group!` / `criterion_main!` macros — over a plain wall-clock
 //! loop. No statistics, plots, or baselines: each benchmark runs a bounded
-//! number of timed iterations and reports the mean time per iteration.
+//! number of timed iterations and reports the mean time per iteration
+//! (plus time per MB when its group declares a byte throughput).
 
 use std::time::{Duration, Instant};
 
@@ -41,13 +42,13 @@ impl Criterion {
         let mut b = Bencher::new(self.sample_size, self.measurement_time);
         let start = Instant::now();
         f(&mut b);
-        report(id, b.total_time, b.total_iters, start.elapsed());
+        report(id, b.total_time, b.total_iters, start.elapsed(), None);
         self
     }
 
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { parent: self, name: name.to_string() }
+        BenchmarkGroup { parent: self, name: name.to_string(), throughput: None }
     }
 }
 
@@ -86,9 +87,24 @@ impl Bencher {
 pub struct BenchmarkGroup<'a> {
     parent: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
+}
+
+/// How much input one iteration of a group's benchmarks processes.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Bytes per iteration; reports add the time per MB (10^6 bytes).
+    Bytes(u64),
 }
 
 impl BenchmarkGroup<'_> {
+    /// Declares the input size of each iteration of the benchmarks that
+    /// follow in this group.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     /// Runs one benchmark inside the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,
@@ -99,7 +115,7 @@ impl BenchmarkGroup<'_> {
         let mut b = Bencher::new(self.parent.sample_size, self.parent.measurement_time);
         let start = Instant::now();
         f(&mut b);
-        report(&full, b.total_time, b.total_iters, start.elapsed());
+        report(&full, b.total_time, b.total_iters, start.elapsed(), self.throughput);
         self
     }
 
@@ -139,13 +155,22 @@ impl std::fmt::Display for BenchmarkId {
     }
 }
 
-fn report(id: &str, timed: Duration, iters: u64, wall: Duration) {
+fn report(id: &str, timed: Duration, iters: u64, wall: Duration, tp: Option<Throughput>) {
     if iters == 0 {
         println!("{id:<48} (no iterations)");
         return;
     }
     let per_iter = timed.as_nanos() / iters as u128;
-    println!("{id:<48} {per_iter:>12} ns/iter ({iters} iters, {:.2}s wall)", wall.as_secs_f64());
+    let per_mb = match tp {
+        Some(Throughput::Bytes(n)) if n > 0 => {
+            format!(", {:.1} us/MB", per_iter as f64 / 1e3 / (n as f64 / 1e6))
+        }
+        _ => String::new(),
+    };
+    println!(
+        "{id:<48} {per_iter:>12} ns/iter ({iters} iters, {:.2}s wall{per_mb})",
+        wall.as_secs_f64()
+    );
 }
 
 /// Declares a benchmark group function. Supports both the positional form
@@ -190,6 +215,8 @@ mod tests {
         g.bench_with_input(BenchmarkId::from_parameter(3), &3u64, |b, &k| {
             b.iter(|| black_box(k * k))
         });
+        g.throughput(Throughput::Bytes(1 << 20));
+        g.bench_function("per_mb", |b| b.iter(|| black_box(1u64)));
         g.finish();
     }
 

@@ -32,6 +32,44 @@ impl PartialEq for Number {
     }
 }
 
+impl Number {
+    /// The number as a `u64`, if losslessly representable.
+    #[inline]
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            Number::U64(n) => Some(n),
+            Number::I64(n) => u64::try_from(n).ok(),
+            Number::F64(f) if f.fract() == 0.0 && f >= 0.0 && f <= u64::MAX as f64 => {
+                Some(f as u64)
+            }
+            Number::F64(_) => None,
+        }
+    }
+
+    /// The number as an `i64`, if losslessly representable.
+    #[inline]
+    pub fn as_i64(self) -> Option<i64> {
+        match self {
+            Number::I64(n) => Some(n),
+            Number::U64(n) => i64::try_from(n).ok(),
+            Number::F64(f) if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 => {
+                Some(f as i64)
+            }
+            Number::F64(_) => None,
+        }
+    }
+
+    /// The number as an `f64` (integers widen).
+    #[inline]
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Number::F64(f) => f,
+            Number::U64(n) => n as f64,
+            Number::I64(n) => n as f64,
+        }
+    }
+}
+
 /// An in-memory JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -62,40 +100,28 @@ impl Value {
         }
     }
 
-    /// The value as a `u64`, if losslessly representable.
+    /// The value as a `u64`, if it is a number losslessly representable
+    /// as one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(Number::U64(n)) => Some(*n),
-            Value::Number(Number::I64(n)) => u64::try_from(*n).ok(),
-            Value::Number(Number::F64(f))
-                if f.fract() == 0.0 && *f >= 0.0 && *f <= u64::MAX as f64 =>
-            {
-                Some(*f as u64)
-            }
+            Value::Number(n) => n.as_u64(),
             _ => None,
         }
     }
 
-    /// The value as an `i64`, if losslessly representable.
+    /// The value as an `i64`, if it is a number losslessly representable
+    /// as one.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Value::Number(Number::I64(n)) => Some(*n),
-            Value::Number(Number::U64(n)) => i64::try_from(*n).ok(),
-            Value::Number(Number::F64(f))
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 =>
-            {
-                Some(*f as i64)
-            }
+            Value::Number(n) => n.as_i64(),
             _ => None,
         }
     }
 
-    /// The value as an `f64` (integers widen).
+    /// The value as an `f64`, if it is a number (integers widen).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Number(Number::F64(f)) => Some(*f),
-            Value::Number(Number::U64(n)) => Some(*n as f64),
-            Value::Number(Number::I64(n)) => Some(*n as f64),
+            Value::Number(n) => Some(n.as_f64()),
             _ => None,
         }
     }

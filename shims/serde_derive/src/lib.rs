@@ -6,7 +6,9 @@
 //!
 //! * named-field structs (externally a JSON object, fields in declaration
 //!   order; `#[serde(default)]` honoured on deserialize),
-//! * tuple structs (newtypes transparent, wider tuples as arrays),
+//! * tuple structs (newtypes transparent, wider tuples as arrays) — structs
+//!   of both kinds also get direct `write_json` / `from_json` impls that
+//!   stream to and from JSON text without a `Value`,
 //! * enums with unit / tuple / struct variants (externally tagged exactly
 //!   like real serde: `"Variant"`, `{"Variant": value}`,
 //!   `{"Variant": {..fields..}}`).
@@ -173,8 +175,50 @@ impl Item {
         format!(
             "impl ::serde::Serialize for {name} {{\n\
                fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
-             }}\n"
+               {}\
+             }}\n",
+            self.direct_write_json()
         )
+    }
+
+    /// The direct `write_json` override for structs; enums keep the
+    /// trait's `to_value` fallback. Writes the bytes `to_value` renders to.
+    fn direct_write_json(&self) -> String {
+        let body = match &self.body {
+            Body::Struct(fields) => {
+                let mut s = String::new();
+                for (i, f) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "{" } else { "," };
+                    s.push_str(&format!(
+                        "__out.push_str({:?});\n\
+                         ::serde::Serialize::write_json(&self.{}, __out);\n",
+                        format!("{sep}\"{}\":", f.name),
+                        f.name
+                    ));
+                }
+                s.push_str(if fields.is_empty() {
+                    "__out.push_str(\"{}\");"
+                } else {
+                    "__out.push('}');"
+                });
+                s
+            }
+            Body::Tuple(1) => "::serde::Serialize::write_json(&self.0, __out);".to_string(),
+            Body::Tuple(n) => {
+                let mut s = String::from("__out.push('[');\n");
+                for i in 0..*n {
+                    if i > 0 {
+                        s.push_str("__out.push(',');\n");
+                    }
+                    s.push_str(&format!("::serde::Serialize::write_json(&self.{i}, __out);\n"));
+                }
+                s.push_str("__out.push(']');");
+                s
+            }
+            Body::Enum(_) => return String::new(),
+        };
+        let inline = if matches!(self.body, Body::Tuple(1)) { "#[inline]\n" } else { "" };
+        format!("{inline}fn write_json(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n")
     }
 
     fn deserialize_impl(&self) -> String {
@@ -187,14 +231,7 @@ impl Item {
                      Ok(Self {{\n"
                 );
                 for f in fields {
-                    let missing = if f.default {
-                        "::std::default::Default::default()".to_string()
-                    } else {
-                        format!(
-                            "return Err(::serde::DeError::msg(\"{name}: missing field `{}`\"))",
-                            f.name
-                        )
-                    };
+                    let missing = missing_field(name, f);
                     s.push_str(&format!(
                         "{}: match ::serde::value_get(__obj, {:?}) {{\n\
                             Some(__fv) => ::serde::Deserialize::from_value(__fv)?,\n\
@@ -257,14 +294,7 @@ impl Item {
                                    return Ok({name}::{v} {{\n"
                             );
                             for f in fields {
-                                let missing = if f.default {
-                                    "::std::default::Default::default()".to_string()
-                                } else {
-                                    format!(
-                                        "return Err(::serde::DeError::msg(\"{name}::{v}: missing field `{}`\"))",
-                                        f.name
-                                    )
-                                };
+                                let missing = missing_field(&format!("{name}::{v}"), f);
                                 arm.push_str(&format!(
                                     "{}: match ::serde::value_get(__obj, {:?}) {{\n\
                                         Some(__fv) => ::serde::Deserialize::from_value(__fv)?,\n\
@@ -299,8 +329,95 @@ impl Item {
         format!(
             "impl ::serde::Deserialize for {name} {{\n\
                fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n\
-             }}\n"
+               {}\
+             }}\n",
+            self.direct_from_json()
         )
+    }
+
+    /// The direct `from_json` override for structs; enums keep the trait's
+    /// `from_value` fallback. Input whose first token cannot start the
+    /// struct's shape goes through `from_value` too, so its error is the
+    /// value path's. Accepts exactly what `from_value` accepts: the first
+    /// occurrence of a key wins, later duplicates and unknown keys are
+    /// parsed (syntax-checked) and dropped, and a missing field without
+    /// `#[serde(default)]` is an error.
+    fn direct_from_json(&self) -> String {
+        let name = &self.name;
+        let body = match &self.body {
+            Body::Struct(fields) => {
+                let mut s = String::from(
+                    "if __r.peek() != ::std::option::Option::Some(b'{') {\n\
+                       return Self::from_value(&__r.value()?);\n\
+                     }\n",
+                );
+                for i in 0..fields.len() {
+                    s.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+                }
+                s.push_str(
+                    "let mut __more = __r.begin_object()?;\n\
+                     while __more {\n\
+                       let __key = __r.key()?;\n\
+                       match &*__key {\n",
+                );
+                for (i, f) in fields.iter().enumerate() {
+                    s.push_str(&format!(
+                        "{:?} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(::serde::Deserialize::from_json(__r)?),\n",
+                        f.name
+                    ));
+                }
+                s.push_str(
+                    "_ => __r.skip_value()?,\n\
+                       }\n\
+                       __more = __r.object_next()?;\n\
+                     }\n\
+                     Ok(Self {\n",
+                );
+                for (i, f) in fields.iter().enumerate() {
+                    let missing = missing_field(name, f);
+                    s.push_str(&format!(
+                        "{}: match __f{i} {{\n\
+                            ::std::option::Option::Some(__fv) => __fv,\n\
+                            ::std::option::Option::None => {missing},\n\
+                         }},\n",
+                        f.name
+                    ));
+                }
+                s.push_str("})");
+                s
+            }
+            Body::Tuple(1) => "Ok(Self(::serde::Deserialize::from_json(__r)?))".to_string(),
+            Body::Tuple(n) => {
+                let mut s = String::from(
+                    "if __r.peek() != ::std::option::Option::Some(b'[') {\n\
+                       return Self::from_value(&__r.value()?);\n\
+                     }\n\
+                     let mut __more = __r.begin_array()?;\n\
+                     let __t = Self(",
+                );
+                for _ in 0..*n {
+                    s.push_str(&format!("::serde::tuple_element(__r, &mut __more, {n})?, "));
+                }
+                s.push_str(&format!(");\n::serde::end_tuple(__more, {n})?;\nOk(__t)"));
+                s
+            }
+            Body::Enum(_) => return String::new(),
+        };
+        // Newtypes are one call deep; let them inline into their callers.
+        let inline = if matches!(self.body, Body::Tuple(1)) { "#[inline]\n" } else { "" };
+        format!(
+            "{inline}fn from_json(__r: &mut ::serde::JsonReader<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n"
+        )
+    }
+}
+
+/// The expression a deserializer evaluates for an absent field `f` of
+/// `owner`: its default under `#[serde(default)]`, else an early error.
+fn missing_field(owner: &str, f: &Field) -> String {
+    if f.default {
+        "::std::default::Default::default()".to_string()
+    } else {
+        format!("return Err(::serde::DeError::msg(\"{owner}: missing field `{}`\"))", f.name)
     }
 }
 

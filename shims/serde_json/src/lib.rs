@@ -1,19 +1,29 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Renders the shim-`serde` [`Value`] model to JSON text and parses it
-//! back: [`to_string`], [`to_string_pretty`] (2-space indent, like real
-//! serde_json), [`from_str`], and a [`json!`] macro covering the object /
-//! array / literal forms the workspace uses.
+//! Thin entry points over the shim-`serde` JSON layer: [`to_string`] and
+//! [`from_str`] stream between typed values and text through
+//! `Serialize::write_json` / `Deserialize::from_json` (no intermediate
+//! [`Value`]); [`to_string_pretty`] (2-space indent, like real
+//! serde_json), [`to_value`], [`from_value`] and the [`json!`] macro work
+//! on the [`Value`] model.
 
 pub use serde::{Map, Number, Value};
 
-/// Serialization/deserialization error (message only).
+/// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(pub String);
+pub struct Error(pub serde::DeError);
+
+impl Error {
+    /// True when the input nested arrays/objects deeper than
+    /// [`serde::MAX_DEPTH`] levels.
+    pub fn is_too_deep(&self) -> bool {
+        matches!(self.0.kind(), serde::ErrorKind::TooDeep(_))
+    }
+}
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+        self.0.fmt(f)
     }
 }
 
@@ -21,7 +31,7 @@ impl std::error::Error for Error {}
 
 impl From<serde::DeError> for Error {
     fn from(e: serde::DeError) -> Self {
-        Error(e.0)
+        Error(e)
     }
 }
 
@@ -38,347 +48,23 @@ pub fn from_value<T: serde::Deserialize>(v: &Value) -> Result<T, Error> {
 /// Serializes a value to compact JSON text.
 pub fn to_string<T: serde::Serialize + ?Sized>(v: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &v.to_value(), None, 0);
+    v.write_json(&mut out);
     Ok(out)
 }
 
 /// Serializes a value to pretty JSON text (2-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(v: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &v.to_value(), Some(2), 0);
+    serde::json::write_value(&mut out, &v.to_value(), Some(2), 0);
     Ok(out)
 }
 
 /// Parses JSON text into a deserializable type.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing characters at byte {}", p.pos)));
-    }
-    T::from_value(&v).map_err(Error::from)
-}
-
-// ---------------------------------------------------------------------------
-// Rendering
-// ---------------------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(out, n),
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(n) = indent {
-        out.push('\n');
-        for _ in 0..n * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_number(out: &mut String, n: &Number) {
-    match n {
-        Number::U64(u) => out.push_str(&u.to_string()),
-        Number::I64(i) => out.push_str(&i.to_string()),
-        // Non-finite floats have no JSON representation; real serde_json
-        // emits `null` for them.
-        Number::F64(f) if !f.is_finite() => out.push_str("null"),
-        Number::F64(f) => {
-            let s = format!("{f}");
-            out.push_str(&s);
-            // `{}` on an integral f64 prints e.g. "2"; keep the float-ness
-            // so the value re-parses as F64-compatible (as_f64 widens
-            // integers anyway, so the `.0` suffix is cosmetic parity).
-            if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-                out.push_str(".0");
-            }
-        }
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parsing (recursive descent)
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error(format!(
-                "expected `{}` at byte {}, got {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|b| b as char)
-            )))
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') if self.literal("null") => Ok(Value::Null),
-            Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(Error(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => {
-                    return Err(Error(format!(
-                        "expected `,` or `]` at byte {}, got {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            entries.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                other => {
-                    return Err(Error(format!(
-                        "expected `,` or `}}` at byte {}, got {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error("invalid utf-8 in string".into()))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error("bad \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| Error("bad \\u escape".into()))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(Error(format!(
-                                "bad escape {:?} at byte {}",
-                                other.map(|b| b as char),
-                                self.pos
-                            )))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                _ => return Err(Error("unterminated string".into())),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".into()))?;
-        if !float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::U64(u)));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::I64(i)));
-            }
-        }
-        text.parse::<f64>()
-            .map(|f| Value::Number(Number::F64(f)))
-            .map_err(|_| Error(format!("invalid number `{text}` at byte {start}")))
-    }
+    let mut reader = serde::JsonReader::new(s);
+    let v = T::from_json(&mut reader)?;
+    reader.end()?;
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
