@@ -166,7 +166,7 @@ fn bench_build(c: &mut Criterion) {
         if !["sort_sp", "bayes_hp", "cc_hp"].contains(&w.label().as_str()) {
             continue;
         }
-        g.bench_function(&w.label(), |b| {
+        g.bench_function(w.label(), |b| {
             b.iter(|| {
                 let mut machine = Machine::new(cfg.machine);
                 let mut registry = MethodRegistry::new();

@@ -19,9 +19,9 @@
 //! ```
 //!
 //! Every run times the full simulate→analyze hot path in four phases —
-//! **synthesize** (trace generation), **simulate** (a real engine run with
-//! the parallel per-slot machine simulation, replayed at 1 thread to prove
-//! the trace bytes are identical), **cluster** ([`choose_k`], with a
+//! **synthesize** (trace generation), **simulate** (a real engine run,
+//! replayed at 1 thread to prove the trace bytes are identical),
+//! **cluster** ([`choose_k`], with a
 //! 1-thread replay proving the assignments are identical), and
 //! **sampling** (the Eq. 1 allocator) — and
 //! records the per-phase wall-clocks in the JSON output, which the
@@ -707,7 +707,7 @@ fn live_bench(args: &Args, out_path: &str) -> Result<(), String> {
 }
 
 /// What the simulate phase measured: the timed engine run plus the
-/// 1-thread replay's verdict on the parallel-merge contract.
+/// 1-thread replay's verdict on thread-count independence.
 struct SimulateOutcome {
     secs: f64,
     sim_units: usize,
@@ -716,11 +716,11 @@ struct SimulateOutcome {
 }
 
 /// Simulate phase: a full engine run — WordCount on the Spark-style runtime,
-/// a 4-core machine, GC noise, and a chaotic non-speculative fault plan, so
-/// the parallel per-slot machine simulation actually engages — timed at the
+/// a 4-core machine, GC noise, and a chaotic fault plan — timed at the
 /// requested thread count, then replayed pinned to 1 thread. The serialized
-/// profile traces of the two runs must be byte-identical (the scheduler's
-/// deterministic-merge contract, DESIGN.md §15).
+/// profile traces of the two runs must be byte-identical (DESIGN.md §15.1).
+/// The plan keeps `speculative: false` only so the record stays comparable
+/// with the committed canonical one.
 fn simulate_phase(seed: u64, threads: usize, quick: bool) -> SimulateOutcome {
     let _span = simprof_obs::span!("bench.simulate");
     let mut cfg = WorkloadConfig::tiny(seed);
@@ -916,9 +916,8 @@ fn main() {
         args.scale.name()
     );
 
-    // Simulate phase: a real engine run through the parallel per-slot
-    // machine simulation, with a 1-thread replay proving the trace bytes
-    // are identical at any thread count.
+    // Simulate phase: a real engine run, with a 1-thread replay proving the
+    // trace bytes are identical at any thread count.
     let sim = simulate_phase(args.seed, threads, args.scale == Scale::Quick);
     println!(
         "  simulate: {:>8.3} s  ({} sampling units, {:.1} KiB trace, 1-vs-{} threads {})",
@@ -929,7 +928,7 @@ fn main() {
         if sim.identical { "bit-identical" } else { "DIVERGED" }
     );
     if !sim.identical {
-        eprintln!("error: parallel simulation diverged from the 1-thread run");
+        eprintln!("error: simulation at {threads} threads diverged from the 1-thread run");
         std::process::exit(1);
     }
 

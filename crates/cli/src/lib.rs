@@ -130,7 +130,7 @@ OPTIONS:
         --error <FRAC>       Target relative error for `size` [default: 0.05]
         --z <Z>              z-score for confidence intervals [default: 3]
         --threshold <FRAC>   Sensitivity threshold for Eq. 6 [default: 0.10]
-        --threads <N>        Worker threads for parallel simulation and
+        --threads <N>        Worker threads for job construction and
                              analysis [default: SIMPROF_THREADS env var, else
                              all cores]. Results are bit-identical at any
                              thread count: traces, phase assignments, and

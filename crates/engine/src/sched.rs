@@ -13,38 +13,14 @@
 //! profiler crate implements the listener to cut sampling units and take
 //! stack snapshots (the JVMTI + `perf_event` analog).
 //!
-//! # Parallel simulation
-//!
-//! With more than one worker thread ([`rayon::set_threads`]), the scheduler
-//! simulates the machine/cache work of a turn's running task slots
-//! concurrently and merges the results back in slot order, so the produced
-//! counter stream, listener callbacks, and fault log are **byte-identical to
-//! the serial path at any thread count**. The decomposition rests on the
-//! split access walk ([`CoreSim`]): private L1/L2 state and the set of
-//! addresses that reach the LLC depend only on the owning core's access
-//! stream, so each slot scripts a batch of turns privately (recording
-//! counter deltas, LLC requests, and fault events per segment) and the merge
-//! replays LLC requests, deltas, and events at their exact serial position.
-//! Turn-level bookkeeping that observes global order — dispatch, crash
-//! requeue, task completion, GC rolls, cold restarts, and listener
-//! callbacks — always runs on the merge thread in round-robin slot order.
-//! Features that couple cores mid-turn (speculative twins, migration noise,
-//! a pending cold restart) force the serial path; the result is the same
-//! either way.
-//!
-//! The gate checks whether speculation is *enabled*, not whether a
-//! straggler can fire, and the default plan ([`FaultPlan::none`]) has
-//! `speculative: true`; the paper preset also turns migration noise on.
-//! So only runs that set `speculative: false` and leave migrations off
-//! reach the parallel path — no catalog, CLI or service run does. The
-//! `engine.parallel_batches` counter (recorded once per run, next to
-//! `engine.quanta`) says how many batches a run took.
+//! Every turn runs on the calling thread, one at a time, in round-robin core
+//! order, so the counter stream, listener callbacks and fault log never
+//! depend on how many worker threads the process has.
 
 use std::collections::VecDeque;
 
-use rayon::prelude::*;
 use simprof_sim::perturb::MigrationClock;
-use simprof_sim::{AccessCursor, CoreId, CoreSim, Counters, Machine, Perturbations};
+use simprof_sim::{AccessCursor, CoreId, Machine, Perturbations};
 
 use crate::faults::{FaultEvent, FaultLog, FaultPlan};
 use crate::methods::MethodId;
@@ -218,154 +194,29 @@ impl<'a> Running<'a> {
     }
 }
 
-/// Turns scripted per slot before each merge. Bounds how far a slot can run
-/// ahead of global bookkeeping (dispatch, GC, completion) between barriers;
-/// large enough to amortize the scatter/gather, small enough that a slot
-/// finishing early doesn't leave the others' scripts mostly unusable.
-const BATCH_ROUNDS: usize = 32;
-
-/// Sink for the turn physics in [`step_attempt`]: either the live machine
-/// (serial path) or a per-core recording script (parallel path). Keeping the
-/// hot loop generic over the host is what lets both paths share one body —
-/// any divergence would break the bit-identity contract.
-trait TurnHost {
-    /// Retire `n` instructions on the turn's core.
-    fn charge_instrs(&mut self, n: u64);
-    /// Issue one memory access.
-    fn access(&mut self, addr: u64, streaming: bool);
-    /// Charge an IO stall.
-    fn io_stall(&mut self, cycles: u64);
-    /// Deliver (serial) or record (scripted) a fault event at this exact
-    /// point in the turn's cost stream.
-    fn fault(&mut self, ev: FaultEvent);
-}
-
-/// Serial host: charges the live machine and delivers events immediately.
-struct LiveHost<'h> {
-    machine: &'h mut Machine,
-    core: CoreId,
-    listener: &'h mut dyn ExecListener,
-    log: &'h mut FaultLog,
-}
-
-impl TurnHost for LiveHost<'_> {
-    fn charge_instrs(&mut self, n: u64) {
-        self.machine.charge_instrs(self.core, n);
-    }
-
-    fn access(&mut self, addr: u64, streaming: bool) {
-        self.machine.access_hinted(self.core, addr, streaming);
-    }
-
-    fn io_stall(&mut self, cycles: u64) {
-        self.machine.io_stall(self.core, cycles);
-    }
-
-    fn fault(&mut self, ev: FaultEvent) {
-        self.listener.on_fault(&ev, self.machine);
-        self.log.push(ev);
-    }
-}
-
-/// A slice of one scripted turn between fault events: the private-side
-/// counter delta, the addresses that missed both private levels (to be
-/// replayed against the shared LLC in order), and the event that closed the
-/// segment. Segment boundaries sit at every event so the merge can show the
-/// listener exactly the counters a serial run would have had at that point.
-struct Segment {
-    delta: Counters,
-    requests: Vec<(u64, bool)>,
-    event: Option<FaultEvent>,
-}
-
-/// How a scripted turn ended.
-enum ScriptEnd {
-    /// Budget exhausted; the attempt keeps running next turn.
-    Running,
-    /// The executor crashed; merge-time requeue decides the retry.
-    Crashed { task: usize, attempt: u32 },
-    /// The attempt finished with `leftover` budget; the merge thread
-    /// dispatches the next attempt and continues the turn live.
-    Finished { task: usize, leftover: u64 },
-}
-
-/// One scripted turn: its segments, the call stack active at turn end, and
-/// the terminal state.
-struct TurnScript {
-    segments: Vec<Segment>,
-    stack: Vec<MethodId>,
-    end: ScriptEnd,
-}
-
-/// Parallel host: runs the private half of the access walk on a detached
-/// [`CoreSim`] and records everything the merge needs to replay the turn.
-struct ScriptHost<'s> {
-    sim: &'s mut CoreSim,
-    delta: Counters,
-    requests: Vec<(u64, bool)>,
-    segments: Vec<Segment>,
-}
-
-impl<'s> ScriptHost<'s> {
-    fn new(sim: &'s mut CoreSim) -> Self {
-        Self { sim, delta: Counters::default(), requests: Vec::new(), segments: Vec::new() }
-    }
-
-    /// Closes the trailing event-less segment and returns the turn's script.
-    fn into_segments(mut self) -> Vec<Segment> {
-        if self.delta != Counters::default() || !self.requests.is_empty() {
-            let delta = self.delta;
-            let requests = std::mem::take(&mut self.requests);
-            self.segments.push(Segment { delta, requests, event: None });
-        }
-        self.segments
-    }
-}
-
-impl TurnHost for ScriptHost<'_> {
-    fn charge_instrs(&mut self, n: u64) {
-        self.sim.charge_instrs(&mut self.delta, n);
-    }
-
-    fn access(&mut self, addr: u64, streaming: bool) {
-        if self.sim.access_private(&mut self.delta, addr, streaming) {
-            self.requests.push((addr, streaming));
-        }
-    }
-
-    fn io_stall(&mut self, cycles: u64) {
-        self.sim.io_stall(&mut self.delta, cycles);
-    }
-
-    fn fault(&mut self, ev: FaultEvent) {
-        self.segments.push(Segment {
-            delta: std::mem::take(&mut self.delta),
-            requests: std::mem::take(&mut self.requests),
-            event: Some(ev),
-        });
-    }
-}
-
 /// How one call to [`step_attempt`] ended.
 enum StepEnd {
     /// The turn budget ran out; the attempt stays on its core.
     Budget,
-    /// The executor crashed (the crash event has already gone to the host).
+    /// The executor crashed (the crash event has already been delivered).
     Crashed,
     /// The attempt retired its last instruction.
     Finished,
 }
 
-/// The turn physics: runs one attempt against `host` until the budget runs
-/// out, the executor crashes, or the attempt finishes. This single body is
-/// the serial hot loop *and* the parallel script generator; `turn_stack` is
-/// re-captured after every chunk because [`Running::advance`] resets the
-/// stack while the budget may still die mid-item.
-fn step_attempt<H: TurnHost>(
+/// The turn physics: runs one attempt on `core` until the budget runs out,
+/// the executor crashes, or the attempt finishes, charging `machine` and
+/// delivering fault events at their exact point in the cost stream.
+/// `turn_stack` is re-captured after every chunk because
+/// [`Running::advance`] resets the stack while the budget may still die
+/// mid-item.
+#[allow(clippy::too_many_arguments)]
+fn step_attempt(
     run: &mut Running,
     budget: &mut u64,
     turn_stack: &mut Vec<MethodId>,
-    host: &mut H,
+    machine: &mut Machine,
+    rs: &mut RunState<'_>,
     plan: &FaultPlan,
     stage_idx: usize,
     core: CoreId,
@@ -385,22 +236,25 @@ fn step_attempt<H: TurnHost>(
             )
         {
             let penalty = plan.refetch_stall(item.shuffle_bytes);
-            host.io_stall(penalty);
-            host.fault(FaultEvent::ShuffleFetchLost {
-                stage: stage_idx,
-                task: run.task_idx,
-                item: run.item_idx,
-                core,
-                bytes: item.shuffle_bytes,
-                penalty_cycles: penalty,
-            });
+            machine.io_stall(core, penalty);
+            rs.fault(
+                FaultEvent::ShuffleFetchLost {
+                    stage: stage_idx,
+                    task: run.task_idx,
+                    item: run.item_idx,
+                    core,
+                    bytes: item.shuffle_bytes,
+                    penalty_cycles: penalty,
+                },
+                machine,
+            );
         }
 
         let mut chunk = (*budget).min(item.instrs - run.done_in_item);
         if let Some(at) = run.crash_at {
             chunk = chunk.min(at - run.done_in_task);
         }
-        host.charge_instrs(chunk);
+        machine.charge_instrs(core, chunk);
         let streaming = matches!(
             item.pattern,
             simprof_sim::AccessPattern::Sequential
@@ -414,13 +268,13 @@ fn step_attempt<H: TurnHost>(
         run.access_credit %= 1000;
         for _ in 0..n_acc {
             let addr = run.cursor.next_addr();
-            host.access(addr, streaming);
+            machine.access_hinted(core, addr, streaming);
         }
 
         // IO stall charged proportionally to item progress.
         if item.io_stall_cycles > 0 {
             let due = item.io_stall_cycles * (run.done_in_item + chunk) / item.instrs;
-            host.io_stall(due - run.stall_charged);
+            machine.io_stall(core, due - run.stall_charged);
             run.stall_charged = due;
         }
 
@@ -428,7 +282,7 @@ fn step_attempt<H: TurnHost>(
         // fraction of the speed; the lost cycles surface as stall time,
         // like iowait or contention.
         if run.factor > 1 {
-            host.io_stall(chunk * (run.factor as u64 - 1));
+            machine.io_stall(core, chunk * (run.factor as u64 - 1));
         }
 
         run.done_in_item += chunk;
@@ -441,13 +295,16 @@ fn step_attempt<H: TurnHost>(
         // requeue bookkeeping is the caller's (crash order: crash event
         // first, retry decision after).
         if run.crash_at == Some(run.done_in_task) {
-            host.fault(FaultEvent::ExecutorCrash {
-                stage: stage_idx,
-                task: run.task_idx,
-                attempt: run.attempt,
-                core,
-                lost_instrs: run.done_in_task,
-            });
+            rs.fault(
+                FaultEvent::ExecutorCrash {
+                    stage: stage_idx,
+                    task: run.task_idx,
+                    attempt: run.attempt,
+                    core,
+                    lost_instrs: run.done_in_task,
+                },
+                machine,
+            );
             return StepEnd::Crashed;
         }
 
@@ -458,48 +315,21 @@ fn step_attempt<H: TurnHost>(
     StepEnd::Budget
 }
 
-/// Scripts up to [`BATCH_ROUNDS`] turns of one slot against its detached
-/// core sim. Stops early at a terminal turn (crash/finish) because anything
-/// after it depends on merge-order bookkeeping (requeue, dispatch).
-fn script_turns(
-    sim: &mut CoreSim,
-    run: &mut Running,
-    quantum: u64,
-    plan: &FaultPlan,
-    stage_idx: usize,
-    core: CoreId,
-) -> VecDeque<TurnScript> {
-    let mut out = VecDeque::with_capacity(BATCH_ROUNDS);
-    for _ in 0..BATCH_ROUNDS {
-        let factor = run.factor.max(1) as u64;
-        let mut budget = (quantum / factor).max(1);
-        let mut turn_stack: Vec<MethodId> = Vec::new();
-        let mut host = ScriptHost::new(sim);
-        let end =
-            match step_attempt(run, &mut budget, &mut turn_stack, &mut host, plan, stage_idx, core)
-            {
-                StepEnd::Budget => ScriptEnd::Running,
-                StepEnd::Crashed => ScriptEnd::Crashed { task: run.task_idx, attempt: run.attempt },
-                StepEnd::Finished => ScriptEnd::Finished { task: run.task_idx, leftover: budget },
-            };
-        let terminal = !matches!(end, ScriptEnd::Running);
-        out.push_back(TurnScript { segments: host.into_segments(), stack: turn_stack, end });
-        if terminal {
-            break;
-        }
-    }
-    out
-}
-
 /// Mutable run-wide state threaded through every turn.
 struct RunState<'l> {
     log: FaultLog,
     migration: MigrationClock,
     turn_counter: u64,
-    /// Calls to `parallel_batch` (scatter → script → merge rounds).
-    parallel_batches: u64,
     cold_restart: Option<(usize, u64)>,
     listener: &'l mut dyn ExecListener,
+}
+
+impl RunState<'_> {
+    /// Delivers a fault event to the listener, then appends it to the log.
+    fn fault(&mut self, ev: FaultEvent, machine: &Machine) {
+        self.listener.on_fault(&ev, machine);
+        self.log.push(ev);
+    }
 }
 
 impl Scheduler {
@@ -537,17 +367,9 @@ impl Scheduler {
             log: FaultLog::new(),
             migration: MigrationClock::new(self.config.perturbations, cores),
             turn_counter: 0,
-            parallel_batches: 0,
             cold_restart: self.config.cold_restart,
             listener,
         };
-        // The parallel fast path needs every feature that couples cores
-        // mid-turn to be off: speculative twins can kill another slot's
-        // attempt mid-batch, and migration noise flushes private caches the
-        // detached sims would miss. A pending cold restart is checked per
-        // round below because it disarms after firing once.
-        let parallel_ok = !self.config.faults.speculative
-            && self.config.perturbations.migration_period_instrs.is_none();
 
         for (stage_idx, stage) in job.stages.iter().enumerate() {
             let _stage_span = simprof_obs::span!(&stage.name);
@@ -564,27 +386,9 @@ impl Scheduler {
             };
             let mut running: Vec<Option<Running>> = (0..cores).map(|_| None).collect();
             loop {
-                let n_running = running.iter().filter(|r| r.is_some()).count();
-                if parallel_ok
-                    && rs.cold_restart.is_none()
-                    && n_running >= 2
-                    && rayon::current_threads() > 1
-                {
-                    if self.parallel_batch(
-                        &mut rs,
-                        machine,
-                        stage,
-                        stage_idx,
-                        &mut state,
-                        &mut running,
-                    ) {
-                        break;
-                    }
-                    continue;
-                }
                 let mut idle = true;
                 for core in 0..cores {
-                    if self.serial_core_round(
+                    if self.core_round(
                         &mut rs,
                         machine,
                         stage,
@@ -608,16 +412,16 @@ impl Scheduler {
         // Aggregated locally, recorded once: hot-loop turns never touch the
         // registry.
         simprof_obs::counter_add("engine.quanta", rs.turn_counter);
-        simprof_obs::counter_add("engine.parallel_batches", rs.parallel_batches);
         simprof_obs::counter_add("engine.fault_events", rs.log.len() as u64);
         rs.log
     }
 
-    /// One serial round-robin visit to `core`: dispatch if idle, then run a
-    /// full turn (quantum, postlude, listener). Returns `false` when the
-    /// core had nothing to do.
+    /// One round-robin visit to `core`: dispatch if idle, then run a full
+    /// turn — crash requeue, task completion, speculation kills and the
+    /// within-budget dispatch of follow-on attempts included — and the turn
+    /// postlude. Returns `false` when the core had nothing to do.
     #[allow(clippy::too_many_arguments)]
-    fn serial_core_round<'a>(
+    fn core_round<'a>(
         &self,
         rs: &mut RunState<'_>,
         machine: &mut Machine,
@@ -628,19 +432,11 @@ impl Scheduler {
         core: CoreId,
     ) -> bool {
         if running[core].is_none() {
-            running[core] = self.dispatch(
-                state,
-                stage,
-                stage_idx,
-                core,
-                machine,
-                &mut *rs.listener,
-                &mut rs.log,
-            );
+            running[core] = self.dispatch(rs, machine, state, stage, stage_idx, core);
         }
-        if running[core].is_none() {
+        let Some(run) = running[core].as_ref() else {
             return false;
-        }
+        };
 
         // One turn: consume a full quantum of instructions, even if that
         // spans several (small) work items — keeping threads fair in
@@ -649,55 +445,16 @@ impl Scheduler {
         // is exactly what a sampling profiler would observe. Stragglers get
         // a proportionally smaller budget: they fall behind their peers in
         // virtual time.
-        let factor = running[core].as_ref().map_or(1, |r| r.factor).max(1) as u64;
-        let mut budget = (self.config.quantum / factor).max(1);
+        let mut budget = (self.config.quantum / run.factor.max(1) as u64).max(1);
         let mut turn_stack: Vec<MethodId> = Vec::new();
-        self.serial_turn(
-            rs,
-            machine,
-            stage,
-            stage_idx,
-            state,
-            running,
-            core,
-            &mut budget,
-            &mut turn_stack,
-        );
-        self.turn_postlude(rs, machine, core, turn_stack);
-        true
-    }
-
-    /// Runs `core`'s turn live against the machine until the budget is
-    /// spent, handling crash requeue, task completion, speculation kills,
-    /// and the within-budget dispatch of follow-on attempts.
-    #[allow(clippy::too_many_arguments)]
-    fn serial_turn<'a>(
-        &self,
-        rs: &mut RunState<'_>,
-        machine: &mut Machine,
-        stage: &'a Stage,
-        stage_idx: usize,
-        state: &mut StageState,
-        running: &mut [Option<Running<'a>>],
-        core: CoreId,
-        budget: &mut u64,
-        turn_stack: &mut Vec<MethodId>,
-    ) {
-        let plan = self.config.faults;
-        while *budget > 0 {
-            if running[core].is_none() {
+        let plan = &self.config.faults;
+        while budget > 0 {
+            let Some(run) = running[core].as_mut() else {
                 break;
-            }
-            let end = {
-                let run = running[core].as_mut().expect("slot checked above");
-                let mut host =
-                    LiveHost { machine, core, listener: &mut *rs.listener, log: &mut rs.log };
-                step_attempt(run, budget, turn_stack, &mut host, &plan, stage_idx, core)
             };
-            let (t, a) = {
-                let r = running[core].as_ref().expect("slot survives the step");
-                (r.task_idx, r.attempt)
-            };
+            let end =
+                step_attempt(run, &mut budget, &mut turn_stack, machine, rs, plan, stage_idx, core);
+            let (t, a) = (run.task_idx, run.attempt);
             match end {
                 StepEnd::Budget => break,
                 StepEnd::Crashed => {
@@ -705,7 +462,18 @@ impl Scheduler {
                     // (bounded by the retry budget), and the rest of this
                     // turn dies with the executor.
                     running[core] = None;
-                    self.handle_crash(rs, machine, state, stage_idx, t, a);
+                    if !state.completed[t] {
+                        if a < plan.max_retries {
+                            state.pending.push_back(Attempt { task: t, attempt: a + 1 });
+                        } else {
+                            let ev = FaultEvent::RetriesExhausted {
+                                stage: stage_idx,
+                                task: t,
+                                attempts: a + 1,
+                            };
+                            rs.fault(ev, machine);
+                        }
+                    }
                     break;
                 }
                 StepEnd::Finished => {
@@ -721,8 +489,7 @@ impl Scheduler {
                                 task: t,
                                 winner_attempt: a,
                             };
-                            rs.listener.on_fault(&ev, machine);
-                            rs.log.push(ev);
+                            rs.fault(ev, machine);
                             for slot in running.iter_mut() {
                                 if slot.as_ref().is_some_and(|r| r.task_idx == t) {
                                     *slot = None;
@@ -730,46 +497,16 @@ impl Scheduler {
                             }
                         }
                     }
-                    running[core] = self.dispatch(
-                        state,
-                        stage,
-                        stage_idx,
-                        core,
-                        machine,
-                        &mut *rs.listener,
-                        &mut rs.log,
-                    );
+                    running[core] = self.dispatch(rs, machine, state, stage, stage_idx, core);
                 }
             }
         }
+        self.turn_postlude(rs, machine, core, turn_stack);
+        true
     }
 
-    /// Post-crash bookkeeping shared by the serial and merge paths: requeue
-    /// the task within the retry budget, or report retries exhausted. The
-    /// crash event itself has already been delivered in cost-stream order.
-    fn handle_crash(
-        &self,
-        rs: &mut RunState<'_>,
-        machine: &Machine,
-        state: &mut StageState,
-        stage_idx: usize,
-        task: usize,
-        attempt: u32,
-    ) {
-        if state.completed[task] {
-            return;
-        }
-        if attempt < self.config.faults.max_retries {
-            state.pending.push_back(Attempt { task, attempt: attempt + 1 });
-        } else {
-            let ev = FaultEvent::RetriesExhausted { stage: stage_idx, task, attempts: attempt + 1 };
-            rs.listener.on_fault(&ev, machine);
-            rs.log.push(ev);
-        }
-    }
-
-    /// End-of-turn bookkeeping in serial order: GC/JIT noise, the one-shot
-    /// cold restart, migration noise, and the listener progress callback.
+    /// End-of-turn bookkeeping: GC/JIT noise, the one-shot cold restart,
+    /// migration noise, and the listener progress callback.
     fn turn_postlude(
         &self,
         rs: &mut RunState<'_>,
@@ -803,174 +540,18 @@ impl Scheduler {
         rs.listener.on_progress(core, total, &turn_stack, machine);
     }
 
-    /// The parallel fast path: detaches every running slot's private caches,
-    /// scripts up to [`BATCH_ROUNDS`] turns per slot concurrently, then
-    /// replays the scripts in round-robin slot order against the live
-    /// machine. A slot whose script hit a terminal turn (crash/finish)
-    /// continues live within the merge, so dispatch order, completion, and
-    /// every listener callback land exactly where the serial path puts
-    /// them. Returns `true` when the stage reached its all-idle round.
-    fn parallel_batch<'a>(
-        &self,
-        rs: &mut RunState<'_>,
-        machine: &mut Machine,
-        stage: &'a Stage,
-        stage_idx: usize,
-        state: &mut StageState,
-        running: &mut [Option<Running<'a>>],
-    ) -> bool {
-        let cores = machine.core_count();
-        let plan = self.config.faults;
-        let quantum = self.config.quantum;
-        rs.parallel_batches += 1;
-
-        // Scatter: move each running slot's private caches and attempt
-        // state into a per-slot work unit.
-        let mut sims: Vec<Option<CoreSim>> =
-            machine.detach_core_sims().into_iter().map(Some).collect();
-        let units: Vec<(CoreId, CoreSim, Running<'a>)> = (0..cores)
-            .filter_map(|core| {
-                running[core]
-                    .take()
-                    .map(|run| (core, sims[core].take().expect("sim for every core"), run))
-            })
-            .collect();
-
-        // Simulate: the private cache walk of each slot runs concurrently;
-        // nothing here touches the shared LLC or any cross-slot state.
-        let scripted: Vec<(CoreId, CoreSim, Running<'a>, VecDeque<TurnScript>)> = units
-            .into_par_iter()
-            .map(move |(core, mut sim, mut run)| {
-                let scripts = script_turns(&mut sim, &mut run, quantum, &plan, stage_idx, core);
-                (core, sim, run, scripts)
-            })
-            .collect();
-
-        // Gather: put caches and attempts back in core order.
-        let mut scripts: Vec<Option<VecDeque<TurnScript>>> = (0..cores).map(|_| None).collect();
-        for (core, sim, run, s) in scripted {
-            sims[core] = Some(sim);
-            running[core] = Some(run);
-            scripts[core] = Some(s);
-        }
-        machine
-            .attach_core_sims(sims.into_iter().map(|s| s.expect("sim for every core")).collect());
-
-        // Merge: replay every scripted turn at its serial position. Slots
-        // whose script ended (terminal turn) or that were idle at batch
-        // start run live for the remaining rounds.
-        for _round in 0..BATCH_ROUNDS {
-            let mut idle = true;
-            for (core, slot) in scripts.iter_mut().enumerate() {
-                let next = slot.as_mut().and_then(VecDeque::pop_front);
-                if let Some(turn) = next {
-                    idle = false;
-                    if self.merge_turn(rs, machine, stage, stage_idx, state, running, core, turn) {
-                        *slot = None;
-                    }
-                } else {
-                    *slot = None;
-                    if self.serial_core_round(rs, machine, stage, stage_idx, state, running, core) {
-                        idle = false;
-                    }
-                }
-            }
-            if idle {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Replays one scripted turn on the live machine: applies each segment's
-    /// counter delta, resolves its LLC requests in order, delivers its fault
-    /// event, then runs the terminal bookkeeping (crash requeue or
-    /// completion + live continuation of the leftover budget) and the turn
-    /// postlude. Returns `true` when the turn was terminal, which
-    /// invalidates the rest of the slot's script.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_turn<'a>(
-        &self,
-        rs: &mut RunState<'_>,
-        machine: &mut Machine,
-        stage: &'a Stage,
-        stage_idx: usize,
-        state: &mut StageState,
-        running: &mut [Option<Running<'a>>],
-        core: CoreId,
-        turn: TurnScript,
-    ) -> bool {
-        for seg in turn.segments {
-            machine.apply_delta(core, seg.delta);
-            for (addr, streaming) in seg.requests {
-                machine.resolve_llc(core, addr, streaming);
-            }
-            if let Some(ev) = seg.event {
-                rs.listener.on_fault(&ev, machine);
-                rs.log.push(ev);
-            }
-        }
-        let mut turn_stack = turn.stack;
-        match turn.end {
-            ScriptEnd::Running => {
-                self.turn_postlude(rs, machine, core, turn_stack);
-                false
-            }
-            ScriptEnd::Crashed { task, attempt } => {
-                running[core] = None;
-                self.handle_crash(rs, machine, state, stage_idx, task, attempt);
-                self.turn_postlude(rs, machine, core, turn_stack);
-                true
-            }
-            ScriptEnd::Finished { task, leftover } => {
-                running[core] = None;
-                if !state.completed[task] {
-                    state.completed[task] = true;
-                    // Speculation forces the serial path, so no twin can
-                    // exist to win or kill here.
-                    debug_assert!(!state.speculated[task]);
-                }
-                running[core] = self.dispatch(
-                    state,
-                    stage,
-                    stage_idx,
-                    core,
-                    machine,
-                    &mut *rs.listener,
-                    &mut rs.log,
-                );
-                let mut budget = leftover;
-                self.serial_turn(
-                    rs,
-                    machine,
-                    stage,
-                    stage_idx,
-                    state,
-                    running,
-                    core,
-                    &mut budget,
-                    &mut turn_stack,
-                );
-                self.turn_postlude(rs, machine, core, turn_stack);
-                true
-            }
-        }
-    }
-
     /// Starts the next runnable attempt for `core`: pops pending attempts
     /// (skipping tasks a twin already completed), rolls the attempt's crash
     /// point and straggler factor, and — for a fresh straggler — enqueues a
     /// speculative twin when the plan allows one.
-    #[allow(clippy::too_many_arguments)]
     fn dispatch<'a>(
         &self,
+        rs: &mut RunState<'_>,
+        machine: &Machine,
         state: &mut StageState,
         stage: &'a Stage,
         stage_idx: usize,
         core: usize,
-        machine: &Machine,
-        listener: &mut dyn ExecListener,
-        log: &mut FaultLog,
     ) -> Option<Running<'a>> {
         let plan = &self.config.faults;
         while let Some(att) = state.pending.pop_front() {
@@ -993,8 +574,7 @@ impl Scheduler {
                     core,
                     factor,
                 };
-                listener.on_fault(&ev, machine);
-                log.push(ev);
+                rs.fault(ev, machine);
                 if plan.speculative && !state.speculated[att.task] {
                     state.speculated[att.task] = true;
                     state.pending.push_back(Attempt { task: att.task, attempt: att.attempt + 1 });
@@ -1003,8 +583,7 @@ impl Scheduler {
                         task: att.task,
                         original_attempt: att.attempt,
                     };
-                    listener.on_fault(&ev, machine);
-                    log.push(ev);
+                    rs.fault(ev, machine);
                 }
             }
             simprof_obs::counter_add("engine.attempts_dispatched", 1);
@@ -1232,10 +811,10 @@ mod tests {
         );
     }
 
-    /// The tentpole contract: the parallel fast path must produce the same
-    /// counter stream, progress callbacks, and fault log as the serial path,
-    /// bit for bit, at any thread count — under a chaotic plan with crashes,
-    /// stragglers, lost fetches, GC noise, and mixed access patterns.
+    /// The worker-thread count must not change the counter stream, progress
+    /// callbacks, or fault log, bit for bit — under a chaotic plan with
+    /// crashes, stragglers, lost fetches, GC noise, and mixed access
+    /// patterns.
     #[test]
     fn parallel_simulation_is_bit_identical_to_serial() {
         use crate::faults::FaultPlan;

@@ -14,13 +14,10 @@
 //!    every hook is a single relaxed atomic load, exactly as before;
 //! 2. the calling thread's context stack (installed via
 //!    [`ObsContext::install`], propagated into pool workers by the
-//!    parallel substrate);
-//! 3. the process **default slot**, claimed by the deprecated
-//!    [`crate::Session`] shim so plain `std::thread` spawns in batch mode
-//!    still attribute to the session.
+//!    parallel substrate).
 //!
 //! Two jobs with two contexts record concurrently without blocking or
-//! bleeding into each other; the old `SESSION_GATE` is gone.
+//! bleeding into each other.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -39,15 +36,6 @@ static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(1);
 /// disabled fast path for every hook is `ACTIVE == 0`: one relaxed load.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// Whether the default slot holds a context (checked before taking the
-/// [`DEFAULT`] lock so multi-job service mode never contends on it).
-static DEFAULT_SET: AtomicBool = AtomicBool::new(false);
-
-/// The process default context: the fallback for threads that have no
-/// installed context (bare `std::thread` spawns under a batch
-/// [`crate::Session`]).
-static DEFAULT: Mutex<Option<ObsContext>> = Mutex::new(None);
-
 thread_local! {
     /// Contexts installed on this thread, innermost last.
     static STACK: RefCell<Vec<ObsContext>> = const { RefCell::new(Vec::new()) };
@@ -55,25 +43,6 @@ thread_local! {
     /// span entry under one context skips the thread-table lock.
     static THREAD_CACHE: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
 }
-
-fn default_lock() -> MutexGuard<'static, Option<ObsContext>> {
-    DEFAULT.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A second [`crate::Session`] was begun while one was already live.
-///
-/// Sessions wrap the single process-wide default slot; concurrent jobs
-/// should hold their own [`ObsContext`] instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionBusy;
-
-impl std::fmt::Display for SessionBusy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "an observability session is already live (use per-job ObsContext handles)")
-    }
-}
-
-impl std::error::Error for SessionBusy {}
 
 pub(crate) struct CtxInner {
     id: u64,
@@ -281,51 +250,18 @@ impl Drop for ContextGuard {
     }
 }
 
-/// The innermost *recording* context visible to the calling thread:
-/// thread stack first, then the process default slot. `None` (after one
-/// relaxed load) when no context anywhere is recording.
+/// The innermost *recording* context installed on the calling thread.
+/// `None` (after one relaxed load) when no context anywhere is recording.
 pub(crate) fn current_recording() -> Option<ObsContext> {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    let from_stack = STACK
-        .try_with(|s| s.borrow().iter().rev().find(|c| c.is_recording()).cloned())
-        .ok()
-        .flatten();
-    if from_stack.is_some() {
-        return from_stack;
-    }
-    if !DEFAULT_SET.load(Ordering::Relaxed) {
-        return None;
-    }
-    default_lock().clone().filter(ObsContext::is_recording)
+    STACK.try_with(|s| s.borrow().iter().rev().find(|c| c.is_recording()).cloned()).ok().flatten()
 }
 
 /// The current recording context, but only if it is streaming events.
 pub(crate) fn streaming_ctx() -> Option<ObsContext> {
     current_recording().filter(ObsContext::streaming)
-}
-
-/// Claims the process default slot for `ctx` (the [`crate::Session`]
-/// shim's exclusivity), failing with [`SessionBusy`] if another context
-/// holds it.
-pub(crate) fn claim_default(ctx: &ObsContext) -> Result<(), SessionBusy> {
-    let mut slot = default_lock();
-    if slot.is_some() {
-        return Err(SessionBusy);
-    }
-    *slot = Some(ctx.clone());
-    DEFAULT_SET.store(true, Ordering::SeqCst);
-    Ok(())
-}
-
-/// Releases the default slot if `ctx` holds it (idempotent).
-pub(crate) fn release_default(ctx: &ObsContext) {
-    let mut slot = default_lock();
-    if slot.as_ref().map(ObsContext::id) == Some(ctx.id()) {
-        *slot = None;
-        DEFAULT_SET.store(false, Ordering::SeqCst);
-    }
 }
 
 #[cfg(test)]
@@ -363,9 +299,6 @@ mod tests {
 
     #[test]
     fn stopped_context_is_invisible_to_hooks() {
-        // The stray hook calls below would otherwise fall through to a
-        // concurrent test's default-slot session.
-        let _gate = crate::testlock::lock();
         let ctx = ObsContext::new();
         let _guard = ctx.install();
         ctx.stop();

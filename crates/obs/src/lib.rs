@@ -46,12 +46,6 @@
 //! assert_eq!(report.version, obs::REPORT_VERSION);
 //! assert!(report.find_span("choose_k").is_some());
 //! ```
-//!
-//! The legacy [`Session`] API is a thin shim over a context plus the
-//! process *default slot* (the fallback for threads with no installed
-//! context). It is exclusive — a second concurrent [`Session::begin`]
-//! returns [`SessionBusy`] instead of deadlocking — and deprecated in
-//! favor of per-job contexts.
 
 pub mod alloc;
 pub mod context;
@@ -66,7 +60,7 @@ pub mod timeline;
 pub use alloc::{
     current_alloc_bytes, peak_alloc_bytes, reset_peak, AllocSlot, TrackingAllocator, ALLOC_SLOTS,
 };
-pub use context::{ContextGuard, ObsContext, SessionBusy};
+pub use context::{ContextGuard, ObsContext};
 pub use events::{
     early_stop, fault_event, phase_reformed, salvage_event, sink_degraded, sink_retry, unit_closed,
     Event, EventKind, EventSink, JsonlEventWriter, TeeSink, EVENT_SCHEMA_VERSION,
@@ -91,81 +85,11 @@ pub fn event_streaming() -> bool {
     events::streaming()
 }
 
-/// True while a recording [`ObsContext`] is visible to the calling thread
-/// (installed on it, or claimed as the process default by a [`Session`]).
+/// True while a recording [`ObsContext`] is installed on the calling
+/// thread.
 #[inline]
 pub fn enabled() -> bool {
     context::current_recording().is_some()
-}
-
-/// An active collection window over the process **default slot**: a thin
-/// shim over one [`ObsContext`] kept for the batch CLI and older callers.
-/// While the session is live, [`span!`] guards and the [`metrics`]
-/// registry record to its context from *any* thread; [`Session::finish`]
-/// drains everything collected into a [`RunReport`].
-///
-/// Sessions are exclusive (the default slot is single-occupancy):
-/// a second [`Session::begin`] returns [`SessionBusy`] instead of
-/// blocking. Concurrent jobs should hold their own [`ObsContext`]s.
-/// Dropping a session without finishing discards the collected data.
-#[must_use = "a session that is immediately dropped collects nothing"]
-pub struct Session {
-    ctx: ObsContext,
-    installed: Option<ContextGuard>,
-}
-
-impl Session {
-    /// Starts collecting into a fresh context and claims the process
-    /// default slot, re-basing the peak-allocation high-water mark so
-    /// back-to-back sessions don't inherit the previous run's peak.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionBusy`] if another session currently holds the default
-    /// slot (the legacy API used to block forever here).
-    pub fn begin() -> Result<Self, SessionBusy> {
-        let ctx = ObsContext::new();
-        context::claim_default(&ctx)?;
-        alloc::reset_peak();
-        let installed = ctx.install();
-        Ok(Self { ctx, installed: Some(installed) })
-    }
-
-    /// The session's underlying context handle.
-    pub fn context(&self) -> &ObsContext {
-        &self.ctx
-    }
-
-    /// Stops collecting and assembles the report skeleton (span tree +
-    /// metric snapshot, no sections). Callers attach their own sections
-    /// with [`RunReport::with_section`]. Flushes and removes any
-    /// installed event sink.
-    pub fn finish(mut self) -> RunReport {
-        self.installed.take();
-        context::release_default(&self.ctx);
-        self.ctx.finish_report()
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        self.installed.take();
-        context::release_default(&self.ctx);
-        self.ctx.stop();
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod testlock {
-    //! Sessions share the single default slot, so tests that begin one
-    //! serialize on this lock (`begin` now *fails* instead of blocking).
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    static GATE: Mutex<()> = Mutex::new(());
-
-    pub fn lock() -> MutexGuard<'static, ()> {
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 #[cfg(test)]
@@ -174,25 +98,22 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_guards_are_noops() {
-        // No context installed on this thread and (testlock held) no
-        // session claiming the default slot: hooks must not record.
-        let _gate = testlock::lock();
+        // No context installed on this thread: hooks must not record.
         assert!(!enabled());
         let g = SpanGuard::enter("never");
         assert!(!g.is_recording());
         drop(g);
         counter_add("never.counter", 3);
-        // A fresh session sees none of the above.
-        let session = Session::begin().unwrap();
-        let report = session.finish();
+        // A fresh context sees none of the above.
+        let report = ObsContext::new().finish_report();
         assert!(report.spans.is_empty());
         assert!(report.metrics.counters.is_empty());
     }
 
     #[test]
-    fn session_collects_nested_spans_and_metrics() {
-        let _gate = testlock::lock();
-        let session = Session::begin().unwrap();
+    fn context_collects_nested_spans_and_metrics() {
+        let ctx = ObsContext::new();
+        let installed = ctx.install();
         {
             let _outer = span!("outer");
             {
@@ -204,8 +125,9 @@ mod tests {
                 histogram_observe("work.size", 30.0);
             }
         }
-        let report = session.finish();
+        let report = ctx.finish_report();
         assert!(!enabled(), "finish disables collection");
+        drop(installed);
         assert_eq!(report.version, REPORT_VERSION);
 
         let outer = report.find_span("outer").expect("outer span recorded");
@@ -223,56 +145,41 @@ mod tests {
     }
 
     #[test]
-    fn sessions_do_not_leak_between_runs() {
-        let _gate = testlock::lock();
-        let session = Session::begin().unwrap();
+    fn contexts_do_not_leak_between_runs() {
+        let ctx = ObsContext::new();
         {
+            let _installed = ctx.install();
             let _a = span!("first_run");
             counter_add("first.counter", 1);
         }
-        let first = session.finish();
+        let first = ctx.finish_report();
         assert!(first.find_span("first_run").is_some());
 
-        let session = Session::begin().unwrap();
+        let ctx = ObsContext::new();
         {
+            let _installed = ctx.install();
             let _b = span!("second_run");
         }
-        let second = session.finish();
-        assert!(second.find_span("first_run").is_none(), "prior session cleared");
+        let second = ctx.finish_report();
+        assert!(second.find_span("first_run").is_none(), "prior context cleared");
         assert!(second.find_span("second_run").is_some());
         assert!(!second.metrics.counters.contains_key("first.counter"));
     }
 
     #[test]
-    fn second_session_fails_fast_with_session_busy() {
-        let _gate = testlock::lock();
-        let live = Session::begin().unwrap();
-        // The legacy API would deadlock here; now it returns a typed error.
-        match Session::begin() {
-            Err(busy) => assert_eq!(busy, SessionBusy),
-            Ok(_) => panic!("second session must fail while one is live"),
-        }
-        drop(live);
-        // The slot frees on drop.
-        let next = Session::begin().expect("slot released");
-        drop(next.finish());
-    }
-
-    #[test]
     fn worker_thread_spans_root_at_their_thread() {
-        let _gate = testlock::lock();
-        let session = Session::begin().unwrap();
+        let ctx = ObsContext::new();
         {
+            let _installed = ctx.install();
             let _main = span!("driver");
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    // No context installed on this thread: the default
-                    // slot routes the span to the session's context.
+                    let _installed = ctx.install();
                     let _w = span!("worker_task");
                 });
             });
         }
-        let report = session.finish();
+        let report = ctx.finish_report();
         let driver = report.find_span("driver").expect("driver span");
         let worker = report.find_span("worker_task").expect("worker span");
         // The worker's span is attributed to its own thread, not nested
@@ -282,36 +189,36 @@ mod tests {
     }
 
     #[test]
-    fn dropped_session_discards_collection() {
-        let _gate = testlock::lock();
-        let session = Session::begin().unwrap();
+    fn dropped_context_discards_collection() {
+        let ctx = ObsContext::new();
         {
+            let _installed = ctx.install();
             let _s = span!("doomed");
         }
-        drop(session);
+        drop(ctx);
         assert!(!enabled());
-        let session = Session::begin().unwrap();
-        let report = session.finish();
+        let report = ObsContext::new().finish_report();
         assert!(report.find_span("doomed").is_none());
     }
 
     #[test]
-    fn context_runs_alongside_a_live_session_without_bleeding() {
-        let _gate = testlock::lock();
-        let session = Session::begin().unwrap();
-        counter_add("session.counter", 1);
+    fn inner_context_shadows_the_outer_without_bleeding() {
+        let outer = ObsContext::new();
+        let outer_installed = outer.install();
+        counter_add("outer.counter", 1);
         let job = ObsContext::new();
         {
             let _installed = job.install();
-            // The installed context shadows the session on this thread.
+            // The installed context shadows the outer one on this thread.
             counter_add("job.counter", 5);
         }
-        counter_add("session.counter", 1);
+        counter_add("outer.counter", 1);
         let job_report = job.finish_report();
-        let session_report = session.finish();
+        drop(outer_installed);
+        let outer_report = outer.finish_report();
         assert_eq!(job_report.metrics.counters["job.counter"], 5);
-        assert!(!job_report.metrics.counters.contains_key("session.counter"));
-        assert_eq!(session_report.metrics.counters["session.counter"], 2);
-        assert!(!session_report.metrics.counters.contains_key("job.counter"));
+        assert!(!job_report.metrics.counters.contains_key("outer.counter"));
+        assert_eq!(outer_report.metrics.counters["outer.counter"], 2);
+        assert!(!outer_report.metrics.counters.contains_key("job.counter"));
     }
 }

@@ -6,7 +6,7 @@
 //! unit boundaries.
 
 use serde::{Deserialize, Serialize};
-use std::ops::{AddAssign, Sub};
+use std::ops::Sub;
 
 /// A snapshot of one hardware-thread's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,21 +62,6 @@ impl Counters {
         } else {
             self.l1_misses as f64 / self.accesses as f64
         }
-    }
-}
-
-impl AddAssign for Counters {
-    /// Field-wise accumulation, used to fold a detached simulation's delta
-    /// (`CoreSim`) back into the live counters. All fields are `u64` sums, so
-    /// accumulation order never changes the result.
-    fn add_assign(&mut self, rhs: Counters) {
-        self.instructions += rhs.instructions;
-        self.cycles += rhs.cycles;
-        self.accesses += rhs.accesses;
-        self.l1_misses += rhs.l1_misses;
-        self.l2_misses += rhs.l2_misses;
-        self.llc_misses += rhs.llc_misses;
-        self.io_stall_cycles += rhs.io_stall_cycles;
     }
 }
 

@@ -24,19 +24,6 @@ pub enum AccessOutcome {
     Memory,
 }
 
-/// Outcome of the private half of a split access walk
-/// ([`PrivateCaches::access_private`]): either the access was served by a
-/// private level, or it must still be resolved against the shared LLC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateOutcome {
-    /// Served by the L1 data cache.
-    L1Hit,
-    /// Missed L1, hit L2.
-    L2Hit,
-    /// Missed both private levels; the LLC decides hit vs DRAM.
-    NeedsLlc,
-}
-
 /// One core's private L1D and L2.
 #[derive(Debug, Clone)]
 pub struct PrivateCaches {
@@ -57,38 +44,17 @@ impl PrivateCaches {
 
     /// Walks one address through L1 → L2 → `llc` and reports the serving
     /// level. All levels allocate on miss (inclusive-ish fill policy).
-    pub fn access(&mut self, llc: &mut Cache, addr: u64) -> AccessOutcome {
-        match self.access_private(addr) {
-            PrivateOutcome::L1Hit => AccessOutcome::L1Hit,
-            PrivateOutcome::L2Hit => AccessOutcome::L2Hit,
-            PrivateOutcome::NeedsLlc => {
-                if llc.access(addr) {
-                    AccessOutcome::LlcHit
-                } else {
-                    AccessOutcome::Memory
-                }
-            }
-        }
-    }
-
-    /// The private (L1 → L2) half of a split access walk.
-    ///
-    /// Both private levels allocate on miss *before* the LLC is consulted,
-    /// so private-cache state after this call is exactly what the combined
-    /// [`PrivateCaches::access`] would leave — the LLC outcome never feeds
-    /// back into L1/L2. This is the decomposition the engine's parallel
-    /// simulation relies on: private walks run concurrently per core, and
-    /// every [`PrivateOutcome::NeedsLlc`] is replayed against the shared LLC
-    /// later in deterministic order.
     #[inline]
-    pub fn access_private(&mut self, addr: u64) -> PrivateOutcome {
+    pub fn access(&mut self, llc: &mut Cache, addr: u64) -> AccessOutcome {
         if self.l1.access(addr) {
-            return PrivateOutcome::L1Hit;
+            AccessOutcome::L1Hit
+        } else if self.l2.access(addr) {
+            AccessOutcome::L2Hit
+        } else if llc.access(addr) {
+            AccessOutcome::LlcHit
+        } else {
+            AccessOutcome::Memory
         }
-        if self.l2.access(addr) {
-            return PrivateOutcome::L2Hit;
-        }
-        PrivateOutcome::NeedsLlc
     }
 
     /// Flushes a fraction of both private levels (OS-migration model).

@@ -33,8 +33,8 @@ pub use access::{AccessCursor, AccessPattern, Region};
 pub use cache::{Cache, CacheConfig};
 pub use cost::CostModel;
 pub use counters::Counters;
-pub use hierarchy::{AccessOutcome, PrivateOutcome};
-pub use machine::{CoreId, CoreSim, Machine, MachineConfig};
+pub use hierarchy::AccessOutcome;
+pub use machine::{CoreId, Machine, MachineConfig};
 pub use perturb::Perturbations;
 
 /// Cache-line size in bytes used across the model (64 B, as on the i7-4820K).

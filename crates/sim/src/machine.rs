@@ -8,7 +8,7 @@ use crate::access::Region;
 use crate::cache::{Cache, CacheConfig};
 use crate::cost::CostModel;
 use crate::counters::Counters;
-use crate::hierarchy::{AccessOutcome, PrivateCaches, PrivateOutcome};
+use crate::hierarchy::{AccessOutcome, PrivateCaches};
 use crate::LINE_BYTES;
 
 /// Index of a hardware core (one executor thread is pinned per core in the
@@ -251,128 +251,6 @@ impl Machine {
             llc.flush_fraction(fraction, seed.wrapping_add(i as u64));
         }
     }
-
-    /// Detaches every core's private caches into standalone [`CoreSim`]
-    /// handles (one per core, in core order) so per-core simulation can run
-    /// concurrently without any lock on the access loop. The machine keeps
-    /// cold placeholder caches until [`Machine::attach_core_sims`] puts the
-    /// real ones back; the shared LLC never leaves the machine.
-    pub fn detach_core_sims(&mut self) -> Vec<CoreSim> {
-        let cost = self.config.cost;
-        let penalties = self.penalties;
-        self.cores
-            .iter_mut()
-            .map(|c| CoreSim {
-                caches: std::mem::replace(
-                    &mut c.caches,
-                    PrivateCaches::new(self.config.l1, self.config.l2),
-                ),
-                cost,
-                penalties,
-            })
-            .collect()
-    }
-
-    /// Reattaches the private caches detached by [`Machine::detach_core_sims`]
-    /// (same order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of handles does not match the core count.
-    pub fn attach_core_sims(&mut self, sims: Vec<CoreSim>) {
-        assert_eq!(sims.len(), self.cores.len(), "core sim count mismatch");
-        for (c, sim) in self.cores.iter_mut().zip(sims) {
-            c.caches = sim.caches;
-        }
-    }
-
-    /// Resolves the LLC half of a split access recorded by
-    /// [`CoreSim::access_private`]: touches the shared LLC in call order and
-    /// charges the outcome's penalty cycles and (on DRAM) the LLC miss onto
-    /// `core`'s live counters. Together with the private half this charges
-    /// exactly what [`Machine::access_hinted`] would have.
-    #[inline]
-    pub fn resolve_llc(&mut self, core: CoreId, addr: u64, streaming: bool) -> AccessOutcome {
-        let c = &mut self.cores[core];
-        let outcome = if self.llcs[c.domain].access(addr) {
-            AccessOutcome::LlcHit
-        } else {
-            AccessOutcome::Memory
-        };
-        c.counters.llc_misses += (outcome == AccessOutcome::Memory) as u64;
-        c.counters.cycles += self.penalties.cycles(outcome, streaming);
-        outcome
-    }
-
-    /// Folds a detached simulation's counter delta into `core`'s live
-    /// counters. All counter fields are plain sums, so applying deltas in
-    /// slot order reproduces the serial counter stream bit for bit.
-    #[inline]
-    pub fn apply_delta(&mut self, core: CoreId, delta: Counters) {
-        self.cores[core].counters += delta;
-    }
-}
-
-/// A detached view of one core for the engine's parallel simulation phase:
-/// it owns the core's private caches (moved out of the [`Machine`] by
-/// [`Machine::detach_core_sims`]) plus a copy of the cost model, and charges
-/// every cost into a caller-owned [`Counters`] delta instead of the live
-/// machine counters.
-///
-/// The split keeps the parallel phase exact: private-cache state and the
-/// addresses that reach the LLC depend only on this core's access stream
-/// (the LLC outcome never feeds back into L1/L2 —
-/// [`PrivateCaches::access_private`]), so concurrent per-core walks plus an
-/// in-order replay of the LLC requests ([`Machine::resolve_llc`]) and delta
-/// application ([`Machine::apply_delta`]) reproduce the serial simulation bit
-/// for bit.
-#[derive(Debug)]
-pub struct CoreSim {
-    caches: PrivateCaches,
-    cost: CostModel,
-    penalties: Penalties,
-}
-
-impl CoreSim {
-    /// Retires `n` instructions, charging base cycles into `delta`. Same
-    /// per-call rounding as [`Machine::charge_instrs`], so call boundaries
-    /// must mirror the serial path.
-    #[inline]
-    pub fn charge_instrs(&self, delta: &mut Counters, n: u64) {
-        delta.instructions += n;
-        delta.cycles += self.cost.base_cycles(n);
-    }
-
-    /// Charges an IO stall into `delta` (mirror of [`Machine::io_stall`]).
-    #[inline]
-    pub fn io_stall(&self, delta: &mut Counters, cycles: u64) {
-        delta.cycles += cycles;
-        delta.io_stall_cycles += cycles;
-    }
-
-    /// The private half of one memory access: walks L1 → L2, charging the
-    /// access, private miss counters, and (on an L2 hit) the hit penalty
-    /// into `delta`. Returns `true` when the access missed both private
-    /// levels and must be replayed against the shared LLC with
-    /// [`Machine::resolve_llc`] — which charges the remaining outcome
-    /// penalty — at its deterministic position in the merge order.
-    #[inline]
-    pub fn access_private(&mut self, delta: &mut Counters, addr: u64, streaming: bool) -> bool {
-        delta.accesses += 1;
-        match self.caches.access_private(addr) {
-            PrivateOutcome::L1Hit => false,
-            PrivateOutcome::L2Hit => {
-                delta.l1_misses += 1;
-                delta.cycles += self.penalties.cycles(AccessOutcome::L2Hit, streaming);
-                false
-            }
-            PrivateOutcome::NeedsLlc => {
-                delta.l1_misses += 1;
-                delta.l2_misses += 1;
-                true
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -530,86 +408,6 @@ mod tests {
         let m = Machine::new(MachineConfig::scaled(4));
         assert_eq!(m.llc_domains(), 1);
         assert_eq!(m.domain_of(3), 0);
-    }
-
-    #[test]
-    fn split_walk_matches_serial_walk_exactly() {
-        // The same interleaved two-core access stream, once through the
-        // serial walk and once through detach → private walks → in-order LLC
-        // replay → delta application: counters and subsequent behaviour must
-        // be identical in every field.
-        let stream = |m: &mut Machine| {
-            let r_small = m.alloc(16 * 1024);
-            let r_big = m.alloc(4 << 20);
-            (
-                AccessCursor::new(r_small, AccessPattern::Sequential, 3),
-                AccessCursor::new(r_big, AccessPattern::Random, 5),
-            )
-        };
-
-        let mut serial = machine();
-        let (mut s0, mut s1) = stream(&mut serial);
-        for i in 0..20_000 {
-            serial.charge_instrs(0, 7);
-            serial.access_hinted(0, s0.next_addr(), true);
-            serial.charge_instrs(1, 7);
-            serial.access_hinted(1, s1.next_addr(), false);
-            if i % 1000 == 0 {
-                serial.io_stall(0, 50);
-            }
-        }
-
-        let mut split = machine();
-        let (mut p0, mut p1) = stream(&mut split);
-        let mut sims = split.detach_core_sims();
-        let mut deltas = [Counters::default(), Counters::default()];
-        // (core, addr, streaming) requests, recorded in serial order.
-        let mut llc_requests: Vec<(CoreId, u64, bool)> = Vec::new();
-        for i in 0..20_000 {
-            let a0 = p0.next_addr();
-            sims[0].charge_instrs(&mut deltas[0], 7);
-            if sims[0].access_private(&mut deltas[0], a0, true) {
-                llc_requests.push((0, a0, true));
-            }
-            let a1 = p1.next_addr();
-            sims[1].charge_instrs(&mut deltas[1], 7);
-            if sims[1].access_private(&mut deltas[1], a1, false) {
-                llc_requests.push((1, a1, false));
-            }
-            if i % 1000 == 0 {
-                sims[0].io_stall(&mut deltas[0], 50);
-            }
-        }
-        split.attach_core_sims(sims);
-        for (core, delta) in deltas.into_iter().enumerate() {
-            split.apply_delta(core, delta);
-        }
-        for (core, addr, streaming) in llc_requests {
-            split.resolve_llc(core, addr, streaming);
-        }
-
-        assert_eq!(serial.counters(0), split.counters(0));
-        assert_eq!(serial.counters(1), split.counters(1));
-        // Cache state must agree too: the next accesses behave identically.
-        let mut check_serial =
-            AccessCursor::new(Region::new(0x1_0000, 16 * 1024), AccessPattern::Sequential, 3);
-        let mut check_split =
-            AccessCursor::new(Region::new(0x1_0000, 16 * 1024), AccessPattern::Sequential, 3);
-        for _ in 0..512 {
-            let a = serial.access(0, check_serial.next_addr());
-            let b = split.access(0, check_split.next_addr());
-            assert_eq!(a, b);
-        }
-        assert_eq!(serial.counters(0), split.counters(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "core sim count mismatch")]
-    fn attach_rejects_wrong_count() {
-        let mut m = machine();
-        let sims = m.detach_core_sims();
-        let mut other = Machine::new(MachineConfig::scaled(3));
-        other.attach_core_sims(sims);
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! The observability layer must be a pure observer: running the pipeline
-//! under a reporting session produces bit-identical results to running it
-//! with observability disabled, and the session's report still covers every
+//! under a recording context produces bit-identical results to running it
+//! with observability disabled, and the context's report still covers every
 //! pipeline stage.
 
 use simprof::core::{SimProf, SimProfConfig};
 use simprof::obs;
 use simprof::workloads::{Benchmark, Framework, WorkloadConfig};
 
-/// Both tests claim the process default slot via the legacy `Session`
-/// shim (which now fails fast with `SessionBusy` instead of blocking), so
-/// they serialize explicitly here.
-static SESSION: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// The tests share the process-wide worker-pool size, which one of them
+/// changes, so they serialize explicitly here.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Profile → phases → points → estimate, serialized canonically so any
 /// perturbation — a reordered tie-break, a consumed RNG draw, a rounded
@@ -34,19 +33,21 @@ fn run_pipeline() -> String {
 
 #[test]
 fn reporting_session_does_not_perturb_the_pipeline() {
-    let _serial = SESSION.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     assert!(!obs::enabled(), "observability starts disabled");
     let baseline = run_pipeline();
 
-    let session = obs::Session::begin().expect("no concurrent session");
-    assert!(obs::enabled(), "session enables collection");
+    let ctx = obs::ObsContext::new();
+    let installed = ctx.install();
+    assert!(obs::enabled(), "an installed context enables collection");
     let observed = run_pipeline();
-    let report = session.finish();
+    let report = ctx.finish_report();
     assert!(!obs::enabled(), "finish disables collection again");
+    drop(installed);
 
     assert_eq!(baseline, observed, "observed run must be bit-identical to the unobserved run");
 
-    // The session saw every pipeline stage while changing none of them.
+    // The context saw every pipeline stage while changing none of them.
     for span in
         ["workloads.build", "engine.run", "core.analyze", "core.form_phases", "core.select_points"]
     {
@@ -54,13 +55,13 @@ fn reporting_session_does_not_perturb_the_pipeline() {
     }
     assert!(report.metrics.counters.contains_key("core.units_analyzed"));
 
-    // And a rerun after the session closed is still byte-identical.
-    assert_eq!(baseline, run_pipeline(), "pipeline output must not drift after a session");
+    // And a rerun after the context finished is still byte-identical.
+    assert_eq!(baseline, run_pipeline(), "pipeline output must not drift after a report");
 }
 
 #[test]
 fn event_streaming_and_timeline_export_do_not_perturb_the_pipeline() {
-    let _serial = SESSION.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // Force a real worker pool so the run exercises the parallel regions
     // (and their span hooks) even on a single-core host.
     rayon::set_threads(2);
@@ -71,15 +72,17 @@ fn event_streaming_and_timeline_export_do_not_perturb_the_pipeline() {
     let events_path = dir.join("events.jsonl");
     let timeline_path = dir.join("timeline.json");
 
-    // Full sink stack live: session + streaming JSONL event sink, with the
+    // Full sink stack live: context + streaming JSONL event sink, with the
     // Chrome-trace export run afterwards from the finished report.
-    let session = obs::Session::begin().expect("no concurrent session");
+    let ctx = obs::ObsContext::new();
+    let installed = ctx.install();
     let sink = obs::JsonlEventWriter::create(&events_path).expect("create event log");
     obs::events::install(Box::new(sink));
     assert!(obs::event_streaming(), "sink installation enables streaming");
     let observed = run_pipeline();
-    let report = session.finish();
+    let report = ctx.finish_report();
     assert!(!obs::event_streaming(), "finish uninstalls the sink");
+    drop(installed);
     obs::write_chrome_trace(&report, &timeline_path).expect("write timeline");
     rayon::set_threads(0);
 
@@ -127,7 +130,7 @@ fn event_streaming_and_timeline_export_do_not_perturb_the_pipeline() {
 
 #[test]
 fn job_construction_is_its_own_span_under_the_profile_span() {
-    let _serial = SESSION.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = std::env::temp_dir().join("simprof_obs_build_span");
     std::fs::create_dir_all(&dir).unwrap();
     let report_path = dir.join("run_report.json");
