@@ -4,7 +4,7 @@
 //! paper-scale engine runs, the instrumented engine kernels (quicksort
 //! trace, hash combine, k-way merge), job construction (input synthesis
 //! plus whole `Benchmark::build` calls), and the trace codec (JSON chunk
-//! decode/encode, LZ decode; reported per MB of raw JSON).
+//! decode/encode, LZ decode/encode; reported per MB of raw JSON).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -187,9 +187,11 @@ fn bench_build(c: &mut Criterion) {
 /// The trace's per-chunk codec work as a reader and writer do it, over
 /// every 32-unit chunk of a paper-scale `wc_sp` profile at 10 000-instruction
 /// units (the granularity of stored analysis traces): `chunk_decode` parses
-/// each chunk's JSON into units, `chunk_encode` renders it, and `lz_decode`
-/// inflates each chunk's LZ frame payload. One iteration covers the whole
-/// trace; the per-MB figure is per MB of raw chunk JSON.
+/// each chunk's JSON into units, `chunk_encode` renders it, `lz_decode`
+/// inflates each chunk's LZ frame payload, and `lz_encode` compresses each
+/// chunk's JSON into one reused buffer, as the writer does into its frame
+/// scratch. One iteration covers the whole trace; the per-MB figure is per
+/// MB of raw chunk JSON.
 fn bench_trace(c: &mut Criterion) {
     let w = WorkloadId::all()
         .into_iter()
@@ -201,8 +203,14 @@ fn bench_trace(c: &mut Criterion) {
     let chunks: Vec<&[SamplingUnit]> = units.chunks(DEFAULT_CHUNK_UNITS).collect();
     let texts: Vec<String> =
         chunks.iter().map(|c| serde_json::to_string(c).expect("units encode")).collect();
-    let packed: Vec<Vec<u8>> =
-        texts.iter().map(|t| codec::encode(Codec::Lz, t.as_bytes()).1).collect();
+    let packed: Vec<Vec<u8>> = texts
+        .iter()
+        .map(|t| {
+            let mut p = Vec::new();
+            codec::encode(Codec::Lz, t.as_bytes(), &mut p);
+            p
+        })
+        .collect();
     let raw_bytes: usize = texts.iter().map(String::len).sum();
 
     let mut g = c.benchmark_group("trace");
@@ -229,6 +237,15 @@ fn bench_trace(c: &mut Criterion) {
                 black_box(
                     codec::decode(codec::CODEC_LZ, black_box(p), MAX_FRAME_LEN).expect("inflates"),
                 );
+            }
+        })
+    });
+    let mut scratch = Vec::new();
+    g.bench_function("lz_encode", |b| {
+        b.iter(|| {
+            for t in &texts {
+                scratch.clear();
+                black_box(codec::encode(Codec::Lz, black_box(t.as_bytes()), &mut scratch));
             }
         })
     });

@@ -79,7 +79,7 @@ use simprof_stats::{
     StratumStats,
 };
 use simprof_trace::{
-    read_trace, salvage_bytes, ChaosPlan, ChaosWriter, RetryPolicy, TraceMeta, TraceReader,
+    read_trace, salvage_bytes, ChaosPlan, ChaosWriter, Codec, RetryPolicy, TraceMeta, TraceReader,
     TraceWriter,
 };
 use simprof_workloads::{Benchmark, Framework, WorkloadConfig};
@@ -498,7 +498,7 @@ fn chaos_smoke(args: &Args, out_path: &str) -> Result<(), String> {
         ..ChaosPlan::none(args.seed)
     };
     let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
-    let mut w = TraceWriter::from_writer(chaos, "<chaos>", &meta)?
+    let mut w = TraceWriter::from_writer(chaos, "<chaos>", &meta, Codec::Raw)?
         .with_chunk_units(scale.chunk_units)
         .with_retry(RetryPolicy { max_retries: 6, backoff_ms: 0 });
     for u in &trace.units {

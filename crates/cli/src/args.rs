@@ -52,9 +52,8 @@ pub struct Options {
     /// CPI; implies `--live`).
     pub target_rel_err: Option<f64>,
     /// `--codec` (per-frame trace compression for `profile`,
-    /// `trace-repair`, and `serve`; absent keeps the uncompressed v2
-    /// layout).
-    pub codec: Option<Codec>,
+    /// `trace-repair`, and `serve`; default `raw`).
+    pub codec: Codec,
     /// `--jobs` (for `serve`: path to the JSON jobs file).
     pub jobs: Option<String>,
     /// `--store` (for `serve`: root directory of the sharded trace
@@ -100,7 +99,7 @@ impl Default for Options {
             salvage: false,
             live: false,
             target_rel_err: None,
-            codec: None,
+            codec: Codec::Raw,
             jobs: None,
             store: None,
             fleet_report: None,
@@ -185,7 +184,7 @@ impl Options {
                     opts.target_rel_err = Some(e);
                     opts.live = true;
                 }
-                "--codec" => opts.codec = Some(Codec::parse(&value(flag)?)?),
+                "--codec" => opts.codec = Codec::parse(&value(flag)?)?,
                 "--jobs" => opts.jobs = Some(value(flag)?),
                 "--store" => opts.store = Some(value(flag)?),
                 "--fleet-report" => opts.fleet_report = Some(value(flag)?),
@@ -320,9 +319,9 @@ mod tests {
 
     #[test]
     fn codec_flag() {
-        assert_eq!(parse("").unwrap().codec, None);
-        assert_eq!(parse("--codec raw").unwrap().codec, Some(Codec::Raw));
-        assert_eq!(parse("--codec lz").unwrap().codec, Some(Codec::Lz));
+        assert_eq!(parse("").unwrap().codec, Codec::Raw);
+        assert_eq!(parse("--codec raw").unwrap().codec, Codec::Raw);
+        assert_eq!(parse("--codec lz").unwrap().codec, Codec::Lz);
         assert!(parse("--codec zstd").is_err(), "unknown codec rejected");
         assert!(parse("--codec").is_err(), "missing value");
     }

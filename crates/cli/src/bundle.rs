@@ -2,16 +2,14 @@
 //! profile plus everything needed to interpret it later (method registry,
 //! provenance).
 //!
-//! This format predates the chunked streaming format in `simprof-trace` and
-//! is kept for compatibility: every trace-consuming command auto-detects
-//! which format a file uses (see [`crate::input::TraceInput`]), and
-//! `profile` still writes a bundle when the output path ends in `.json`.
-//! Prefer the chunked format for new traces — it is written while the
-//! engine runs and read without materializing the whole trace.
-//!
-//! Bundles are written as *compact* JSON; [`TraceBundle::load`] accepts
-//! both compact and the pretty-printed form older versions emitted (JSON
-//! parsing is whitespace-insensitive).
+//! This format predates the chunked streaming format in `simprof-trace`.
+//! Bundles are read-only: `profile` writes only the chunked format, but
+//! every trace-consuming command still auto-detects and reads bundles that
+//! earlier releases wrote (see [`crate::input::TraceInput`]).
+//! [`TraceBundle::load`] accepts both the compact and the pretty-printed
+//! JSON those releases emitted (parsing is whitespace-insensitive). The
+//! struct doubles as the in-memory whole-trace form for commands that need
+//! every unit at once (replay, export, baseline comparison).
 
 use serde::{Deserialize, Serialize};
 
@@ -39,13 +37,6 @@ pub struct TraceBundle {
 }
 
 impl TraceBundle {
-    /// Serializes to compact JSON (roughly half the bytes of the
-    /// pretty-printed form this format used to emit; traces dominated by
-    /// numeric arrays gain nothing from indentation).
-    pub fn to_json(&self) -> Result<String, String> {
-        serde_json::to_string(self).map_err(|e| format!("serialize bundle: {e}"))
-    }
-
     /// Parses a bundle (compact or pretty JSON), validating the format
     /// version.
     pub fn from_json(s: &str) -> Result<Self, String> {
@@ -58,11 +49,6 @@ impl TraceBundle {
             ));
         }
         Ok(bundle)
-    }
-
-    /// Writes the bundle to `path`.
-    pub fn save(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json()?).map_err(|e| format!("write {path}: {e}"))
     }
 
     /// Loads a bundle from `path`.
@@ -93,7 +79,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let b = bundle();
-        let s = b.to_json().unwrap();
+        let s = serde_json::to_string(&b).unwrap();
         let back = TraceBundle::from_json(&s).unwrap();
         assert_eq!(back.label, "grep_sp");
         assert_eq!(back.trace, b.trace);
@@ -101,16 +87,16 @@ mod tests {
     }
 
     #[test]
-    fn compact_output_and_pretty_input_both_supported() {
+    fn compact_and_pretty_input_both_supported() {
         let b = bundle();
-        let compact = b.to_json().unwrap();
-        assert!(!compact.contains('\n'), "bundles are written compact");
-        // Pretty JSON from older versions still loads.
+        // Earlier releases wrote compact bundles, and pretty ones before
+        // that: both load.
+        let compact = serde_json::to_string(&b).unwrap();
         let pretty = serde_json::to_string_pretty(&b).unwrap();
-        assert!(pretty.contains('\n'));
-        let back = TraceBundle::from_json(&pretty).unwrap();
-        assert_eq!(back.trace, b.trace);
-        assert!(pretty.len() > compact.len());
+        assert!(!compact.contains('\n') && pretty.contains('\n'));
+        for text in [compact, pretty] {
+            assert_eq!(TraceBundle::from_json(&text).unwrap().trace, b.trace);
+        }
     }
 
     #[test]
@@ -122,11 +108,11 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip() {
+    fn load_reads_a_bundle_file() {
         let b = bundle();
         let path = std::env::temp_dir().join("simprof_bundle_test.json");
         let path = path.to_str().unwrap();
-        b.save(path).unwrap();
+        std::fs::write(path, serde_json::to_string(&b).unwrap()).unwrap();
         let back = TraceBundle::load(path).unwrap();
         assert_eq!(back.trace, b.trace);
         let _ = std::fs::remove_file(path);

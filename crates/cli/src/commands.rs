@@ -8,7 +8,7 @@ use simprof_trace::{TraceMeta, TraceReader, TraceWriter};
 use simprof_workloads::{GraphInput, Kronecker, WorkloadConfig, WorkloadId};
 
 use crate::args::{Options, Scale};
-use crate::bundle::{TraceBundle, FORMAT_VERSION};
+use crate::bundle::FORMAT_VERSION;
 use crate::input::TraceInput;
 
 fn workload_config(opts: &Options) -> WorkloadConfig {
@@ -100,31 +100,36 @@ fn scale_name(opts: &Options) -> String {
     }
 }
 
-/// `simprof profile -w <label> [-o trace.sptrc | -o trace.json]
+/// `simprof profile -w <label> [-o trace.sptrc] [--codec raw|lz]
 /// [--report r.json] [--events e.jsonl] [--timeline t.json]`.
 ///
-/// The output format follows the extension: a `.json` path writes the
-/// legacy monolithic [`TraceBundle`]; any other path (conventionally
-/// `.sptrc`) streams the chunked format — the trace writer is attached to
-/// the profiler as a [`UnitSink`], so units hit the disk while the engine
-/// is still running instead of being serialized in one blob afterwards.
+/// `-o` streams the chunked `.sptrc` format: the trace writer is attached
+/// to the profiler as a [`UnitSink`], so units hit the disk while the
+/// engine is still running instead of being serialized in one blob
+/// afterwards. A `.json` output is refused — the legacy
+/// [`TraceBundle`](crate::bundle::TraceBundle) is read-only now.
 ///
 /// Any of `--report`/`--events`/`--timeline` runs the profile inside an
 /// observability session: `--events` streams the JSONL event log while the
 /// engine runs, `--timeline` converts the finished span tree (including
 /// `parallel.worker` slices from the thread pool) to Chrome-trace JSON.
 ///
-/// `--codec raw|lz` writes the v3 layout with per-frame compression (see
-/// `simprof_trace::codec`); without it the trace stays on the v2 layout,
-/// byte-identical to previous releases.
+/// `--codec lz` compresses each frame (see `simprof_trace::codec`); the
+/// default `raw` stores frames verbatim.
 pub fn profile(opts: &Options) -> Result<(), String> {
     let label = opts.require_workload("profile")?;
     let id = find_workload(label)?;
     let cfg = workload_config(opts);
+    if let Some(path) = opts.output.as_deref().filter(|p| p.ends_with(".json")) {
+        return Err(format!(
+            "-o {path}: `profile` writes the chunked trace format; name the output \
+             <file>.sptrc (JSON bundles are read-only)"
+        ));
+    }
     let session = obs_session(opts)?;
 
     let streaming_out = match &opts.output {
-        Some(path) if !path.ends_with(".json") => {
+        Some(path) => {
             let meta = TraceMeta {
                 label: label.to_owned(),
                 seed: opts.seed,
@@ -133,17 +138,11 @@ pub fn profile(opts: &Options) -> Result<(), String> {
                 snapshot_instrs: cfg.profiler.snapshot_instrs,
                 core: cfg.profiler.core,
             };
-            let writer = match opts.codec {
-                None => TraceWriter::create(path, &meta)?,
-                Some(codec) => TraceWriter::create_compressed(path, &meta, codec)?,
-            };
+            let writer = TraceWriter::create_compressed(path, &meta, opts.codec)?;
             Some((path.clone(), SharedSink::new(writer)))
         }
-        _ => None,
+        None => None,
     };
-    if opts.codec.is_some() && streaming_out.is_none() {
-        return Err("--codec requires a chunked trace output (-o <file.sptrc>)".into());
-    }
     let sinks: Vec<Box<dyn UnitSink>> = match &streaming_out {
         Some((_, writer)) => vec![Box::new(writer.clone())],
         None => Vec::new(),
@@ -162,8 +161,8 @@ pub fn profile(opts: &Options) -> Result<(), String> {
     );
     println!("oracle CPI {:.4}", out.trace.oracle_cpi());
 
-    match (&opts.output, streaming_out) {
-        (Some(_), Some((path, writer))) => {
+    match streaming_out {
+        Some((path, writer)) => {
             // Graceful degradation: a trace sink that latched an I/O error
             // (or fails while sealing the footer) must not take the profile
             // run down with it — the units also live in the manager's
@@ -171,17 +170,12 @@ pub fn profile(opts: &Options) -> Result<(), String> {
             // either way. Warn, point at salvage, and exit successfully.
             let sealed = writer.lock().finish(&out.registry);
             match sealed {
-                Ok(footer) => match opts.codec {
-                    Some(codec) => println!(
-                        "wrote {path} ({} units, chunked v3, {} codec)",
-                        footer.unit_count,
-                        codec.name()
-                    ),
-                    None => println!(
-                        "wrote {path} ({} units, chunked streaming format)",
-                        footer.unit_count
-                    ),
-                },
+                Ok(footer) => println!(
+                    "wrote {path} ({} units, chunked v{}, {} codec)",
+                    footer.unit_count,
+                    footer.version,
+                    opts.codec.name()
+                ),
                 Err(e) => {
                     let retries = writer.lock().retries();
                     eprintln!(
@@ -192,19 +186,7 @@ pub fn profile(opts: &Options) -> Result<(), String> {
                 }
             }
         }
-        (Some(path), None) => {
-            let bundle = TraceBundle {
-                version: FORMAT_VERSION,
-                label: label.to_owned(),
-                seed: opts.seed,
-                scale: scale_name(opts),
-                trace: out.trace,
-                registry: out.registry,
-            };
-            bundle.save(path)?;
-            println!("wrote {path} (legacy JSON bundle)");
-        }
-        _ => println!("(no -o/--output given; trace not saved)"),
+        None => println!("(no -o/--output given; trace not saved)"),
     }
 
     if let Some(session) = session {
@@ -646,12 +628,11 @@ pub fn hybrid(opts: &Options) -> Result<(), String> {
 /// `simprof trace-info -i trace.sptrc|trace.json` — trace metadata without
 /// an analysis pass.
 ///
-/// For a v2 chunked trace this is O(1) in trace size: the header frame is
-/// read from the front and the footer is located through the 12-byte trailer
-/// at the end — no unit chunk is ever decoded. A v3 trace adds one streaming
-/// pass over its chunk frames to report the stored-vs-raw compression ratio.
-/// Legacy bundles must be parsed whole (the format has no summary section),
-/// which is itself a reason to prefer the chunked format.
+/// For a chunked trace the summary is O(1) in trace size: the header frame
+/// is read from the front and the footer is located through the 12-byte
+/// trailer at the end. One streaming pass over the chunk frames then adds
+/// the codecs seen and the stored-vs-raw compression ratio. Legacy bundles
+/// must be parsed whole (the format has no summary section).
 pub fn trace_info(opts: &Options) -> Result<(), String> {
     let path = opts.require_input("trace-info")?;
     if opts.salvage {
@@ -661,22 +642,20 @@ pub fn trace_info(opts: &Options) -> Result<(), String> {
     match input.footer() {
         Some(footer) => {
             println!("{path}: chunked trace (schema v{})", footer.version);
-            if footer.version >= 3 {
-                // The codec list still comes from the header + footer frames
-                // alone, but the stored-vs-raw ratio needs every chunk frame's
-                // length fields, so this branch streams the shard once
-                // (payloads are decoded, units are discarded).
-                let mut reader = TraceReader::open(path)?;
-                reader.footer()?;
-                println!("  frame codecs    {}", reader.codecs_seen().join(", "));
-                while reader.next_unit()?.is_some() {}
-                let (stored, raw) = reader.payload_bytes();
-                let ratio = if raw == 0 { 1.0 } else { stored as f64 / raw as f64 };
-                println!(
-                    "  payload bytes   {stored} stored / {raw} raw ({:.1}% of raw)",
-                    ratio * 100.0
-                );
-            }
+            // The stored-vs-raw ratio needs every chunk frame's length
+            // fields, so this streams the trace once (payloads are decoded,
+            // units are discarded). Frames without a codec byte count as
+            // raw.
+            let mut reader = TraceReader::open(path)?;
+            reader.footer()?;
+            while reader.next_unit()?.is_some() {}
+            println!("  frame codecs    {}", reader.codecs_seen().join(", "));
+            let (stored, raw) = reader.payload_bytes();
+            let ratio = if raw == 0 { 1.0 } else { stored as f64 / raw as f64 };
+            println!(
+                "  payload bytes   {stored} stored / {raw} raw ({:.1}% of raw)",
+                ratio * 100.0
+            );
             println!("  workload        {}", input.label);
             println!("  seed            {}", input.seed);
             println!("  scale           {}", input.scale);
@@ -741,9 +720,9 @@ fn trace_info_salvage(path: &str) -> Result<(), String> {
 }
 
 /// `simprof trace-repair -i damaged.sptrc -o repaired.sptrc [--codec lz]`
-/// — salvage a damaged chunked trace and rewrite every recovered unit into
-/// a fresh, footer-sealed file that the ordinary reader accepts (schema v2
-/// by default, compressed v3 under `--codec`).
+/// — salvage a damaged chunked trace (any layout) and rewrite every
+/// recovered unit into a fresh, footer-sealed file that the ordinary
+/// reader accepts, in the current layout under `--codec` (default raw).
 ///
 /// Repair is lossless over what survived: units from intact chunk frames
 /// round-trip bit-identically; units whose frames failed their checksum are
@@ -773,19 +752,12 @@ pub fn trace_repair(opts: &Options) -> Result<(), String> {
     if !r.header_recovered {
         println!("  header frame lost; metadata reconstructed from the recovered units");
     }
-    let mut writer = match opts.codec {
-        None => TraceWriter::create(out_path, &s.meta)?,
-        Some(codec) => TraceWriter::create_compressed(out_path, &s.meta, codec)?,
-    };
+    let mut writer = TraceWriter::create_compressed(out_path, &s.meta, opts.codec)?;
     for unit in &s.units {
         writer.push(unit);
     }
     let footer = writer.finish(&s.footer.registry)?;
-    println!(
-        "wrote {out_path} ({} units, sealed schema v{})",
-        footer.unit_count,
-        writer.layout_version()
-    );
+    println!("wrote {out_path} ({} units, sealed schema v{})", footer.unit_count, footer.version);
     Ok(())
 }
 
@@ -1132,13 +1104,17 @@ mod tests {
     }
 
     #[test]
-    fn profile_analyze_select_roundtrip() {
-        let dir = std::env::temp_dir().join("simprof_cli_test");
+    fn chunked_profile_feeds_every_trace_command() {
+        let dir = std::env::temp_dir().join("simprof_cli_chunked_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("grep.json");
+        let path = dir.join("grep.sptrc");
         let path = path.to_str().unwrap();
 
+        // `-o` streams the chunked format while profiling.
         profile(&opts(&format!("-w grep_sp --scale tiny --seed 5 -o {path}"))).unwrap();
+        assert!(simprof_trace::is_chunked(path), "profile wrote the chunked format");
+        assert_eq!(&std::fs::read(path).unwrap()[..8], simprof_trace::MAGIC);
+        trace_info(&opts(&format!("-i {path}"))).unwrap();
         analyze(&opts(&format!("-i {path}"))).unwrap();
         select(&opts(&format!("-i {path} -n 5"))).unwrap();
         size(&opts(&format!("-i {path} --error 0.10"))).unwrap();
@@ -1148,31 +1124,35 @@ mod tests {
         let manifest_path = dir.join("manifest.json");
         let manifest_path = manifest_path.to_str().unwrap();
         export(&opts(&format!("-i {path} -n 5 -o {manifest_path}"))).unwrap();
-        validate(&opts(&format!("-i {path} -n 2"))).unwrap();
-        trace_info(&opts(&format!("-i {path}"))).unwrap();
         assert!(std::fs::read_to_string(manifest_path).unwrap().contains("warmup_instrs"));
+        validate(&opts(&format!("-i {path} -n 2"))).unwrap();
         let _ = std::fs::remove_file(manifest_path);
         let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
-    fn chunked_profile_feeds_every_trace_command() {
-        let dir = std::env::temp_dir().join("simprof_cli_chunked_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("grep.sptrc");
+    fn profile_refuses_a_json_output_and_names_sptrc() {
+        let path = std::env::temp_dir().join("simprof_cli_refused.json");
         let path = path.to_str().unwrap();
+        let err =
+            profile(&opts(&format!("-w grep_sp --scale tiny --seed 5 -o {path}"))).unwrap_err();
+        assert!(err.contains(".sptrc"), "{err}");
+        assert!(!std::path::Path::new(path).exists(), "nothing was written");
+    }
 
-        // A non-.json output streams the chunked format while profiling.
-        profile(&opts(&format!("-w grep_sp --scale tiny --seed 5 -o {path}"))).unwrap();
-        assert!(simprof_trace::is_chunked(path), "profile wrote the chunked format");
-        trace_info(&opts(&format!("-i {path}"))).unwrap();
-        analyze(&opts(&format!("-i {path}"))).unwrap();
-        select(&opts(&format!("-i {path} -n 5"))).unwrap();
-        size(&opts(&format!("-i {path} --error 0.10"))).unwrap();
-        report(&opts(&format!("-i {path}"))).unwrap();
-        hybrid(&opts(&format!("-i {path} -n 5"))).unwrap();
-        validate(&opts(&format!("-i {path} -n 2"))).unwrap();
-        let _ = std::fs::remove_file(path);
+    #[test]
+    fn codec_raw_flag_and_no_flag_write_identical_bytes() {
+        let dir = std::env::temp_dir().join("simprof_cli_codec_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let default = dir.join("default.sptrc");
+        let raw = dir.join("raw.sptrc");
+        let (default, raw) = (default.to_str().unwrap(), raw.to_str().unwrap());
+        profile(&opts(&format!("-w grep_sp --scale tiny --seed 5 -o {default}"))).unwrap();
+        profile(&opts(&format!("-w grep_sp --scale tiny --seed 5 --codec raw -o {raw}"))).unwrap();
+        assert!(std::fs::read(default).unwrap() == std::fs::read(raw).unwrap());
+        let _ = std::fs::remove_file(default);
+        let _ = std::fs::remove_file(raw);
         let _ = std::fs::remove_dir(&dir);
     }
 

@@ -1,14 +1,14 @@
 //! Format-agnostic trace input: every trace-consuming command opens its
 //! input through [`TraceInput`], which sniffs the file's leading bytes and
-//! dispatches to the legacy JSON [`TraceBundle`] or the chunked
-//! `simprof-trace` format.
+//! dispatches to the chunked `simprof-trace` format or, for files earlier
+//! releases wrote, the read-only legacy JSON [`TraceBundle`].
 //!
 //! The two formats are interchangeable by contract: analysis routed through
 //! [`TraceInput::analyze`] is **bit-identical** whichever format the trace
 //! came from (and identical to analyzing the in-memory [`ProfileTrace`]
-//! directly), because all three paths run the same two-pass streaming
-//! pipeline — a legacy bundle just streams from memory while a chunked file
-//! streams from disk, one chunk at a time.
+//! directly), because both run the same two-pass streaming pipeline — a
+//! legacy bundle just streams from memory while a chunked file streams from
+//! disk, one chunk at a time.
 
 use simprof_core::{Analysis, SimProf};
 use simprof_engine::MethodRegistry;
@@ -40,7 +40,10 @@ enum Kind {
 }
 
 impl TraceInput {
-    /// Opens `path`, auto-detecting the format from its leading bytes.
+    /// Opens `path`, auto-detecting the format from its leading bytes. A
+    /// file that opens with the chunked magic's `SPTRC\0` prefix — or is
+    /// cut short inside it — goes to the chunked reader, so a truncated or
+    /// unknown-version trace gets a trace error, not a JSON one.
     pub fn open(path: &str) -> Result<Self, String> {
         if simprof_trace::is_chunked(path) {
             let mut reader = TraceReader::open(path)?;
@@ -147,16 +150,15 @@ mod tests {
         let chunked_path = dir.join("simprof_input_chunked.sptrc");
         let chunked_path = chunked_path.to_str().unwrap();
 
-        TraceBundle {
+        let bundle = TraceBundle {
             version: FORMAT_VERSION,
             label: "grep_sp".into(),
             seed: 11,
             scale: "tiny".into(),
             trace: out.trace.clone(),
             registry: out.registry.clone(),
-        }
-        .save(legacy_path)
-        .unwrap();
+        };
+        std::fs::write(legacy_path, serde_json::to_string(&bundle).unwrap()).unwrap();
 
         let meta = TraceMeta {
             label: "grep_sp".into(),
@@ -200,5 +202,23 @@ mod tests {
     #[test]
     fn missing_file_is_an_error() {
         assert!(TraceInput::open("/nonexistent/simprof.whatever").is_err());
+    }
+
+    #[test]
+    fn damaged_trace_heads_get_trace_errors_not_bundle_errors() {
+        let path = std::env::temp_dir().join("simprof_input_damaged.sptrc");
+        let path = path.to_str().unwrap();
+        let cases: [(&[u8], &str); 3] = [
+            (b"SPTRC", "--salvage"),
+            (b"SPTRC\0v", "--salvage"),
+            (b"SPTRC\0v9 from a newer build", "bad magic"),
+        ];
+        for (bytes, want) in cases {
+            std::fs::write(path, bytes).unwrap();
+            let err = TraceInput::open(path).unwrap_err();
+            assert!(err.contains(want), "{bytes:?}: {err}");
+            assert!(!err.contains("parse bundle"), "{bytes:?}: {err}");
+        }
+        let _ = std::fs::remove_file(path);
     }
 }

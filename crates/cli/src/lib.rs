@@ -9,7 +9,7 @@
 //! simprof profile -w wc_sp -o wc.sptrc           # run + stream a trace to disk
 //! simprof trace-info -i wc.sptrc                 # footer metadata, no unit scan
 //! simprof trace-info --salvage -i torn.sptrc     # damage report for a torn trace
-//! simprof trace-repair -i torn.sptrc -o ok.sptrc # salvage → sealed v2 file
+//! simprof trace-repair -i torn.sptrc -o ok.sptrc # salvage → sealed file
 //! simprof analyze -i wc.sptrc                    # phases + homogeneity (streamed)
 //! simprof select  -i wc.sptrc -n 20              # simulation points + CI
 //! simprof size    -i wc.sptrc --error 0.05       # required sample size
@@ -19,11 +19,11 @@
 //! simprof timeline -i run.json -o timeline.json  # Perfetto timeline export
 //! ```
 //!
-//! Two trace formats are supported, auto-detected on read (see
-//! [`input::TraceInput`]): the chunked streaming `.sptrc` format
-//! (`simprof-trace`), written while the engine runs and analyzed without
-//! materializing the trace, and the legacy JSON [`bundle::TraceBundle`]
-//! (written when `profile`'s output path ends in `.json`). Either way an
+//! `profile` writes the chunked streaming `.sptrc` format (`simprof-trace`)
+//! while the engine runs; it is analyzed without materializing the trace.
+//! Trace inputs are auto-detected (see [`input::TraceInput`]), so legacy
+//! JSON [`bundle::TraceBundle`] files from earlier releases still read —
+//! bundles are read-only. Either way an
 //! `analyze`/`select` run can happen on a different machine than the
 //! `profile` run — mirroring the paper's profile-on-hardware /
 //! simulate-elsewhere workflow — and the analysis output is bit-identical
@@ -120,10 +120,11 @@ COMMANDS:
 
 OPTIONS:
     -w, --workload <LABEL>   Workload label (wc_sp, sort_hp, ...); see `list`
-    -i, --input <FILE>       Input trace (chunked .sptrc or legacy JSON bundle,
-                             auto-detected; from `profile`)
-    -o, --output <FILE>      Output file (.json → legacy bundle; anything else
-                             streams the chunked trace format)
+    -i, --input <FILE>       Input trace (chunked .sptrc from `profile`, or a
+                             legacy JSON bundle; auto-detected)
+    -o, --output <FILE>      Output file; for `profile`/`trace-repair` the
+                             chunked trace (.sptrc — JSON bundles are
+                             read-only, a .json trace output is refused)
     -n, --points <N>         Number of simulation points [default: 20]
         --seed <N>           Master seed [default: 42]
         --scale <PRESET>     Workload scale: paper | tiny [default: paper]
@@ -154,11 +155,9 @@ OPTIONS:
         --target-rel-err <FRAC>  For `run --live`: stop profiling once the live
                              CI half-width is within FRAC of the mean CPI
                              (implies --live)
-        --codec <NAME>       Per-frame trace compression: raw | lz. For
-                             `profile`/`trace-repair` writes the v3 layout;
-                             for `serve` it is the default for jobs that do
-                             not choose one. Omit to keep the uncompressed
-                             v2 layout
+        --codec <NAME>       Per-frame trace compression for `profile`,
+                             `trace-repair` and `serve` (the default for jobs
+                             that do not choose one): raw | lz [default: raw]
         --jobs <FILE>        For `serve`: JSON array of job specs ({id,
                              workload, seed?, scale?, codec?, mem_cap_mb?,
                              tenant?})

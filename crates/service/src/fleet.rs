@@ -236,7 +236,7 @@ mod tests {
         );
         assert!(a.compression > 0.0 && a.compression < 1.0);
         let b = report.jobs.iter().find(|j| j.id == "b").unwrap();
-        assert_eq!(b.stored_payload_bytes, b.raw_payload_bytes, "v2 stores raw");
+        assert_eq!(b.stored_payload_bytes, b.raw_payload_bytes, "a raw shard stores raw");
         assert_eq!(b.compression, 1.0);
         let bad = report.jobs.iter().find(|j| j.id == "bad").unwrap();
         assert!(!bad.ok);

@@ -11,7 +11,7 @@
 //!   ([`AllocSlot`](simprof_obs::AllocSlot)), so `mem_cap_mb` verdicts
 //!   are per job even while neighbors allocate,
 //! * its own shard in a [`TraceStore`] — one `.sptrc` file per job under
-//!   `<root>/shards/`, raw (v2) or per-frame-compressed (v3, see
+//!   `<root>/shards/`, stored raw or per-frame-compressed (see
 //!   [`simprof_trace::codec`]), recorded in a deterministic
 //!   `<root>/index.json`.
 //!

@@ -23,7 +23,7 @@ use simprof_obs::{
     EVENT_SCHEMA_VERSION,
 };
 use simprof_profiler::sink::{SharedSink, UnitSink};
-use simprof_trace::{Codec, TraceMeta, TraceWriter};
+use simprof_trace::{Codec, TraceMeta, TraceWriter, FORMAT_VERSION};
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::spec::JobSpec;
@@ -79,20 +79,20 @@ struct EventState {
 /// Runs batches of [`JobSpec`]s concurrently against one [`TraceStore`].
 pub struct JobRunner {
     store: TraceStore,
-    default_codec: Option<Codec>,
+    default_codec: Codec,
     max_concurrent: usize,
     clock: Arc<dyn Clock>,
     events: Mutex<Option<EventState>>,
 }
 
 impl JobRunner {
-    /// A runner writing into `store`, with up to 4 concurrent jobs, no
-    /// default codec (jobs without one write uncompressed v2 shards), the
-    /// real monotonic clock, and no lifecycle sink.
+    /// A runner writing into `store`, with up to 4 concurrent jobs, the
+    /// raw codec for jobs that do not choose one, the real monotonic
+    /// clock, and no lifecycle sink.
     pub fn new(store: TraceStore) -> Self {
         Self {
             store,
-            default_codec: None,
+            default_codec: Codec::Raw,
             max_concurrent: 4,
             clock: Arc::new(MonotonicClock::new()),
             events: Mutex::new(None),
@@ -100,7 +100,7 @@ impl JobRunner {
     }
 
     /// Sets the codec applied to jobs whose spec does not choose one.
-    pub fn with_default_codec(mut self, codec: Option<Codec>) -> Self {
+    pub fn with_default_codec(mut self, codec: Codec) -> Self {
         self.default_codec = codec;
         self
     }
@@ -264,7 +264,7 @@ impl JobRunner {
         spec.validate_id().map_err(|e| format!("job `{}`: {e}", spec.id))?;
         let workload = spec.resolve_workload()?;
         let cfg = spec.workload_config()?;
-        let codec = spec.resolve_codec()?.or(self.default_codec);
+        let codec = spec.resolve_codec()?.unwrap_or(self.default_codec);
 
         let slot = AllocSlot::claim().ok_or_else(|| {
             format!("job `{}`: all {ALLOC_SLOTS} allocation slots are in use", spec.id)
@@ -286,11 +286,7 @@ impl JobRunner {
         };
         let shard_path = self.store.shard_path(&spec.id);
         let path_str = shard_path.to_string_lossy().into_owned();
-        let writer = match codec {
-            None => TraceWriter::create(&path_str, &meta),
-            Some(c) => TraceWriter::create_compressed(&path_str, &meta, c),
-        };
-        let writer = match writer {
+        let writer = match TraceWriter::create_compressed(&path_str, &meta, codec) {
             Ok(w) => w,
             Err(e) => {
                 drop(guard);
@@ -326,8 +322,8 @@ impl JobRunner {
             file: self.store.shard_rel(&spec.id),
             bytes: trace_bytes,
             units: footer.unit_count,
-            layout_version: if codec.is_some() { 3 } else { 2 },
-            codec: codec.unwrap_or(Codec::Raw).name().to_owned(),
+            layout_version: FORMAT_VERSION,
+            codec: codec.name().to_owned(),
         };
         if let Err(e) = self.store.admit(record) {
             let _ = std::fs::remove_file(&shard_path);

@@ -23,8 +23,9 @@ pub struct JobSpec {
     /// Scale preset (`paper` / `tiny`). Defaults to `tiny`.
     #[serde(default)]
     pub scale: Option<String>,
-    /// Trace codec (`raw` / `lz`). Absent means the v2 uncompressed
-    /// layout — byte-identical to `simprof profile`'s output.
+    /// Trace codec (`raw` / `lz`). Absent means the runner's default
+    /// (`raw` unless `serve --codec` says otherwise) — byte-identical to
+    /// `simprof profile`'s output under the same codec.
     #[serde(default)]
     pub codec: Option<String>,
     /// Per-job memory budget in MiB, enforced against the job's own
@@ -94,8 +95,8 @@ impl JobSpec {
         }
     }
 
-    /// Parses the job's codec choice: `None` = stay on the uncompressed
-    /// v2 layout, `Some` = write a v3 shard under that codec.
+    /// Parses the job's codec choice: `None` = the spec names none (the
+    /// runner's default applies, `raw` unless set), `Some` = that codec.
     pub fn resolve_codec(&self) -> Result<Option<Codec>, String> {
         match self.codec.as_deref() {
             None => Ok(None),

@@ -5,7 +5,7 @@
 //! <root>/
 //!   index.json            # StoreIndex: every admitted shard, sorted by job id
 //!   shards/
-//!     <job-id>.sptrc      # one sealed trace per job (v2 raw or v3 compressed)
+//!     <job-id>.sptrc      # one sealed v3 trace per job (raw or compressed)
 //! ```
 //!
 //! Admission — not writing — is the accounting boundary: a job writes its
@@ -46,7 +46,7 @@ pub struct ShardRecord {
     pub bytes: u64,
     /// Sampling units in the shard (from its footer).
     pub units: u64,
-    /// Trace layout version (2 = raw, 3 = per-frame codec).
+    /// Trace layout version (3 for every shard this build writes).
     pub layout_version: u32,
     /// Codec the shard was written under (`raw` / `lz`).
     pub codec: String,
@@ -339,7 +339,7 @@ mod tests {
                 file: store.shard_rel("a"),
                 bytes: bytes_a,
                 units: units_a,
-                layout_version: 2,
+                layout_version: 3,
                 codec: "raw".into(),
             })
             .unwrap();
@@ -350,7 +350,7 @@ mod tests {
                 file: store.shard_rel("b"),
                 bytes: bytes_b,
                 units: units_b,
-                layout_version: 2,
+                layout_version: 3,
                 codec: "raw".into(),
             })
             .unwrap();
@@ -372,7 +372,7 @@ mod tests {
                 file: reopened.shard_rel("a"),
                 bytes: 1,
                 units: 0,
-                layout_version: 2,
+                layout_version: 3,
                 codec: "raw".into(),
             })
             .unwrap_err()
@@ -393,7 +393,7 @@ mod tests {
             file: format!("shards/{job}.sptrc"),
             bytes,
             units: 0,
-            layout_version: 2,
+            layout_version: 3,
             codec: "raw".into(),
         };
         store.admit(rec("a", "small", 700)).unwrap();
@@ -418,7 +418,7 @@ mod tests {
                 file: store.shard_rel("a"),
                 bytes,
                 units,
-                layout_version: 2,
+                layout_version: 3,
                 codec: "raw".into(),
             })
             .unwrap();

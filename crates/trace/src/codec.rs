@@ -23,6 +23,8 @@
 //! stream must reconstruct exactly the promised length. Corrupt input is
 //! an error, never a panic or an over-allocation.
 
+use std::borrow::Cow;
+
 /// Codec id for uncompressed payloads (and the compression fallback).
 pub const CODEC_RAW: u8 = 0;
 
@@ -80,28 +82,29 @@ impl Codec {
     }
 }
 
-/// Encodes `payload` under `codec`, returning the codec id actually used
-/// and the stored bytes. LZ falls back to raw per frame when compression
-/// does not strictly shrink the payload, so the stored form is never
-/// larger than the raw form.
-pub fn encode(codec: Codec, payload: &[u8]) -> (u8, Vec<u8>) {
-    match codec {
-        Codec::Raw => (CODEC_RAW, payload.to_vec()),
-        Codec::Lz => {
-            let packed = lz_compress(payload);
-            if packed.len() < payload.len() {
-                (CODEC_LZ, packed)
-            } else {
-                (CODEC_RAW, payload.to_vec())
-            }
+/// Appends `payload` encoded under `codec` to `out` and returns the codec
+/// id actually used. LZ falls back to raw per frame when compression does
+/// not strictly shrink the payload, so the stored form is never larger
+/// than the raw form. Writing into the caller's buffer (the writer's frame
+/// scratch) keeps raw frames copy-free beyond that one append.
+pub fn encode(codec: Codec, payload: &[u8], out: &mut Vec<u8>) -> u8 {
+    if codec == Codec::Lz {
+        let start = out.len();
+        lz_compress(payload, out);
+        if out.len() - start < payload.len() {
+            return CODEC_LZ;
         }
+        out.truncate(start);
     }
+    out.extend_from_slice(payload);
+    CODEC_RAW
 }
 
-/// Decodes stored frame bytes back to the payload. `max_len` caps the
-/// decoded size (readers pass [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN)):
-/// a corrupt or hostile length is rejected before allocation.
-pub fn decode(codec_id: u8, stored: &[u8], max_len: usize) -> Result<Vec<u8>, String> {
+/// Decodes stored frame bytes back to the payload. A raw frame is handed
+/// back as the bytes it was stored in (no copy). `max_len` caps the
+/// decoded size (readers pass [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN)): a
+/// corrupt or hostile length is rejected before allocation.
+pub fn decode(codec_id: u8, stored: &[u8], max_len: usize) -> Result<Cow<'_, [u8]>, String> {
     match codec_id {
         CODEC_RAW => {
             if stored.len() > max_len {
@@ -110,9 +113,9 @@ pub fn decode(codec_id: u8, stored: &[u8], max_len: usize) -> Result<Vec<u8>, St
                     stored.len()
                 ));
             }
-            Ok(stored.to_vec())
+            Ok(Cow::Borrowed(stored))
         }
-        CODEC_LZ => lz_decompress(stored, max_len),
+        CODEC_LZ => lz_decompress(stored, max_len).map(Cow::Owned),
         other => Err(format!("unknown frame codec id {other}")),
     }
 }
@@ -122,9 +125,10 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// Greedy LZSS compression. Deterministic: output depends only on `input`.
-fn lz_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+/// Greedy LZSS compression, appended to `out`. Deterministic: the bytes
+/// appended depend only on `input`.
+fn lz_compress(input: &[u8], out: &mut Vec<u8>) {
+    out.reserve(input.len() / 2 + 16);
     out.extend_from_slice(&(input.len() as u32).to_le_bytes());
 
     // Candidate positions for each 4-byte prefix hash. usize::MAX = empty.
@@ -179,7 +183,6 @@ fn lz_compress(input: &[u8]) -> Vec<u8> {
         }
         ctrl_bit += 1;
     }
-    out
 }
 
 /// Bounds-checked LZSS decompression; inverse of [`lz_compress`].
@@ -252,8 +255,14 @@ fn lz_decompress(stored: &[u8], max_len: usize) -> Result<Vec<u8>, String> {
 mod tests {
     use super::*;
 
+    fn lz(input: &[u8]) -> Vec<u8> {
+        let mut packed = Vec::new();
+        lz_compress(input, &mut packed);
+        packed
+    }
+
     fn roundtrip(input: &[u8]) -> Vec<u8> {
-        let packed = lz_compress(input);
+        let packed = lz(input);
         lz_decompress(&packed, input.len().max(1)).expect("roundtrip decodes")
     }
 
@@ -274,7 +283,7 @@ mod tests {
         }
         input.push(']');
         let bytes = input.as_bytes();
-        let packed = lz_compress(bytes);
+        let packed = lz(bytes);
         assert!(
             packed.len() < bytes.len() / 2,
             "repetitive JSON should at least halve: {} -> {}",
@@ -287,7 +296,7 @@ mod tests {
     #[test]
     fn overlapping_matches_replicate_rle_style() {
         let input = vec![b'x'; 10_000];
-        let packed = lz_compress(&input);
+        let packed = lz(&input);
         assert!(packed.len() < 200, "pure run should collapse: {}", packed.len());
         assert_eq!(roundtrip(&input), input);
     }
@@ -304,9 +313,11 @@ mod tests {
                 x as u8
             })
             .collect();
-        let (id, stored) = encode(Codec::Lz, &input);
+        let mut stored = b"head".to_vec();
+        let id = encode(Codec::Lz, &input, &mut stored);
         assert_eq!(id, CODEC_RAW, "noise must not be stored compressed");
-        assert_eq!(stored, input);
+        assert_eq!(&stored[..4], b"head", "encode appends after what is there");
+        assert_eq!(stored[4..], input[..]);
         // The LZ stream itself still roundtrips even when unprofitable.
         assert_eq!(roundtrip(&input), input);
     }
@@ -314,7 +325,7 @@ mod tests {
     #[test]
     fn compression_is_deterministic() {
         let input: Vec<u8> = (0..50_000u32).flat_map(|i| (i % 251).to_le_bytes()).collect();
-        assert_eq!(lz_compress(&input), lz_compress(&input));
+        assert_eq!(lz(&input), lz(&input));
     }
 
     #[test]
@@ -340,7 +351,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_an_error() {
         let input = b"the quick brown fox jumps over the quick brown fox";
-        let packed = lz_compress(input);
+        let packed = lz(input);
         for cut in [4, 5, packed.len() - 1] {
             let err = lz_decompress(&packed[..cut], 1024).unwrap_err();
             assert!(err.contains("truncated"), "cut at {cut}: {err}");

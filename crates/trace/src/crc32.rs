@@ -1,6 +1,6 @@
 //! In-crate CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 //!
-//! The v2 frame format appends a CRC-32 over every frame's
+//! Every frame since layout v2 appends a CRC-32 over every frame's
 //! `[kind | len | payload]` bytes so a flipped bit is caught before a
 //! corrupted payload reaches the JSON codec (DESIGN.md §14). The workspace
 //! builds offline with no crates.io access, so the checksum is implemented

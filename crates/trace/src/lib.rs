@@ -19,54 +19,49 @@
 //!   [`chaos`] provides the seeded fault injection that keeps the
 //!   recovery path honest.
 //!
-//! ## Layout (v2)
+//! ## Layout
+//!
+//! The writer produces one layout, v3:
 //!
 //! ```text
-//! [MAGIC: 8 bytes "SPTRC\x00v2"]
+//! [MAGIC: 8 bytes "SPTRC\x00v3"]
 //! [frame 'H'] header: TraceMeta as compact JSON
 //! [frame 'U']*       chunks: Vec<SamplingUnit> as compact JSON
 //! [frame 'F'] footer: TraceFooter as compact JSON
-//! [footer payload length: u32 LE] [MAGIC]            ← 12-byte trailer
+//! [footer stored length: u32 LE] [MAGIC]            ← 12-byte trailer
+//!
+//! frame = [kind: u8] [codec: u8] [stored length: u32 LE] [stored bytes] [CRC32: u32 LE]
 //! ```
 //!
-//! Every v2 frame is `[kind: u8] [payload length: u32 LE] [payload]
-//! [CRC32: u32 LE]`, where the checksum covers `kind | length | payload`
-//! (see [`crc32`](mod@crc32) — implemented in-crate, IEEE polynomial). The
+//! The length counts *stored* (post-codec) bytes and the CRC covers
+//! everything before it in the frame (see [`crc32`](mod@crc32) —
+//! implemented in-crate, IEEE polynomial). Codec ids and the in-crate LZ
+//! codec live in [`codec`]; a frame whose payload does not shrink is
+//! stored raw (codec 0), so a compressed trace is never larger
+//! frame-by-frame than its raw form. [`TraceWriter::create`] stores every
+//! frame raw, [`TraceWriter::create_compressed`] applies a codec. The
 //! trailer lets a reader locate the footer from the end of the file in
-//! three reads, so `trace-info` on a multi-gigabyte trace is O(1). Frame
-//! lengths are capped at [`MAX_FRAME_LEN`]: the cap bounds reader
-//! allocation against corrupt or hostile length fields, and doubles as
-//! the cheap rejection test during salvage resync.
+//! three reads, without decoding anything first. Frame lengths are capped
+//! at [`MAX_FRAME_LEN`]: the cap bounds reader allocation against corrupt
+//! or hostile length fields, and doubles as the cheap rejection test
+//! during salvage resync.
 //!
-//! ## Layout (v3): per-frame compression
+//! Files from earlier releases stay readable and salvageable. The three
+//! layouts differ only in the magic and in which optional frame fields
+//! they carry; one private table lists them, and the reader, the footer
+//! seek and salvage all take frame geometry from it:
 //!
-//! v3 is v2 plus one codec byte per frame, negotiated from the
-//! `SPTRC\x00v3` magic:
+//! | layout | magic          | codec byte | CRC32 | written by         |
+//! |--------|----------------|------------|-------|--------------------|
+//! | v1     | `SPTRC\0v1`    | no         | no    | the first releases |
+//! | v2     | `SPTRC\0v2`    | no         | yes   | earlier releases   |
+//! | v3     | `SPTRC\0v3`    | yes        | yes   | this build         |
 //!
-//! ```text
-//! [kind: u8] [codec: u8] [stored length: u32 LE] [stored bytes] [CRC32]
-//! ```
-//!
-//! The length counts *stored* (post-codec) bytes, the CRC covers
-//! `kind | codec | length | stored`, and the trailer's length field is
-//! the footer frame's stored length — so the O(1) tail seek works without
-//! decompressing anything first. Codec ids and the in-crate LZ codec live
-//! in [`codec`]; a frame whose payload does not shrink is stored raw
-//! (codec 0), so a compressed trace is never larger frame-by-frame than
-//! its raw form. [`TraceWriter::create`] still writes v2 — compression is
-//! opt-in via [`TraceWriter::create_compressed`], keeping the default
-//! byte-stream identical across this change.
-//!
-//! ## Version negotiation
-//!
-//! The format version lives in two places on purpose: the magic's
-//! trailing version (an incompatible layout change bumps it; v1 files —
-//! identical to v2 but with no per-frame CRC — and v2 files are both
-//! still read transparently) and [`TraceFooter::version`] (compatible
-//! schema evolution inside frames; readers require it to match the
-//! magic's layout version and reject versions newer than
-//! [`FORMAT_VERSION`]). Unknown frame kinds are an error — the format has
-//! no optional frames.
+//! The layout version lives in two places on purpose: the magic's suffix
+//! (an incompatible layout change bumps it) and [`TraceFooter::version`]
+//! (compatible schema evolution inside frames; readers require it to match
+//! the magic's layout and reject versions newer than [`FORMAT_VERSION`]).
+//! Unknown frame kinds are an error — the format has no optional frames.
 //!
 //! ## Durability
 //!
@@ -78,6 +73,7 @@
 //! profiler falls back to memory-only collection instead of panicking
 //! (DESIGN.md §14.4).
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, Cursor, Read, Seek, SeekFrom, Write};
 
@@ -91,26 +87,22 @@ use simprof_profiler::trace::{ProfileTrace, SamplingUnit};
 pub mod chaos;
 pub mod codec;
 pub mod crc32;
+mod layout;
 pub mod salvage;
 
 pub use chaos::{ChaosCounts, ChaosPlan, ChaosReader, ChaosWriter};
 pub use codec::Codec;
 pub use salvage::{salvage_bytes, Salvage, SalvageReport};
 
-/// The default layout's magic; the `v2` suffix is the layout version.
-pub const MAGIC: &[u8; 8] = b"SPTRC\0v2";
+use layout::Layout;
 
-/// The original layout's magic: same framing as v2, no per-frame CRC.
-/// Still readable.
-pub const MAGIC_V1: &[u8; 8] = b"SPTRC\0v1";
+/// The magic every file this build writes starts (and its trailer ends)
+/// with; the `v3` suffix is the layout version.
+pub const MAGIC: &[u8; 8] = layout::CURRENT.magic;
 
-/// The compressed layout's magic: v2 framing plus a codec byte per frame.
-pub const MAGIC_V3: &[u8; 8] = b"SPTRC\0v3";
-
-/// Newest schema version this build reads and writes. Each footer carries
-/// its own file's layout version (1, 2, or 3); the *default* writer still
-/// produces v2 so existing byte-for-byte expectations hold.
-pub const FORMAT_VERSION: u32 = 3;
+/// The layout version this build writes, and the newest it reads. Each
+/// footer carries its own file's layout version (1, 2, or 3).
+pub const FORMAT_VERSION: u32 = layout::CURRENT.version;
 
 /// Units buffered per on-disk chunk by default. The chunk is the unit of
 /// durability as well as of reader memory: a crash (or torn tail) loses at
@@ -171,26 +163,16 @@ pub struct TraceFooter {
     pub registry: MethodRegistry,
 }
 
-/// True when the file at `path` starts with a chunked-trace magic (either
-/// layout version) — the sniff the CLI uses to auto-detect the input
-/// format.
+/// True when the file at `path` claims to be a chunked trace: it opens
+/// with the `SPTRC\0` prefix every magic shares, whatever the version, or
+/// is cut short inside it. This is the sniff the CLI uses to auto-detect
+/// the input format; [`TraceReader`] then names any problem precisely
+/// (truncation, unknown version).
 pub fn is_chunked(path: &str) -> bool {
-    let mut head = [0u8; 8];
+    let mut head = Vec::with_capacity(8);
     match File::open(path) {
-        Ok(mut f) => {
-            f.read_exact(&mut head).is_ok()
-                && (&head == MAGIC || &head == MAGIC_V1 || &head == MAGIC_V3)
-        }
+        Ok(f) => f.take(8).read_to_end(&mut head).is_ok() && layout::claims(&head),
         Err(_) => false,
-    }
-}
-
-/// The magic for a given layout version.
-pub(crate) fn magic_for(layout_version: u32) -> &'static [u8; 8] {
-    match layout_version {
-        1 => MAGIC_V1,
-        3 => MAGIC_V3,
-        _ => MAGIC,
     }
 }
 
@@ -254,43 +236,29 @@ pub struct TraceWriter<W: Write + Seek = File> {
     dropped_snapshots: u64,
     error: Option<String>,
     finished: bool,
-    layout: u32,
     codec: Codec,
 }
 
 impl TraceWriter<File> {
-    /// Creates the file at `path` and writes the v2 magic + header frame.
+    /// Creates the file at `path` and writes the magic + header frame,
+    /// storing every frame raw.
     pub fn create(path: &str, meta: &TraceMeta) -> Result<Self, String> {
-        let file = File::create(path).map_err(|e| io_err(path, "create", e))?;
-        Self::from_writer_versioned(file, path, meta, 2, Codec::Raw)
+        Self::create_compressed(path, meta, Codec::Raw)
     }
 
-    /// Creates a file in the original (v1, CRC-less) layout. Exists so
-    /// compatibility with pre-v2 readers and files stays testable; new
-    /// traces should use [`TraceWriter::create`].
-    pub fn create_legacy_v1(path: &str, meta: &TraceMeta) -> Result<Self, String> {
-        let file = File::create(path).map_err(|e| io_err(path, "create", e))?;
-        Self::from_writer_versioned(file, path, meta, 1, Codec::Raw)
-    }
-
-    /// Creates the file at `path` in the v3 layout, encoding every frame
-    /// under `codec` (with per-frame raw fallback — see [`codec`]).
+    /// Creates the file at `path`, encoding every frame under `codec`
+    /// (with per-frame raw fallback — see [`codec`]).
     pub fn create_compressed(path: &str, meta: &TraceMeta, codec: Codec) -> Result<Self, String> {
         let file = File::create(path).map_err(|e| io_err(path, "create", e))?;
-        Self::from_writer_versioned(file, path, meta, 3, codec)
+        Self::from_writer(file, path, meta, codec)
     }
 }
 
 impl TraceWriter<Cursor<Vec<u8>>> {
-    /// An in-memory writer (backed by a `Cursor<Vec<u8>>`), for tests and
-    /// chaos pipelines that never touch disk.
+    /// An in-memory raw writer (backed by a `Cursor<Vec<u8>>`), for tests
+    /// and chaos pipelines that never touch disk.
     pub fn in_memory(meta: &TraceMeta) -> Result<Self, String> {
-        Self::from_writer(Cursor::new(Vec::new()), "<memory>", meta)
-    }
-
-    /// An in-memory v3 writer with the given frame codec.
-    pub fn in_memory_compressed(meta: &TraceMeta, codec: Codec) -> Result<Self, String> {
-        Self::from_writer_versioned(Cursor::new(Vec::new()), "<memory>", meta, 3, codec)
+        Self::from_writer(Cursor::new(Vec::new()), "<memory>", meta, Codec::Raw)
     }
 
     /// Unwraps the encoded bytes.
@@ -300,29 +268,13 @@ impl TraceWriter<Cursor<Vec<u8>>> {
 }
 
 impl<W: Write + Seek> TraceWriter<W> {
-    /// Starts a v2 trace on an arbitrary `Write + Seek` stream (assumed to
-    /// be positioned at offset 0). `target` names the stream in errors and
-    /// events.
-    pub fn from_writer(out: W, target: &str, meta: &TraceMeta) -> Result<Self, String> {
-        Self::from_writer_versioned(out, target, meta, 2, Codec::Raw)
-    }
-
-    /// Starts a v3 trace on an arbitrary stream, encoding frames under
-    /// `codec`.
-    pub fn from_writer_compressed(
+    /// Starts a trace on an arbitrary `Write + Seek` stream (assumed to be
+    /// positioned at offset 0), encoding frames under `codec`. `target`
+    /// names the stream in errors and events.
+    pub fn from_writer(
         out: W,
         target: &str,
         meta: &TraceMeta,
-        codec: Codec,
-    ) -> Result<Self, String> {
-        Self::from_writer_versioned(out, target, meta, 3, codec)
-    }
-
-    fn from_writer_versioned(
-        out: W,
-        target: &str,
-        meta: &TraceMeta,
-        layout: u32,
         codec: Codec,
     ) -> Result<Self, String> {
         let mut this = Self {
@@ -343,10 +295,9 @@ impl<W: Write + Seek> TraceWriter<W> {
             dropped_snapshots: 0,
             error: None,
             finished: false,
-            layout,
             codec,
         };
-        this.scratch.extend_from_slice(magic_for(layout));
+        this.scratch.extend_from_slice(MAGIC);
         this.commit_scratch()?;
         let header =
             serde_json::to_string(meta).map_err(|e| format!("encode trace header: {e}"))?;
@@ -373,13 +324,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.unit_count
     }
 
-    /// The layout version this writer produces (1, 2, or 3).
-    pub fn layout_version(&self) -> u32 {
-        self.layout
-    }
-
-    /// The frame codec this writer applies (always [`Codec::Raw`] below
-    /// v3).
+    /// The frame codec this writer applies.
     pub fn codec(&self) -> Codec {
         self.codec
     }
@@ -441,10 +386,10 @@ impl<W: Write + Seek> TraceWriter<W> {
         }
     }
 
-    /// Frames `payload` into the scratch buffer (with CRC on v2+, and the
-    /// codec byte + stored encoding on v3) and commits it. Returns the
-    /// frame's *stored* payload length — what the trailer records for the
-    /// footer frame.
+    /// Frames `payload` into the scratch buffer — `[kind] [codec]
+    /// [stored length] [stored bytes] [CRC32]` — and commits it. Returns
+    /// the frame's *stored* payload length — what the trailer records for
+    /// the footer frame.
     fn write_frame(&mut self, kind: u8, payload: &[u8]) -> Result<u32, String> {
         if payload.len() > MAX_FRAME_LEN {
             return Err(format!(
@@ -453,27 +398,18 @@ impl<W: Write + Seek> TraceWriter<W> {
                 MAX_FRAME_LEN >> 20
             ));
         }
+        // The codec byte and length are patched in once `encode` has
+        // appended the stored bytes. Its per-frame raw fallback guarantees
+        // the stored form never exceeds the (already capped) raw form.
+        const HEAD: usize = 6;
         self.scratch.clear();
-        self.scratch.push(kind);
-        let len = if self.layout >= 3 {
-            // Per-frame raw fallback inside `encode` guarantees the
-            // stored form never exceeds the (already capped) raw form.
-            let (codec_id, stored) = codec::encode(self.codec, payload);
-            let len = stored.len() as u32;
-            self.scratch.push(codec_id);
-            self.scratch.extend_from_slice(&len.to_le_bytes());
-            self.scratch.extend_from_slice(&stored);
-            len
-        } else {
-            let len = payload.len() as u32;
-            self.scratch.extend_from_slice(&len.to_le_bytes());
-            self.scratch.extend_from_slice(payload);
-            len
-        };
-        if self.layout >= 2 {
-            let crc = crc32::crc32(&self.scratch);
-            self.scratch.extend_from_slice(&crc.to_le_bytes());
-        }
+        self.scratch.extend_from_slice(&[kind, 0, 0, 0, 0, 0]);
+        let codec_id = codec::encode(self.codec, payload, &mut self.scratch);
+        self.scratch[1] = codec_id;
+        let len = (self.scratch.len() - HEAD) as u32;
+        self.scratch[2..HEAD].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32::crc32(&self.scratch);
+        self.scratch.extend_from_slice(&crc.to_le_bytes());
         self.commit_scratch()?;
         Ok(len)
     }
@@ -549,7 +485,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             return Err(e.clone());
         }
         let footer = TraceFooter {
-            version: self.layout,
+            version: FORMAT_VERSION,
             unit_count: self.unit_count,
             method_universe: self.method_universe,
             total_instrs: self.total_instrs,
@@ -565,7 +501,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         let stored_len = self.write_frame(FRAME_FOOTER, payload.as_bytes())?;
         self.scratch.clear();
         self.scratch.extend_from_slice(&stored_len.to_le_bytes());
-        self.scratch.extend_from_slice(magic_for(self.layout));
+        self.scratch.extend_from_slice(MAGIC);
         self.commit_scratch()?;
         self.retrying("flush", |out| out.flush())?;
         self.finished = true;
@@ -592,14 +528,13 @@ impl<W: Write + Seek + std::fmt::Debug> UnitSink for TraceWriter<W> {
 
 /// A streaming [`UnitStream`] over a chunked trace: holds one decoded
 /// chunk at a time and rewinds by seeking back to the first unit frame.
-/// Reads v3 (compressed), v2 (checksummed), and legacy v1 files,
-/// negotiated from the magic.
+/// Reads every layout (v1–v3), sniffed from the magic.
 #[derive(Debug)]
 pub struct TraceReader<R: Read + Seek = BufReader<File>> {
     file: R,
     path: String,
     meta: TraceMeta,
-    layout_version: u32,
+    layout: Layout,
     data_start: u64,
     chunk: Vec<SamplingUnit>,
     pos: usize,
@@ -640,18 +575,13 @@ impl<R: Read + Seek> TraceReader<R> {
                 io_err(path, "read", e)
             }
         })?;
-        let layout_version = if &magic == MAGIC {
-            2
-        } else if &magic == MAGIC_V1 {
-            1
-        } else if &magic == MAGIC_V3 {
-            3
-        } else {
-            return Err(format!(
-                "{path}: not a chunked simprof trace (bad magic {magic:?}; expected {MAGIC:?})"
-            ));
-        };
-        let (kind, payload, codec_id, stored_len) = read_frame(&mut file, path, layout_version)?;
+        let layout = Layout::sniff(&magic).ok_or_else(|| {
+            format!(
+                "{path}: not a chunked simprof trace (bad magic {magic:?}; this build reads \
+                 layouts v1 to v{FORMAT_VERSION})"
+            )
+        })?;
+        let (kind, payload, codec_id, stored_len) = read_frame(&mut file, path, layout)?;
         if kind != FRAME_HEADER {
             return Err(format!("{path}: expected header frame, found {:?}", kind as char));
         }
@@ -662,7 +592,7 @@ impl<R: Read + Seek> TraceReader<R> {
             file,
             path: path.to_owned(),
             meta,
-            layout_version,
+            layout,
             data_start,
             chunk: Vec::new(),
             pos: 0,
@@ -678,9 +608,9 @@ impl<R: Read + Seek> TraceReader<R> {
         &self.meta
     }
 
-    /// The layout version negotiated from the magic (1, 2, or 3).
+    /// The layout version sniffed from the magic (1, 2, or 3).
     pub fn layout_version(&self) -> u32 {
-        self.layout_version
+        self.layout.version
     }
 
     /// Names of the frame codecs observed so far (v1/v2 frames count as
@@ -724,7 +654,7 @@ impl<R: Read + Seek> TraceReader<R> {
         self.file.seek(SeekFrom::End(-12)).map_err(|e| io_err(&path, "seek", e))?;
         let mut trailer = [0u8; 12];
         self.file.read_exact(&mut trailer).map_err(|e| io_err(&path, "read", e))?;
-        if &trailer[4..12] != magic_for(self.layout_version) {
+        if &trailer[4..12] != self.layout.magic {
             return Err(format!(
                 "{path}: missing footer trailer (crash before finish, or truncation?); \
                  {SALVAGE_HINT}"
@@ -734,9 +664,7 @@ impl<R: Read + Seek> TraceReader<R> {
         // length, so the seek arithmetic is exact even for compressed
         // footers: [kind][codec?][len][stored][crc?].
         let len = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]) as u64;
-        let head_len: u64 = if self.layout_version >= 3 { 6 } else { 5 };
-        let crc_len: u64 = if self.layout_version >= 2 { 4 } else { 0 };
-        let frame_len = head_len + len + crc_len;
+        let frame_len = (self.layout.head_len() + self.layout.crc_len()) as u64 + len;
         if len > MAX_FRAME_LEN as u64 || frame_len + 12 > file_len {
             return Err(format!(
                 "{path}: corrupt trailer (footer length {len} does not fit the {file_len}-byte \
@@ -746,8 +674,7 @@ impl<R: Read + Seek> TraceReader<R> {
         self.file
             .seek(SeekFrom::End(-12 - frame_len as i64))
             .map_err(|e| io_err(&path, "seek", e))?;
-        let (kind, payload, codec_id, stored_len) =
-            read_frame(&mut self.file, &path, self.layout_version)?;
+        let (kind, payload, codec_id, stored_len) = read_frame(&mut self.file, &path, self.layout)?;
         self.codecs_seen |= 1 << codec_id.min(7);
         self.stored_payload_bytes += stored_len;
         self.raw_payload_bytes += payload.len() as u64;
@@ -765,11 +692,11 @@ impl<R: Read + Seek> TraceReader<R> {
                 footer.version
             ));
         }
-        if footer.version != self.layout_version {
+        if footer.version != self.layout.version {
             return Err(format!(
                 "{path}: footer schema version {} does not match the file's v{} layout; \
                  {SALVAGE_HINT}",
-                footer.version, self.layout_version
+                footer.version, self.layout.version
             ));
         }
         Ok(footer)
@@ -805,7 +732,7 @@ impl<R: Read + Seek> TraceReader<R> {
                 return Ok(false);
             }
             let (kind, payload, codec_id, stored_len) =
-                read_frame(&mut self.file, &self.path, self.layout_version)?;
+                read_frame(&mut self.file, &self.path, self.layout)?;
             self.codecs_seen |= 1 << codec_id.min(7);
             self.stored_payload_bytes += stored_len;
             self.raw_payload_bytes += payload.len() as u64;
@@ -876,27 +803,23 @@ pub fn read_trace(path: &str) -> Result<(ProfileTrace, TraceFooter), String> {
 }
 
 /// Reads one frame, returning `(kind, decoded payload, codec id, stored
-/// payload length)`. The codec id is always [`codec::CODEC_RAW`] below v3;
-/// the stored length is what the frame occupies on disk before decoding,
-/// so readers can account compression without re-encoding. Validates the
-/// length against [`MAX_FRAME_LEN`] *before* allocating, verifies the
-/// frame's CRC32 (v2+) over the *stored* bytes, and only then
-/// decompresses (v3) — so a corrupt frame fails the checksum, not the
-/// decompressor.
+/// payload length)`. The codec id is [`codec::CODEC_RAW`] for layouts
+/// without a codec byte; the stored length is what the frame occupies on
+/// disk before decoding, so readers can account compression without
+/// re-encoding. Validates the length against [`MAX_FRAME_LEN`] *before*
+/// allocating, verifies the frame's CRC32 (when the layout has one) over
+/// the *stored* bytes, and only then decodes — so a corrupt frame fails
+/// the checksum, not the decompressor. A raw frame's payload is the buffer
+/// it was read into.
 fn read_frame<R: Read>(
     file: &mut R,
     path: &str,
-    layout_version: u32,
+    layout: Layout,
 ) -> Result<(u8, Vec<u8>, u8, u64), String> {
-    let mut kind = [0u8; 1];
-    file.read_exact(&mut kind).map_err(|e| io_err(path, "read", e))?;
-    let mut codec_byte = [codec::CODEC_RAW; 1];
-    if layout_version >= 3 {
-        file.read_exact(&mut codec_byte).map_err(|e| io_err(path, "read", e))?;
-    }
-    let mut len_bytes = [0u8; 4];
-    file.read_exact(&mut len_bytes).map_err(|e| io_err(path, "read", e))?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    let mut head_buf = [0u8; 6];
+    let head = &mut head_buf[..layout.head_len()];
+    file.read_exact(head).map_err(|e| io_err(path, "read", e))?;
+    let (kind, codec_id, len) = layout.parse_head(head);
     if len > MAX_FRAME_LEN {
         return Err(format!(
             "{path}: frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt or \
@@ -905,16 +828,12 @@ fn read_frame<R: Read>(
     }
     let mut stored = vec![0u8; len];
     file.read_exact(&mut stored).map_err(|e| io_err(path, "read", e))?;
-    if layout_version >= 2 {
+    if layout.has_crc {
         let mut crc_bytes = [0u8; 4];
         file.read_exact(&mut crc_bytes).map_err(|e| io_err(path, "read", e))?;
         let expected = u32::from_le_bytes(crc_bytes);
         let mut hasher = crc32::Hasher::new();
-        hasher.update(&kind);
-        if layout_version >= 3 {
-            hasher.update(&codec_byte);
-        }
-        hasher.update(&len_bytes);
+        hasher.update(head);
         hasher.update(&stored);
         let actual = hasher.finalize();
         if actual != expected {
@@ -924,13 +843,12 @@ fn read_frame<R: Read>(
             ));
         }
     }
-    let payload = if layout_version >= 3 {
-        codec::decode(codec_byte[0], &stored, MAX_FRAME_LEN)
-            .map_err(|e| format!("{path}: decode frame: {e}; {SALVAGE_HINT}"))?
-    } else {
-        stored
+    let payload = match codec::decode(codec_id, &stored, MAX_FRAME_LEN) {
+        Ok(Cow::Owned(decoded)) => decoded,
+        Ok(Cow::Borrowed(_)) => stored,
+        Err(e) => return Err(format!("{path}: decode frame: {e}; {SALVAGE_HINT}")),
     };
-    Ok((kind[0], payload, codec_byte[0], len as u64))
+    Ok((kind, payload, codec_id, len as u64))
 }
 
 pub(crate) fn parse_payload<T: Deserialize>(
@@ -981,9 +899,11 @@ mod tests {
         std::env::temp_dir().join(name).to_str().unwrap().to_owned()
     }
 
-    /// Seals `n` units into in-memory v2 trace bytes.
-    fn memory_trace(n: u64, chunk: usize) -> Vec<u8> {
-        let mut w = TraceWriter::in_memory(&meta()).unwrap().with_chunk_units(chunk);
+    /// Seals `n` units into in-memory trace bytes under `codec`.
+    fn memory_trace(n: u64, chunk: usize, codec: Codec) -> Vec<u8> {
+        let mut w = TraceWriter::from_writer(Cursor::new(Vec::new()), "<memory>", &meta(), codec)
+            .unwrap()
+            .with_chunk_units(chunk);
         for id in 0..n {
             w.push(&unit(id));
         }
@@ -994,14 +914,12 @@ mod tests {
     #[test]
     fn deeply_nested_chunk_with_a_valid_crc_is_an_error_not_a_crash() {
         // A hostile chunk whose checksum is recomputed passes the CRC; the
-        // JSON parser's depth cap must stop it, on both layouts.
+        // JSON parser's depth cap must stop it, under both codecs.
         let hostile = "[".repeat(100_000);
-        for v3 in [false, true] {
-            let mut w = if v3 {
-                TraceWriter::in_memory_compressed(&meta(), Codec::Lz).unwrap()
-            } else {
-                TraceWriter::in_memory(&meta()).unwrap()
-            };
+        for codec in [Codec::Raw, Codec::Lz] {
+            let mut w =
+                TraceWriter::from_writer(Cursor::new(Vec::new()), "<memory>", &meta(), codec)
+                    .unwrap();
             w.write_frame(FRAME_UNITS, hostile.as_bytes()).unwrap();
             w.finish(&MethodRegistry::new()).unwrap();
             let mut r = TraceReader::from_reader(Cursor::new(w.into_bytes()), "hostile").unwrap();
@@ -1029,7 +947,7 @@ mod tests {
         assert!(is_chunked(&path));
         let mut r = TraceReader::open(&path).unwrap();
         assert_eq!(r.meta().label, "wc_sp");
-        assert_eq!(r.layout_version(), 2);
+        assert_eq!(r.layout_version(), FORMAT_VERSION);
         assert_eq!(r.footer().unwrap(), footer);
         let mut ids = Vec::new();
         while let Some(u) = r.next_unit().unwrap() {
@@ -1066,8 +984,7 @@ mod tests {
         let mut w = TraceWriter::create(&path, &meta()).unwrap();
         let footer = w.finish(&MethodRegistry::new()).unwrap();
         assert_eq!(footer.unit_count, 0);
-        // The default writer stays on the v2 layout; v3 is opt-in.
-        assert_eq!(footer.version, 2);
+        assert_eq!(footer.version, FORMAT_VERSION);
         let (trace, _) = read_trace(&path).unwrap();
         assert!(trace.units.is_empty());
         let _ = std::fs::remove_file(&path);
@@ -1090,6 +1007,12 @@ mod tests {
         let err = TraceReader::open(&path).unwrap_err();
         assert!(err.contains("bad magic"), "{err}");
         assert!(!is_chunked("/nonexistent/simprof.sptrc"));
+        // An unknown layout version is still claimed as a trace, so the
+        // reader (not a JSON parser) reports it.
+        std::fs::write(&path, b"SPTRC\0v9 and more").unwrap();
+        assert!(is_chunked(&path));
+        let err = TraceReader::open(&path).unwrap_err();
+        assert!(err.contains("bad magic"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1107,46 +1030,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_read() {
-        let path = tmp("simprof_trace_legacy_v1.sptrc");
-        let mut reg = MethodRegistry::new();
-        reg.intern("Mapper.map", OpClass::Map);
-        let mut w = TraceWriter::create_legacy_v1(&path, &meta()).unwrap().with_chunk_units(3);
-        for id in 0..7 {
-            w.push(&unit(id));
-        }
-        let footer = w.finish(&reg).unwrap();
-        assert_eq!(footer.version, 1);
-        // The file leads with the v1 magic and contains no CRCs, yet the
-        // v2 reader negotiates it transparently.
-        let head = &std::fs::read(&path).unwrap()[..8];
-        assert_eq!(head, MAGIC_V1);
-        assert!(is_chunked(&path));
-        let mut r = TraceReader::open(&path).unwrap();
-        assert_eq!(r.layout_version(), 1);
-        assert_eq!(r.footer().unwrap(), footer);
-        let (trace, _) = read_trace(&path).unwrap();
-        assert_eq!(trace.units, (0..7).map(unit).collect::<Vec<_>>());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Seals `n` units into in-memory v3 trace bytes under `codec`.
-    fn memory_trace_v3(n: u64, chunk: usize, codec: Codec) -> Vec<u8> {
-        let mut w =
-            TraceWriter::in_memory_compressed(&meta(), codec).unwrap().with_chunk_units(chunk);
-        for id in 0..n {
-            w.push(&unit(id));
-        }
-        w.finish(&MethodRegistry::new()).unwrap();
-        w.into_bytes()
-    }
-
-    #[test]
     fn v3_lz_trace_roundtrips_and_shrinks() {
-        let raw = memory_trace_v3(64, 8, Codec::Raw);
-        let lz = memory_trace_v3(64, 8, Codec::Lz);
-        assert_eq!(&raw[..8], MAGIC_V3);
-        assert_eq!(&lz[..8], MAGIC_V3);
+        let raw = memory_trace(64, 8, Codec::Raw);
+        let lz = memory_trace(64, 8, Codec::Lz);
+        assert_eq!(&raw[..8], b"SPTRC\0v3");
+        assert_eq!(&lz[..8], b"SPTRC\0v3");
         assert!(
             lz.len() < raw.len() * 3 / 4,
             "chunked JSON should compress well: raw {} vs lz {}",
@@ -1169,19 +1057,19 @@ mod tests {
 
     #[test]
     fn v3_writes_are_deterministic() {
-        assert_eq!(memory_trace_v3(32, 4, Codec::Lz), memory_trace_v3(32, 4, Codec::Lz));
+        assert_eq!(memory_trace(32, 4, Codec::Lz), memory_trace(32, 4, Codec::Lz));
     }
 
     #[test]
     fn v3_reader_reports_codecs_seen() {
-        let bytes = memory_trace_v3(16, 4, Codec::Lz);
+        let bytes = memory_trace(16, 4, Codec::Lz);
         let mut r = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap();
         let _ = r.footer().unwrap();
         while r.next_unit().unwrap().is_some() {}
         // Chunks compress (lz); the tiny header typically stores raw.
         assert!(r.codecs_seen().contains(&"lz"), "codecs: {:?}", r.codecs_seen());
 
-        let bytes = memory_trace(6, 2);
+        let bytes = include_bytes!("../tests/data/v2.sptrc");
         let mut r = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap();
         while r.next_unit().unwrap().is_some() {}
         assert_eq!(r.codecs_seen(), vec!["raw"], "v2 frames count as raw");
@@ -1194,7 +1082,6 @@ mod tests {
         reg.intern("Mapper.map", OpClass::Map);
         let mut w =
             TraceWriter::create_compressed(&path, &meta(), Codec::Lz).unwrap().with_chunk_units(5);
-        assert_eq!(w.layout_version(), 3);
         assert_eq!(w.codec(), Codec::Lz);
         for id in 0..23 {
             w.push(&unit(id));
@@ -1209,7 +1096,7 @@ mod tests {
 
     #[test]
     fn v3_flipped_stored_byte_fails_the_checksum_not_the_decompressor() {
-        let mut bytes = memory_trace_v3(32, 8, Codec::Lz);
+        let mut bytes = memory_trace(32, 8, Codec::Lz);
         let target = bytes.len() / 2;
         bytes[target] ^= 0x10;
         let mut r = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap();
@@ -1230,7 +1117,7 @@ mod tests {
 
     #[test]
     fn in_memory_writer_roundtrips_through_from_reader() {
-        let bytes = memory_trace(9, 4);
+        let bytes = memory_trace(9, 4, Codec::Raw);
         assert_eq!(&bytes[..8], MAGIC);
         let mut r = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap();
         let footer = r.footer().unwrap();
@@ -1247,7 +1134,7 @@ mod tests {
         // Magic + a frame claiming a ~4 GiB payload: must error on the
         // cap, not attempt the allocation.
         let mut bytes = MAGIC.to_vec();
-        bytes.push(FRAME_HEADER);
+        bytes.extend_from_slice(&[FRAME_HEADER, codec::CODEC_RAW]);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = TraceReader::from_reader(Cursor::new(bytes), "<memory>").unwrap_err();
         assert!(err.contains("exceeds the"), "{err}");
@@ -1256,7 +1143,7 @@ mod tests {
 
     #[test]
     fn flipped_payload_byte_fails_the_frame_checksum() {
-        let mut bytes = memory_trace(6, 2);
+        let mut bytes = memory_trace(6, 2, Codec::Raw);
         // Flip one bit inside the first unit chunk's JSON payload (the
         // header frame ends well before 120 bytes on this tiny meta).
         let target = bytes.len() / 2;
@@ -1290,7 +1177,7 @@ mod tests {
     #[test]
     fn oversized_trailer_len_is_a_clear_corruption_error() {
         let path = tmp("simprof_trace_bad_trailer.sptrc");
-        let mut bytes = memory_trace(3, 2);
+        let mut bytes = memory_trace(3, 2, Codec::Raw);
         // Patch the trailer's footer-length field to exceed the file size.
         let n = bytes.len();
         bytes[n - 12..n - 8].copy_from_slice(&0x00FF_FFFFu32.to_le_bytes());
@@ -1306,7 +1193,7 @@ mod tests {
     fn transient_write_errors_are_retried_to_success() {
         let plan = ChaosPlan { write_error_ppm: 250_000, ..ChaosPlan::none(11) };
         let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
-        let mut w = TraceWriter::from_writer(chaos, "<chaos>", &meta())
+        let mut w = TraceWriter::from_writer(chaos, "<chaos>", &meta(), Codec::Raw)
             .unwrap()
             .with_chunk_units(2)
             .with_retry(RetryPolicy { max_retries: 8, backoff_ms: 0 });
@@ -1333,7 +1220,7 @@ mod tests {
     fn persistent_write_errors_latch_and_degrade() {
         let plan = ChaosPlan { write_error_ppm: 1_000_000, ..ChaosPlan::none(5) };
         let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
-        let err = TraceWriter::from_writer(chaos, "<chaos>", &meta())
+        let err = TraceWriter::from_writer(chaos, "<chaos>", &meta(), Codec::Raw)
             .expect_err("always-failing writer cannot even write the magic");
         assert!(err.contains("gave up after"), "{err}");
     }
@@ -1343,7 +1230,7 @@ mod tests {
         let plan = ChaosPlan { write_error_ppm: 1_000_000, ..ChaosPlan::none(5) };
         // Let construction succeed (no faults), then make every later
         // write fail: push must latch, not panic, and finish must report.
-        let mut w = TraceWriter::from_writer(Cursor::new(Vec::new()), "<memory>", &meta())
+        let mut w = TraceWriter::in_memory(&meta())
             .unwrap()
             .with_chunk_units(1)
             .with_retry(RetryPolicy::none());
@@ -1370,7 +1257,6 @@ mod tests {
             dropped_snapshots: 0,
             error: None,
             finished: false,
-            layout: 2,
             codec: Codec::Raw,
         };
         w2.push(&unit(0));

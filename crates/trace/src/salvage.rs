@@ -5,7 +5,7 @@
 //! mid-file fails its frame's CRC. Both are recoverable artifacts: every
 //! *other* frame is still intact and self-describing. [`salvage_bytes`]
 //! forward-scans the whole file, keeps every frame that validates
-//! (structure + CRC for v2, structure + JSON parse for v1), and
+//! (structure + CRC + decode + JSON parse; v1 frames have no CRC), and
 //! resynchronizes past damage by scanning byte-by-byte for the next
 //! position where a valid frame begins. The result is every fully intact
 //! chunk, a [`SalvageReport`] describing what was lost, and a footer —
@@ -23,15 +23,16 @@ use simprof_profiler::trace::SamplingUnit;
 
 use crate::codec;
 use crate::crc32::crc32;
+use crate::layout::{self, Layout};
 use crate::{
-    parse_payload, TraceFooter, TraceMeta, FRAME_FOOTER, FRAME_HEADER, FRAME_UNITS, MAGIC,
-    MAGIC_V1, MAGIC_V3, MAX_FRAME_LEN,
+    parse_payload, TraceFooter, TraceMeta, FRAME_FOOTER, FRAME_HEADER, FRAME_UNITS, MAX_FRAME_LEN,
 };
 
 /// What a salvage pass found, frame by frame.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SalvageReport {
-    /// Layout version detected from the magic (v1 or v2).
+    /// Layout version detected from the magic (1, 2, or 3; the current
+    /// layout for a file cut inside its magic).
     pub layout_version: u32,
     /// Total bytes scanned.
     pub file_bytes: u64,
@@ -88,49 +89,35 @@ enum Recovered {
 /// [`MAX_FRAME_LEN`] cap doubles as the resync guard — almost every
 /// random 4-byte window decodes to an enormous length and is rejected
 /// before any expensive CRC work.
-fn probe_frame(data: &[u8], at: usize, layout_version: u32) -> Option<(Recovered, usize)> {
+fn probe_frame(data: &[u8], at: usize, layout: Layout) -> Option<(Recovered, usize)> {
     let kind = *data.get(at)?;
     if kind != FRAME_HEADER && kind != FRAME_UNITS && kind != FRAME_FOOTER {
         return None;
     }
-    // v3 frames carry a codec byte between the kind and the length; an
-    // unknown codec id rejects the candidate before any CRC work.
-    let head = if layout_version >= 3 { 6 } else { 5 };
-    let codec_id = if layout_version >= 3 {
-        let id = *data.get(at + 1)?;
-        codec::codec_name(id)?;
-        id
-    } else {
-        codec::CODEC_RAW
-    };
-    let len_bytes = data.get(at + head - 4..at + head)?;
-    let len = u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
+    // An unknown codec id rejects the candidate before any CRC work.
+    let head_end = at + layout.head_len();
+    let (_, codec_id, len) = layout.parse_head(data.get(at..head_end)?);
+    codec::codec_name(codec_id)?;
     if len > MAX_FRAME_LEN {
         return None;
     }
-    let stored = data.get(at + head..at + head + len)?;
-    let mut end = at + head + len;
-    if layout_version >= 2 {
-        let crc_bytes = data.get(end..end + 4)?;
+    let stored = data.get(head_end..head_end + len)?;
+    let body_end = head_end + len;
+    let end = body_end + layout.crc_len();
+    if layout.has_crc {
+        let crc_bytes = data.get(body_end..end)?;
         let expected = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        if crc32(&data[at..end]) != expected {
+        if crc32(&data[at..body_end]) != expected {
             return None;
         }
-        end += 4;
     }
-    // CRC validated over the stored bytes; only now decompress (v3) and
-    // parse. A frame that checksums but fails either step is still bad.
-    let decoded;
-    let payload: &[u8] = if layout_version >= 3 {
-        decoded = codec::decode(codec_id, stored, MAX_FRAME_LEN).ok()?;
-        &decoded
-    } else {
-        stored
-    };
+    // CRC validated over the stored bytes; only now decode and parse. A
+    // frame that checksums but fails either step is still bad.
+    let payload = codec::decode(codec_id, stored, MAX_FRAME_LEN).ok()?;
     let rec = match kind {
-        FRAME_HEADER => Recovered::Header(parse_payload("salvage", "header", payload).ok()?),
-        FRAME_UNITS => Recovered::Units(parse_payload("salvage", "chunk", payload).ok()?),
-        _ => Recovered::Footer(parse_payload("salvage", "footer", payload).ok()?, len),
+        FRAME_HEADER => Recovered::Header(parse_payload("salvage", "header", &payload).ok()?),
+        FRAME_UNITS => Recovered::Units(parse_payload("salvage", "chunk", &payload).ok()?),
+        _ => Recovered::Footer(parse_payload("salvage", "footer", &payload).ok()?, len),
     };
     Some((rec, end))
 }
@@ -153,24 +140,17 @@ fn is_trailer(data: &[u8], at: usize, footer_len: usize, magic: &[u8; 8]) -> boo
 /// one); a truncated prefix of a real trace — at *any* byte offset,
 /// including mid-magic — salvages successfully, possibly to zero units.
 pub fn salvage_bytes(data: &[u8], origin: &str) -> Result<Salvage, String> {
-    let (layout_version, magic): (u32, &[u8; 8]) = if data.len() >= 8 {
+    let layout = if data.len() >= 8 {
         let head = &data[..8];
-        if head == MAGIC {
-            (2, MAGIC)
-        } else if head == MAGIC_V1 {
-            (1, MAGIC_V1)
-        } else if head == MAGIC_V3 {
-            (3, MAGIC_V3)
-        } else {
-            return Err(format!(
+        Layout::sniff(head).ok_or_else(|| {
+            format!(
                 "{origin}: not a chunked simprof trace (bad magic {head:?}); nothing to salvage"
-            ));
-        }
-    } else if data == &MAGIC[..data.len()] || data == &MAGIC_V1[..data.len()] {
-        // Truncated inside the magic itself (the three magics share their
-        // first seven bytes): a real trace cut that short holds nothing,
-        // but it is still "ours" — salvage to zero units.
-        (2, MAGIC)
+            )
+        })?
+    } else if layout::is_cut_magic(data) {
+        // Truncated inside the magic itself: a real trace cut that short
+        // holds nothing, but it is still "ours" — salvage to zero units.
+        layout::CURRENT
     } else {
         return Err(format!(
             "{origin}: not a chunked simprof trace ({} bytes, magic mismatch); nothing to salvage",
@@ -190,11 +170,11 @@ pub fn salvage_bytes(data: &[u8], origin: &str) -> Result<Salvage, String> {
 
     let mut at = 8.min(data.len());
     while at < data.len() {
-        if footer_frame.is_some() && is_trailer(data, at, footer_len, magic) {
+        if footer_frame.is_some() && is_trailer(data, at, footer_len, layout.magic) {
             trailer_ok = true;
             break;
         }
-        match probe_frame(data, at, layout_version) {
+        match probe_frame(data, at, layout) {
             Some((rec, end)) => {
                 match rec {
                     Recovered::Header(m) => {
@@ -216,7 +196,7 @@ pub fn salvage_bytes(data: &[u8], origin: &str) -> Result<Salvage, String> {
             None => {
                 bad_frames += 1;
                 let mut next = at + 1;
-                while next < data.len() && probe_frame(data, next, layout_version).is_none() {
+                while next < data.len() && probe_frame(data, next, layout).is_none() {
                     next += 1;
                 }
                 skipped += (next - at) as u64;
@@ -263,7 +243,7 @@ pub fn salvage_bytes(data: &[u8], origin: &str) -> Result<Salvage, String> {
             dropped_snapshots += u64::from(u.dropped_snapshots);
         }
         TraceFooter {
-            version: layout_version,
+            version: layout.version,
             unit_count: units.len() as u64,
             method_universe,
             total_instrs,
@@ -275,7 +255,7 @@ pub fn salvage_bytes(data: &[u8], origin: &str) -> Result<Salvage, String> {
     };
 
     let report = SalvageReport {
-        layout_version,
+        layout_version: layout.version,
         file_bytes: data.len() as u64,
         header_recovered,
         footer_found: footer_frame.is_some(),

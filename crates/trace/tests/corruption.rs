@@ -1,97 +1,56 @@
-//! Property tests for the durability layer (DESIGN.md §14): for any
-//! generated trace and any single-byte flip or truncation offset,
+//! Property tests for the durability layer (DESIGN.md §14), run on every
+//! layout a reader meets — v1, v2, v3 raw and v3 LZ — inside every case:
+//! for any generated trace and any single-byte flip or truncation offset,
 //!
 //! * reading never panics,
 //! * a streamed unit is never *silently* wrong — the frame CRC catches
 //!   every flip before the unit reaches the caller, so whatever prefix a
-//!   reader yields matches the original bit-for-bit,
+//!   reader yields matches the original bit-for-bit (v1 has no CRC: only
+//!   the units of the flipped frame itself may differ),
 //! * salvage recovers exactly the units of the chunk frames that are
 //!   fully intact, and re-sealing them (`trace-repair`) round-trips
 //!   bit-identically through the reader,
 //! * the same chaos seed produces a bit-identical salvage outcome.
 //!
-//! The expected-recovery oracle walks the *uncorrupted* bytes with
-//! layout knowledge (v2 frame = `kind | len u32 LE | payload | crc32`)
-//! so the tests pin the format, not the implementation under test.
+//! The expected-recovery oracle walks the *uncorrupted* bytes with its own
+//! layout knowledge (`kind | codec? | len u32 LE | payload | crc32?`), so
+//! the tests pin the format, not the implementation under test.
+
+mod support;
 
 use std::io::Cursor;
+use std::ops::Range;
 
 use proptest::prelude::*;
 
-use simprof_engine::{MethodId, MethodRegistry, OpClass};
 use simprof_profiler::trace::SamplingUnit;
-use simprof_sim::Counters;
 use simprof_trace::{
-    salvage_bytes, ChaosPlan, ChaosWriter, Codec, RetryPolicy, Salvage, TraceMeta, TraceReader,
-    TraceWriter,
+    salvage_bytes, ChaosPlan, ChaosWriter, Codec, RetryPolicy, Salvage, TraceReader, TraceWriter,
 };
+use support::{mk_meta, mk_registry, mk_unit, seal, Layout};
 
-fn mk_unit(id: u64) -> SamplingUnit {
-    SamplingUnit {
-        id,
-        histogram: vec![(MethodId((id % 4) as u32), 2 + (id % 3) as u32), (MethodId(9), 1)],
-        snapshots: 4,
-        counters: Counters {
-            instructions: 900 + 7 * id,
-            cycles: 1400 + 11 * id,
-            ..Default::default()
-        },
-        slices: vec![(10 * id, 10 * id + 5)],
-        truncated: id % 5 == 0,
-        dropped_snapshots: (id % 3) as u32,
-    }
+/// Whether a layout's frames end in a CRC32.
+fn has_crc(layout: Layout) -> bool {
+    layout != Layout::V1
 }
 
-fn mk_meta() -> TraceMeta {
-    TraceMeta {
-        label: "corrupt".into(),
-        seed: 9,
-        scale: "tiny".into(),
-        unit_instrs: 900,
-        snapshot_instrs: 90,
-        core: 0,
-    }
-}
-
-fn mk_registry() -> MethodRegistry {
-    let mut reg = MethodRegistry::new();
-    reg.intern("Mapper.map", OpClass::Map);
-    reg.intern("Reducer.reduce", OpClass::Reduce);
-    reg
-}
-
-/// Seals `units` into in-memory v2 trace bytes.
-fn seal(units: &[SamplingUnit], chunk: usize) -> Vec<u8> {
-    let mut w = TraceWriter::in_memory(&mk_meta()).unwrap().with_chunk_units(chunk);
-    for u in units {
-        w.push(u);
-    }
-    w.finish(&mk_registry()).unwrap();
-    w.into_bytes()
-}
-
-/// Seals `units` into in-memory v3 trace bytes under the LZ codec.
-fn seal_v3(units: &[SamplingUnit], chunk: usize) -> Vec<u8> {
-    let mut w =
-        TraceWriter::in_memory_compressed(&mk_meta(), Codec::Lz).unwrap().with_chunk_units(chunk);
-    for u in units {
-        w.push(u);
-    }
-    w.finish(&mk_registry()).unwrap();
-    w.into_bytes()
-}
-
-/// Walks an *uncorrupted* sealed v2 trace frame by frame using only
-/// layout knowledge. Returns `(kind, start, end)` per frame, ending at
-/// the footer frame (the 12-byte trailer follows the last entry).
-fn frame_map(bytes: &[u8]) -> Vec<(u8, usize, usize)> {
+/// Walks an *uncorrupted* sealed trace frame by frame using only layout
+/// knowledge. Returns `(kind, start, end)` per frame, ending at the footer
+/// frame (the 12-byte trailer follows the last entry).
+fn frame_map(layout: Layout, bytes: &[u8]) -> Vec<(u8, usize, usize)> {
+    // Bytes before the payload (kind, codec?, length) and after it (crc?).
+    let (head, tail) = match layout {
+        Layout::V1 => (5, 0),
+        Layout::V2 => (5, 4),
+        Layout::V3Raw | Layout::V3Lz => (6, 4),
+    };
     let mut frames = Vec::new();
     let mut at = 8; // past the magic
     loop {
         let kind = bytes[at];
-        let len = u32::from_le_bytes([bytes[at + 1], bytes[at + 2], bytes[at + 3], bytes[at + 4]])
-            as usize;
-        let end = at + 5 + len + 4; // v2: kind + len + payload + crc32
+        let l = &bytes[at + head - 4..at + head];
+        let len = u32::from_le_bytes([l[0], l[1], l[2], l[3]]) as usize;
+        let end = at + head + len + tail;
         frames.push((kind, at, end));
         if kind == b'F' {
             return frames;
@@ -100,21 +59,13 @@ fn frame_map(bytes: &[u8]) -> Vec<(u8, usize, usize)> {
     }
 }
 
-/// Frame map for the v3 layout: `kind + codec + stored len u32 + stored
-/// bytes + crc32`, where the length counts post-codec bytes.
-fn frame_map_v3(bytes: &[u8]) -> Vec<(u8, usize, usize)> {
-    let mut frames = Vec::new();
-    let mut at = 8;
-    loop {
-        let kind = bytes[at];
-        let len = u32::from_le_bytes([bytes[at + 2], bytes[at + 3], bytes[at + 4], bytes[at + 5]])
-            as usize;
-        let end = at + 6 + len + 4;
-        frames.push((kind, at, end));
-        if kind == b'F' {
-            return frames;
-        }
-        at = end;
+/// The codec a salvage is re-sealed under: the layout's own for v3, raw
+/// (the current writer's default) for the legacy layouts.
+fn reseal_codec(layout: Layout) -> Codec {
+    if layout == Layout::V3Lz {
+        Codec::Lz
+    } else {
+        Codec::Raw
     }
 }
 
@@ -142,17 +93,19 @@ fn expected_units(
     expected
 }
 
-/// Streams units out of possibly-damaged bytes, asserting the yielded
-/// prefix matches `all` element for element; errors terminate the stream
-/// but must never panic and never yield a wrong unit first.
-fn assert_stream_is_honest_prefix(bytes: &[u8], all: &[SamplingUnit]) {
+/// Streams units out of possibly-damaged bytes, asserting every yielded
+/// unit whose index lies outside `suspect` matches `all`; errors terminate
+/// the stream but must never panic and never yield an extra unit.
+fn assert_stream_is_honest(bytes: &[u8], all: &[SamplingUnit], suspect: Range<usize>) {
     if let Ok(mut r) = TraceReader::from_reader(Cursor::new(bytes.to_vec()), "<corrupt>") {
         let mut i = 0usize;
         loop {
             match r.next_unit() {
                 Ok(Some(u)) => {
                     prop_assert!(i < all.len(), "reader yielded more units than were written");
-                    prop_assert_eq!(u, &all[i], "unit {} differs from the original", i);
+                    if !suspect.contains(&i) {
+                        prop_assert_eq!(u, &all[i], "unit {} differs from the original", i);
+                    }
                     i += 1;
                 }
                 Ok(None) => break,
@@ -164,11 +117,37 @@ fn assert_stream_is_honest_prefix(bytes: &[u8], all: &[SamplingUnit]) {
     }
 }
 
+/// The unit-index range of the chunk frame holding byte `f`, or an empty
+/// range when `f` lies outside every chunk frame.
+fn units_of_frame_at(
+    all: &[SamplingUnit],
+    chunk: usize,
+    frames: &[(u8, usize, usize)],
+    f: usize,
+) -> Range<usize> {
+    let mut next = 0usize;
+    for &(kind, start, end) in frames {
+        if kind != b'U' {
+            continue;
+        }
+        let take = (all.len() - next).min(chunk);
+        if f >= start && f < end {
+            return next..next + take;
+        }
+        next += take;
+    }
+    0..0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any single-byte bit flip: streaming yields an honest prefix, and
-    /// salvage recovers exactly the chunks the flip did not touch.
+    /// Any single-byte bit flip, on every layout: streaming yields an
+    /// honest prefix, and salvage recovers exactly the chunks the flip did
+    /// not touch. On v3 the CRC over the *stored* bytes rejects a flipped
+    /// frame before the decompressor sees it. v1 has no CRC, so a flipped
+    /// chunk that still parses may come back altered; every other chunk
+    /// must still come back exactly.
     #[test]
     fn single_byte_flip_never_panics_never_lies(
         n in 0u64..18,
@@ -177,35 +156,56 @@ proptest! {
         bit in 0u32..8,
     ) {
         let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let bytes = seal(&all, chunk);
-        let f = fpos % bytes.len();
-        let mut corrupt = bytes.clone();
-        corrupt[f] ^= 1u8 << bit;
+        for layout in Layout::ALL {
+            let bytes = seal(layout, &all, chunk);
+            let f = fpos % bytes.len();
+            let mut corrupt = bytes.clone();
+            corrupt[f] ^= 1u8 << bit;
 
-        assert_stream_is_honest_prefix(&corrupt, &all);
+            let frames = frame_map(layout, &bytes);
+            let touched = units_of_frame_at(&all, chunk, &frames, f);
+            let suspect = if has_crc(layout) { 0..0 } else { touched.clone() };
+            assert_stream_is_honest(&corrupt, &all, suspect);
 
-        let res = salvage_bytes(&corrupt, "<flip>");
-        if f < 8 {
-            // A flipped magic byte makes the file unidentifiable; both
-            // magics differ from each other by more than one bit, so a
-            // single flip can never alias layouts.
-            prop_assert!(res.is_err());
-        } else {
+            let res = salvage_bytes(&corrupt, "<flip>");
+            if f < 8 {
+                // A flipped magic byte makes the file unidentifiable —
+                // unless it turned into another layout's magic (v2 and v3,
+                // v1 and v3 differ in one bit), which only has to not panic.
+                if Layout::ALL.iter().all(|l| &corrupt[..8] != l.magic()) {
+                    prop_assert!(res.is_err(), "{}: flipped magic must not salvage", layout.name());
+                }
+                continue;
+            }
             let s = res.unwrap();
-            let frames = frame_map(&bytes);
+            prop_assert_eq!(s.report.layout_version, layout.version());
             let expected = expected_units(&all, chunk, &frames, |start, end| {
                 !(f >= start && f < end)
             });
-            prop_assert_eq!(&s.units, &expected);
-            prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
-            prop_assert!(!s.report.clean, "a flipped byte can never leave the file clean");
+            if has_crc(layout) || s.units.len() == expected.len() {
+                prop_assert_eq!(&s.units, &expected, "{}", layout.name());
+                prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
+            } else {
+                // v1: the flipped chunk parsed anyway; everything around
+                // it is exact.
+                prop_assert_eq!(s.units.len(), all.len(), "{}", layout.name());
+                for (i, (got, want)) in s.units.iter().zip(&all).enumerate() {
+                    if !touched.contains(&i) {
+                        prop_assert_eq!(got, want, "v1 unit {} outside the flipped chunk", i);
+                    }
+                }
+            }
+            if has_crc(layout) {
+                prop_assert!(!s.report.clean, "a flipped byte can never leave the file clean");
+            }
         }
     }
 
-    /// Any truncation offset — including mid-magic, mid-frame and
-    /// pre-footer — salvages successfully, recovering exactly the fully
-    /// intact chunk prefix, and the salvage re-seals into a valid trace
-    /// that round-trips bit-identically.
+    /// Any truncation offset on every layout — including mid-magic,
+    /// mid-frame (a split compressed frame too) and pre-footer — salvages
+    /// successfully, recovering exactly the fully intact chunk prefix, and
+    /// the salvage re-seals into a valid trace that round-trips
+    /// bit-identically.
     #[test]
     fn truncation_recovers_exactly_the_intact_chunk_prefix(
         n in 0u64..18,
@@ -213,196 +213,67 @@ proptest! {
         tpos in 0usize..1_000_000,
     ) {
         let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let bytes = seal(&all, chunk);
-        let t = tpos % (bytes.len() + 1);
-        let cut = &bytes[..t];
+        for layout in Layout::ALL {
+            let bytes = seal(layout, &all, chunk);
+            let t = tpos % (bytes.len() + 1);
+            let cut = &bytes[..t];
 
-        assert_stream_is_honest_prefix(cut, &all);
+            assert_stream_is_honest(cut, &all, 0..0);
 
-        let s = salvage_bytes(cut, "<cut>").unwrap();
-        let frames = frame_map(&bytes);
-        let expected = expected_units(&all, chunk, &frames, |_, end| end <= t);
-        prop_assert_eq!(&s.units, &expected);
-        prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
-        prop_assert_eq!(s.report.clean, t == bytes.len());
-        prop_assert_eq!(s.report.file_bytes, t as u64);
+            let s = salvage_bytes(cut, "<cut>").unwrap();
+            // A cut inside the magic carries no version: salvage reports
+            // the layout it would re-seal into (v3).
+            prop_assert_eq!(s.report.layout_version, if t >= 8 { layout.version() } else { 3 });
+            let frames = frame_map(layout, &bytes);
+            let expected = expected_units(&all, chunk, &frames, |_, end| end <= t);
+            prop_assert_eq!(&s.units, &expected, "{}", layout.name());
+            prop_assert_eq!(s.report.recovered_units, expected.len() as u64);
+            prop_assert_eq!(s.report.clean, t == bytes.len());
+            prop_assert_eq!(s.report.file_bytes, t as u64);
 
-        // trace-repair's rewrite: re-seal the salvage and stream it back.
-        let mut w = TraceWriter::in_memory(&s.meta).unwrap();
-        for u in &s.units {
-            w.push(u);
-        }
-        let sealed = w.finish(&s.footer.registry).unwrap();
-        prop_assert_eq!(sealed.unit_count, s.report.recovered_units);
-        let repaired = w.into_bytes();
-        let mut r = TraceReader::from_reader(Cursor::new(repaired), "<repaired>")
+            // trace-repair's rewrite: re-seal the salvage and stream it back.
+            let mut w = TraceWriter::from_writer(
+                Cursor::new(Vec::new()),
+                "<repaired>",
+                &s.meta,
+                reseal_codec(layout),
+            )
             .unwrap();
-        let footer = r.footer().unwrap();
-        prop_assert_eq!(footer.unit_count, s.units.len() as u64);
-        let mut back = Vec::new();
-        while let Some(u) = r.next_unit().unwrap() {
-            back.push(u.clone());
-        }
-        prop_assert_eq!(back, s.units);
-    }
-
-    /// v3 (compressed) files under a single-byte flip: the CRC over the
-    /// *stored* bytes rejects the frame before the decompressor sees it,
-    /// streaming stays an honest prefix, and salvage recovers exactly the
-    /// untouched chunks — decompressed back to the original units.
-    #[test]
-    fn v3_single_byte_flip_never_panics_never_lies(
-        n in 0u64..18,
-        chunk in 1usize..6,
-        fpos in 0usize..1_000_000,
-        bit in 0u32..8,
-    ) {
-        let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let bytes = seal_v3(&all, chunk);
-        let f = fpos % bytes.len();
-        let mut corrupt = bytes.clone();
-        corrupt[f] ^= 1u8 << bit;
-
-        assert_stream_is_honest_prefix(&corrupt, &all);
-
-        let res = salvage_bytes(&corrupt, "<v3flip>");
-        if f < 8 {
-            prop_assert!(res.is_err());
-        } else {
-            let s = res.unwrap();
-            prop_assert_eq!(s.report.layout_version, 3);
-            let frames = frame_map_v3(&bytes);
-            let expected = expected_units(&all, chunk, &frames, |start, end| {
-                !(f >= start && f < end)
-            });
-            prop_assert_eq!(&s.units, &expected);
-            prop_assert!(!s.report.clean);
-        }
-    }
-
-    /// v3 truncation — including cuts that split a compressed frame —
-    /// salvages exactly the intact chunk prefix, and re-sealing under the
-    /// same codec round-trips.
-    #[test]
-    fn v3_truncation_recovers_exactly_the_intact_chunk_prefix(
-        n in 0u64..18,
-        chunk in 1usize..6,
-        tpos in 0usize..1_000_000,
-    ) {
-        let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let bytes = seal_v3(&all, chunk);
-        let t = tpos % (bytes.len() + 1);
-        let cut = &bytes[..t];
-
-        assert_stream_is_honest_prefix(cut, &all);
-
-        let s = salvage_bytes(cut, "<v3cut>").unwrap();
-        let frames = frame_map_v3(&bytes);
-        let expected = expected_units(&all, chunk, &frames, |_, end| end <= t);
-        prop_assert_eq!(&s.units, &expected);
-        prop_assert_eq!(s.report.clean, t == bytes.len());
-
-        // Re-seal the salvage compressed and stream it back.
-        let mut w = TraceWriter::in_memory_compressed(&s.meta, Codec::Lz).unwrap();
-        for u in &s.units {
-            w.push(u);
-        }
-        w.finish(&s.footer.registry).unwrap();
-        let mut r = TraceReader::from_reader(Cursor::new(w.into_bytes()), "<v3repaired>")
-            .unwrap();
-        prop_assert_eq!(r.footer().unwrap().unit_count, s.units.len() as u64);
-        let mut back = Vec::new();
-        while let Some(u) = r.next_unit().unwrap() {
-            back.push(u.clone());
-        }
-        prop_assert_eq!(back, s.units);
-    }
-
-    /// v1 (CRC-less) files: truncation still salvages to exactly the
-    /// intact chunk prefix — validation falls back to JSON parsing.
-    #[test]
-    fn legacy_v1_truncation_salvages_intact_prefix(
-        n in 0u64..12,
-        chunk in 1usize..5,
-        tpos in 0usize..1_000_000,
-    ) {
-        let all: Vec<SamplingUnit> = (0..n).map(mk_unit).collect();
-        let path = std::env::temp_dir()
-            .join(format!("simprof_corrupt_v1_{n}_{chunk}_{tpos}.sptrc"))
-            .to_str()
-            .unwrap()
-            .to_owned();
-        let mut w =
-            TraceWriter::create_legacy_v1(&path, &mk_meta()).unwrap().with_chunk_units(chunk);
-        for u in &all {
-            w.push(u);
-        }
-        w.finish(&mk_registry()).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-
-        let t = tpos % (bytes.len() + 1);
-        let s = salvage_bytes(&bytes[..t], "<v1cut>").unwrap();
-        prop_assert_eq!(s.report.layout_version, if t >= 8 { 1 } else { 2 });
-
-        // v1 frame = kind + len + payload (no CRC): walk accordingly.
-        let mut expected = Vec::new();
-        let mut next = 0usize;
-        let mut at = 8usize;
-        loop {
-            let kind = bytes[at];
-            let len = u32::from_le_bytes([
-                bytes[at + 1],
-                bytes[at + 2],
-                bytes[at + 3],
-                bytes[at + 4],
-            ]) as usize;
-            let end = at + 5 + len;
-            if kind == b'U' {
-                let take = (all.len() - next).min(chunk);
-                if end <= t {
-                    expected.extend_from_slice(&all[next..next + take]);
-                }
-                next += take;
+            for u in &s.units {
+                w.push(u);
             }
-            if kind == b'F' {
-                break;
+            let sealed = w.finish(&s.footer.registry).unwrap();
+            prop_assert_eq!(sealed.unit_count, s.report.recovered_units);
+            let mut r = TraceReader::from_reader(Cursor::new(w.into_bytes()), "<repaired>")
+                .unwrap();
+            let footer = r.footer().unwrap();
+            prop_assert_eq!(footer.unit_count, s.units.len() as u64);
+            let mut back = Vec::new();
+            while let Some(u) = r.next_unit().unwrap() {
+                back.push(u.clone());
             }
-            at = end;
+            prop_assert_eq!(back, s.units);
         }
-        prop_assert_eq!(&s.units, &expected);
     }
 }
 
-/// The acceptance criterion, pinned exhaustively: a small trace truncated
-/// at *every* byte offset is openable via salvage.
+/// The acceptance criterion, pinned exhaustively on every layout: a small
+/// trace truncated at *every* byte offset is openable via salvage.
 #[test]
 fn every_truncation_offset_salvages() {
     let all: Vec<SamplingUnit> = (0..7).map(mk_unit).collect();
-    let bytes = seal(&all, 2);
-    let frames = frame_map(&bytes);
-    for t in 0..=bytes.len() {
-        let s = salvage_bytes(&bytes[..t], "<sweep>")
-            .unwrap_or_else(|e| panic!("truncation at offset {t} must salvage: {e}"));
-        let expected = expected_units(&all, 2, &frames, |_, end| end <= t);
-        assert_eq!(s.units, expected, "offset {t}");
-        assert_eq!(s.report.recovered_units, expected.len() as u64, "offset {t}");
-        assert_eq!(s.report.clean, t == bytes.len(), "offset {t}");
-    }
-}
-
-/// The exhaustive truncation sweep, repeated for the compressed layout.
-#[test]
-fn every_v3_truncation_offset_salvages() {
-    let all: Vec<SamplingUnit> = (0..7).map(mk_unit).collect();
-    let bytes = seal_v3(&all, 2);
-    let frames = frame_map_v3(&bytes);
-    for t in 0..=bytes.len() {
-        let s = salvage_bytes(&bytes[..t], "<v3sweep>")
-            .unwrap_or_else(|e| panic!("v3 truncation at offset {t} must salvage: {e}"));
-        let expected = expected_units(&all, 2, &frames, |_, end| end <= t);
-        assert_eq!(s.units, expected, "offset {t}");
-        assert_eq!(s.report.clean, t == bytes.len(), "offset {t}");
+    for layout in Layout::ALL {
+        let bytes = seal(layout, &all, 2);
+        let frames = frame_map(layout, &bytes);
+        let name = layout.name();
+        for t in 0..=bytes.len() {
+            let s = salvage_bytes(&bytes[..t], "<sweep>")
+                .unwrap_or_else(|e| panic!("{name}: truncation at offset {t} must salvage: {e}"));
+            let expected = expected_units(&all, 2, &frames, |_, end| end <= t);
+            assert_eq!(s.units, expected, "{name}: offset {t}");
+            assert_eq!(s.report.recovered_units, expected.len() as u64, "{name}: offset {t}");
+            assert_eq!(s.report.clean, t == bytes.len(), "{name}: offset {t}");
+        }
     }
 }
 
@@ -416,7 +287,7 @@ fn same_chaos_seed_yields_bit_identical_salvage() {
         let plan =
             ChaosPlan { bit_flip_ppm: 120_000, truncate_at: Some(1700), ..ChaosPlan::none(seed) };
         let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
-        let mut w = TraceWriter::from_writer(chaos, "<chaos>", &mk_meta())
+        let mut w = TraceWriter::from_writer(chaos, "<chaos>", &mk_meta(), Codec::Raw)
             .ok()?
             .with_chunk_units(3)
             .with_retry(RetryPolicy { max_retries: 4, backoff_ms: 0 });

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use simprof_engine::{MethodId, MethodRegistry, OpClass};
 use simprof_profiler::trace::{ProfileTrace, SamplingUnit};
 use simprof_sim::Counters;
-use simprof_trace::{read_trace, TraceMeta, TraceWriter};
+use simprof_trace::{read_trace, TraceMeta, TraceWriter, FORMAT_VERSION};
 
 /// Builds a sampling unit from compact generator inputs.
 fn build_unit(
@@ -103,9 +103,8 @@ proptest! {
 
         // Footer statistics agree with the trace's own accessors.
         prop_assert_eq!(read_footer.clone(), footer);
-        // The default writer stays on the v2 layout (v3 compression is
-        // opt-in), so sealed footers carry version 2.
-        prop_assert_eq!(footer.version, 2);
+        // Every sealed footer carries the layout the writer produces.
+        prop_assert_eq!(footer.version, FORMAT_VERSION);
         prop_assert_eq!(footer.unit_count, trace.units.len() as u64);
         prop_assert_eq!(footer.method_universe, trace.method_universe());
         prop_assert_eq!(footer.total_instrs, trace.total_instrs());

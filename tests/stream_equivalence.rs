@@ -62,16 +62,15 @@ fn analysis_is_bit_identical_across_memory_bundle_and_chunked_file() {
     // Path 2: the legacy monolithic JSON bundle.
     let bundle_path = temp_trace_path("bundle");
     let bundle_path = bundle_path.trim_end_matches(".sptrc").to_owned() + ".json";
-    TraceBundle {
+    let bundle = TraceBundle {
         version: FORMAT_VERSION,
         label: "wc_sp".into(),
         seed: 7,
         scale: "tiny".into(),
         trace: out.trace.clone(),
         registry: out.registry.clone(),
-    }
-    .save(&bundle_path)
-    .unwrap();
+    };
+    std::fs::write(&bundle_path, serde_json::to_string(&bundle).unwrap()).unwrap();
     let via_bundle = TraceInput::open(&bundle_path).unwrap().analyze(&sp).unwrap();
 
     // Path 3: the chunked streaming file, small chunks to force many
