@@ -1,5 +1,6 @@
 //! Criterion benchmarks for the performance-critical kernels: the
-//! statistics substrate (clustering, feature scoring, allocation), the
+//! statistics substrate (clustering, the `choose_k` sweep on duplicate-heavy
+//! and all-distinct rows, feature scoring, allocation), the
 //! machine model (4-core cache-hierarchy walks, pattern cursors), whole
 //! paper-scale engine runs, the instrumented engine kernels (quicksort
 //! trace, hash combine, k-way merge), job construction (input synthesis
@@ -13,8 +14,8 @@ use simprof_engine::{ops, MethodRegistry, Scheduler};
 use simprof_profiler::{ProfilerConfig, SamplingManager, SamplingUnit};
 use simprof_sim::{AccessCursor, AccessPattern, Machine, MachineConfig, Region};
 use simprof_stats::{
-    f_regression, kmeans, optimal_allocation, silhouette_score, srs_indices_seeded, KMeans, Matrix,
-    StratumStats,
+    choose_k, f_regression, kmeans, optimal_allocation, silhouette_score, srs_indices_seeded,
+    KMeans, Matrix, StratumStats,
 };
 use simprof_trace::{codec, Codec, DEFAULT_CHUNK_UNITS, MAX_FRAME_LEN};
 use simprof_workloads::{GraphInput, Kronecker, TextSynth, WorkloadConfig, WorkloadId};
@@ -38,6 +39,26 @@ fn synth_features(n: usize, d: usize, k: usize) -> (Matrix, Vec<f64>) {
     (Matrix::from_rows(&rows), y)
 }
 
+/// A 2000 × 14 matrix shaped like a projected fine-unit trace: rows drawn
+/// from 45 patterns with values in multiples of 0.1 (≈ 45 distinct rows),
+/// or with a small per-row jitter on top (every row distinct).
+fn quantized_features(jitter: bool) -> Matrix {
+    const PATTERNS: usize = 45;
+    let rows: Vec<Vec<f64>> = (0..2000)
+        .map(|i| {
+            let p = (i * 7 + i / 13) % PATTERNS;
+            (0..14)
+                .map(|j| {
+                    let level = if j % 5 == p % 5 { 30 + (p * 3 + j) % 20 } else { (p * j) % 6 };
+                    let noise = if jitter { ((i * 31 + j * 17) % 97) as f64 * 1e-4 } else { 0.0 };
+                    level as f64 * 0.1 + noise
+                })
+                .collect()
+        })
+        .collect();
+    Matrix::from_rows(&rows)
+}
+
 fn bench_stats(c: &mut Criterion) {
     let (m, y) = synth_features(400, 100, 5);
 
@@ -57,6 +78,15 @@ fn bench_stats(c: &mut Criterion) {
     c.bench_function("stats/silhouette 400", |b| {
         b.iter(|| silhouette_score(black_box(&m), black_box(&r.assignments)))
     });
+
+    // The whole k-selection sweep (k ≤ 20) on duplicate-heavy and on
+    // all-distinct rows: per-row work runs once per distinct row.
+    let mut g = c.benchmark_group("stats/choose_k");
+    for (name, jitter) in [("quantized 2000x14", false), ("jittered 2000x14", true)] {
+        let m = quantized_features(jitter);
+        g.bench_function(name, |b| b.iter(|| choose_k(black_box(&m), 20, 0.9, 0.25, 42)));
+    }
+    g.finish();
 
     let strata: Vec<StratumStats> =
         (0..8).map(|i| StratumStats { units: 50 + i * 20, stddev: 0.1 + i as f64 * 0.2 }).collect();

@@ -27,11 +27,26 @@
 //! Distance computations over all points are parallelized with rayon; results
 //! are identical to the sequential computation because each point's
 //! assignment is independent.
+//!
+//! # Distinct rows
+//!
+//! Per-row work runs once per distinct row (`RowGroups`). Duplicate rows
+//! enter Lloyd's first iteration with the same `(assignment, upper, lower,
+//! last_sq)` state, and every step maps a row's bits and its state to its
+//! next state, so duplicates stay in lockstep: the assignment step, the
+//! bound maintenance and the reseed distances are computed per group and
+//! read back through `group[i]`, as are the ++-seeding distances.
+//! Everything that *adds* across points still walks the points in
+//! ascending order (the center sums, the `d2` totals and sampling scans,
+//! the reseed pick and the inertia sum), so no addition is reassociated
+//! and every result keeps its bits. [`kmeans_from_centers_reference`]
+//! groups nothing, which keeps it a per-point oracle.
 
 use rand::RngExt;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use crate::groups::RowGroups;
 use crate::matrix::Matrix;
 use crate::rng::{seeded, SeedRng};
 
@@ -102,11 +117,16 @@ impl KMeansResult {
 /// assert_ne!(result.assignments[0], result.assignments[2]);
 /// ```
 pub fn kmeans(data: &Matrix, config: KMeans) -> KMeansResult {
+    kmeans_in(data, &RowGroups::of(data), config)
+}
+
+/// [`kmeans`] over `data`'s precomputed row groups.
+pub(crate) fn kmeans_in(data: &Matrix, rows: &RowGroups, config: KMeans) -> KMeansResult {
     let restarts = config.n_init.max(1);
     let mut best: Option<KMeansResult> = None;
     for r in 0..restarts {
         let seed = config.seed.wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let result = kmeans_once(data, KMeans { seed, n_init: 1, ..config });
+        let result = kmeans_once(data, rows, KMeans { seed, n_init: 1, ..config });
         if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
             best = Some(result);
         }
@@ -114,7 +134,7 @@ pub fn kmeans(data: &Matrix, config: KMeans) -> KMeansResult {
     best.expect("restarts >= 1")
 }
 
-fn kmeans_once(data: &Matrix, config: KMeans) -> KMeansResult {
+fn kmeans_once(data: &Matrix, rows: &RowGroups, config: KMeans) -> KMeansResult {
     let n = data.rows();
     let k = config.k.min(n);
     if k == 0 || n == 0 {
@@ -127,8 +147,8 @@ fn kmeans_once(data: &Matrix, config: KMeans) -> KMeansResult {
     }
 
     let mut rng = seeded(config.seed);
-    let centers = plus_plus_init(data, k, &mut rng);
-    lloyd_impl(data, centers, config.max_iter, true)
+    let centers = plus_plus_init(data, rows, k, &mut rng);
+    lloyd_impl(data, rows, centers, config.max_iter, true)
 }
 
 /// Runs synchronous Lloyd iterations from the given initial `centers` until
@@ -143,11 +163,22 @@ fn kmeans_once(data: &Matrix, config: KMeans) -> KMeansResult {
 /// Panics if `centers` has more rows than `data` or a different column count
 /// (a center per point is the densest meaningful clustering).
 pub fn kmeans_from_centers(data: &Matrix, centers: Matrix, max_iter: usize) -> KMeansResult {
-    kmeans_from_centers_impl(data, centers, max_iter, true)
+    kmeans_from_centers_in(data, &RowGroups::of(data), centers, max_iter)
+}
+
+/// [`kmeans_from_centers`] over `data`'s precomputed row groups.
+pub(crate) fn kmeans_from_centers_in(
+    data: &Matrix,
+    rows: &RowGroups,
+    centers: Matrix,
+    max_iter: usize,
+) -> KMeansResult {
+    kmeans_from_centers_impl(data, rows, centers, max_iter, true)
 }
 
 /// The unaccelerated reference Lloyd loop: a full `nearest_row` scan for
-/// every point in every iteration, no distance bounds.
+/// every point in every iteration, no distance bounds, and no row grouping
+/// (every point is its own group).
 ///
 /// Exists so the Hamerly-accelerated default ([`kmeans_from_centers`]) can be
 /// property-tested bit-identical against it (see
@@ -158,11 +189,12 @@ pub fn kmeans_from_centers_reference(
     centers: Matrix,
     max_iter: usize,
 ) -> KMeansResult {
-    kmeans_from_centers_impl(data, centers, max_iter, false)
+    kmeans_from_centers_impl(data, &RowGroups::identity(data.rows()), centers, max_iter, false)
 }
 
 fn kmeans_from_centers_impl(
     data: &Matrix,
+    rows: &RowGroups,
     centers: Matrix,
     max_iter: usize,
     accel: bool,
@@ -177,7 +209,7 @@ fn kmeans_from_centers_impl(
             iterations: 0,
         };
     }
-    lloyd_impl(data, centers, max_iter, accel)
+    lloyd_impl(data, rows, centers, max_iter, accel)
 }
 
 /// Multiplicative safety margins for the Hamerly bounds. Every upper bound is
@@ -204,14 +236,26 @@ const BOUND_DOWN: f64 = 1.0 - 1e-9;
 /// which *is* the reference scan). Center updates are byte-for-byte the same
 /// code in both modes, so identical assignments yield identical centers,
 /// iteration counts, and inertia bits.
-fn lloyd_impl(data: &Matrix, mut centers: Matrix, max_iter: usize, accel: bool) -> KMeansResult {
+///
+/// The assignment state lives per row group (`owner`, `upper`, `lower`,
+/// `last_sq` are indexed by group); `assignments` is its per-point
+/// expansion, which the center update walks in ascending point order.
+fn lloyd_impl(
+    data: &Matrix,
+    rows: &RowGroups,
+    mut centers: Matrix,
+    max_iter: usize,
+    accel: bool,
+) -> KMeansResult {
     let n = data.rows();
     let k = centers.rows();
+    let u = rows.len();
     let mut assignments = vec![0usize; n];
     let mut iterations = 0;
-    let mut upper = vec![0.0f64; n];
-    let mut lower = vec![0.0f64; n]; // 0 ⇒ the first iteration evaluates exactly
-    let mut last_sq = vec![0.0f64; n];
+    let mut owner = vec![0usize; u];
+    let mut upper = vec![0.0f64; u];
+    let mut lower = vec![0.0f64; u]; // 0 ⇒ the first iteration evaluates exactly
+    let mut last_sq = vec![0.0f64; u];
     let mut converged = false;
     let mut reseed_in_last = false;
     let mut all_exact_last = false;
@@ -219,34 +263,37 @@ fn lloyd_impl(data: &Matrix, mut centers: Matrix, max_iter: usize, accel: bool) 
     for iter in 0..max_iter.max(1) {
         iterations = iter + 1;
         // Assignment step (parallel; deterministic tie-break to lower index).
-        // Each point either proves its assignment unchanged from the bounds or
-        // falls back to the exact scan, returning
+        // Each group either proves its assignment unchanged from the bounds
+        // or falls back to the exact scan, returning
         // (assignment, upper, lower, assigned sq-dist, was-exact).
         let skip_ok = accel && iter > 0;
         let s = if skip_ok { half_separation(&centers) } else { Vec::new() };
-        let evals: Vec<(usize, f64, f64, f64, bool)> = (0..n)
+        let evals: Vec<(usize, f64, f64, f64, bool)> = (0..u)
             .into_par_iter()
-            .map(|i| {
-                let a = assignments[i];
+            .map(|g| {
+                let a = owner[g];
                 if skip_ok {
-                    let guard = if lower[i] > s[a] { lower[i] } else { s[a] };
-                    if upper[i] < guard {
-                        return (a, upper[i], lower[i], last_sq[i], false);
+                    let guard = if lower[g] > s[a] { lower[g] } else { s[a] };
+                    if upper[g] < guard {
+                        return (a, upper[g], lower[g], last_sq[g], false);
                     }
                 }
-                let (best, best_sq, second_sq) = nearest_two(&centers, data.row(i));
+                let (best, best_sq, second_sq) = nearest_two(&centers, data.row(rows.reps[g]));
                 (best, best_sq.sqrt() * BOUND_UP, second_sq.sqrt() * BOUND_DOWN, best_sq, true)
             })
             .collect();
-        let new_assignments: Vec<usize> = evals.iter().map(|e| e.0).collect();
         let all_exact = evals.iter().all(|e| e.4);
-        for (i, e) in evals.into_iter().enumerate() {
-            upper[i] = e.1;
-            lower[i] = e.2;
-            last_sq[i] = e.3;
+        let mut changed = false;
+        for (g, e) in evals.into_iter().enumerate() {
+            changed |= owner[g] != e.0;
+            owner[g] = e.0;
+            upper[g] = e.1;
+            lower[g] = e.2;
+            last_sq[g] = e.3;
         }
-        let changed = new_assignments != assignments;
-        assignments = new_assignments;
+        for (a, &g) in assignments.iter_mut().zip(&rows.group) {
+            *a = owner[g];
+        }
 
         // Update step.
         let cols = data.cols();
@@ -265,22 +312,24 @@ fn lloyd_impl(data: &Matrix, mut centers: Matrix, max_iter: usize, accel: bool) 
         // empty in the same iteration (reusing one point would collapse them
         // right back together). At most k−1 clusters can be empty and k ≤ n,
         // so a distinct point always exists. The distances are the same for
-        // every empty cluster, so the first one computes them for all.
+        // every empty cluster, so the first one computes them for all, once
+        // per row group.
         let mut far_sq: Vec<f64> = Vec::new();
         let mut taken: Vec<bool> = Vec::new();
         #[allow(clippy::needless_range_loop)] // `c` also indexes `sums` rows
         for c in 0..k {
             if counts[c] == 0 {
                 if far_sq.is_empty() {
-                    far_sq = (0..n)
-                        .map(|i| Matrix::sq_dist(data.row(i), centers.row(assignments[i])))
+                    far_sq = (0..u)
+                        .map(|g| Matrix::sq_dist(data.row(rows.reps[g]), centers.row(owner[g])))
                         .collect();
                     taken = vec![false; n];
                 }
+                let far_of = |i: usize| far_sq[rows.group[i]];
                 let far = (0..n)
                     .filter(|&i| !taken[i])
                     .max_by(|&a, &b| {
-                        far_sq[a].partial_cmp(&far_sq[b]).unwrap_or(std::cmp::Ordering::Equal)
+                        far_of(a).partial_cmp(&far_of(b)).unwrap_or(std::cmp::Ordering::Equal)
                     })
                     .expect("more points than empty clusters");
                 taken[far] = true;
@@ -309,10 +358,10 @@ fn lloyd_impl(data: &Matrix, mut centers: Matrix, max_iter: usize, accel: bool) 
                     d
                 })
                 .collect();
-            for (i, &a) in assignments.iter().enumerate() {
-                upper[i] = (upper[i] + drifts[a]) * BOUND_UP;
-                let l = (lower[i] - max_drift) * BOUND_DOWN;
-                lower[i] = if l > 0.0 { l } else { 0.0 };
+            for (g, &a) in owner.iter().enumerate() {
+                upper[g] = (upper[g] + drifts[a]) * BOUND_UP;
+                let l = (lower[g] - max_drift) * BOUND_DOWN;
+                lower[g] = if l > 0.0 { l } else { 0.0 };
             }
         }
         centers = sums;
@@ -330,17 +379,14 @@ fn lloyd_impl(data: &Matrix, mut centers: Matrix, max_iter: usize, accel: bool) 
     // same sums as the previous one and the centers are bitwise the ones the
     // last assignment step measured against — the assignment-step distances
     // *are* the final distances, no second pass needed (when the whole final
-    // step ran exactly). The fallback recomputation uses the identical
-    // `sq_dist` call and the identical parallel-sum chunking, so both paths
-    // produce the same bits.
-    let inertia = if converged && !reseed_in_last && all_exact_last {
-        (0..n).into_par_iter().map(|i| last_sq[i]).sum()
-    } else {
-        (0..n)
-            .into_par_iter()
-            .map(|i| Matrix::sq_dist(data.row(i), centers.row(assignments[i])))
-            .sum()
-    };
+    // step ran exactly). Either way the per-point sum uses the identical
+    // parallel-sum chunking, so both paths produce the same bits.
+    if !(converged && !reseed_in_last && all_exact_last) {
+        last_sq = (0..u)
+            .map(|g| Matrix::sq_dist(data.row(rows.reps[g]), centers.row(owner[g])))
+            .collect();
+    }
+    let inertia = (0..n).into_par_iter().map(|i| last_sq[rows.group[i]]).sum();
 
     KMeansResult { centers, assignments, inertia, iterations }
 }
@@ -389,41 +435,48 @@ fn half_separation(centers: &Matrix) -> Vec<f64> {
 
 /// k-means++ seeding: first center uniform, subsequent centers sampled with
 /// probability proportional to squared distance from the nearest chosen
-/// center.
-fn plus_plus_init(data: &Matrix, k: usize, rng: &mut SeedRng) -> Matrix {
+/// center. Distances are computed per row group; the totals and the
+/// sampling scan walk every point.
+fn plus_plus_init(data: &Matrix, rows: &RowGroups, k: usize, rng: &mut SeedRng) -> Matrix {
     let n = data.rows();
     let cols = data.cols();
     let mut centers = Matrix::zeros(k, cols);
     let first = rng.random_range(0..n);
     centers.row_mut(0).copy_from_slice(data.row(first));
 
-    let mut d2: Vec<f64> = (0..n).map(|i| Matrix::sq_dist(data.row(i), centers.row(0))).collect();
+    let mut d2: Vec<f64> =
+        rows.reps.iter().map(|&r| Matrix::sq_dist(data.row(r), centers.row(0))).collect();
     for c in 1..k {
-        let total: f64 = d2.iter().sum();
-        let pick = if total <= 0.0 {
-            // All points coincide with existing centers; pick uniformly.
-            rng.random_range(0..n)
-        } else {
-            let mut target = rng.random::<f64>() * total;
-            let mut chosen = n - 1;
-            for (i, &d) in d2.iter().enumerate() {
-                target -= d;
-                if target <= 0.0 {
-                    chosen = i;
-                    break;
-                }
-            }
-            chosen
-        };
+        let pick = sample_by_sq_dist(rows, &d2, rng);
         centers.row_mut(c).copy_from_slice(data.row(pick));
-        for (i, d) in d2.iter_mut().enumerate() {
-            let nd = Matrix::sq_dist(data.row(i), centers.row(c));
+        for (d, &r) in d2.iter_mut().zip(&rows.reps) {
+            let nd = Matrix::sq_dist(data.row(r), centers.row(c));
             if nd < *d {
                 *d = nd;
             }
         }
     }
     centers
+}
+
+/// The ++ draw: a point with probability proportional to its squared
+/// distance `d2[group]` from the nearest chosen center, or uniformly when
+/// every point sits on a center. The total and the scan add per point in
+/// ascending order.
+pub(crate) fn sample_by_sq_dist(rows: &RowGroups, d2: &[f64], rng: &mut SeedRng) -> usize {
+    let n = rows.group.len();
+    let total: f64 = rows.group.iter().map(|&g| d2[g]).sum();
+    if total <= 0.0 {
+        return rng.random_range(0..n);
+    }
+    let mut target = rng.random::<f64>() * total;
+    for (i, &g) in rows.group.iter().enumerate() {
+        target -= d2[g];
+        if target <= 0.0 {
+            return i;
+        }
+    }
+    n - 1
 }
 
 /// Opt-in mini-batch k-means (Sculley-style) for the future streaming path.
@@ -451,7 +504,7 @@ pub fn kmeans_minibatch(data: &Matrix, config: KMeans, batch_size: usize) -> KMe
         };
     }
     let mut rng = seeded(config.seed);
-    let mut centers = plus_plus_init(data, k, &mut rng);
+    let mut centers = plus_plus_init(data, &RowGroups::of(data), k, &mut rng);
     let b = batch_size.clamp(1, n);
     let mut counts = vec![0u64; k];
     let mut iterations = 0;
@@ -630,7 +683,7 @@ mod tests {
         let data = two_blobs();
         for seed in [1u64, 7, 42, 1234] {
             for k in [1usize, 2, 3, 5] {
-                let init = plus_plus_init(&data, k, &mut seeded(seed));
+                let init = plus_plus_init(&data, &RowGroups::of(&data), k, &mut seeded(seed));
                 let fast = kmeans_from_centers(&data, init.clone(), 100);
                 let slow = kmeans_from_centers_reference(&data, init, 100);
                 assert_eq!(fast.assignments, slow.assignments, "seed {seed} k {k}");
@@ -646,7 +699,7 @@ mod tests {
         // Everything ties everywhere: the bounds all sit at zero, so every
         // point must take the exact path and reproduce the tie-breaks.
         let data = Matrix::from_rows(&vec![vec![2.0, 2.0]; 8]);
-        let init = plus_plus_init(&data, 3, &mut seeded(9));
+        let init = plus_plus_init(&data, &RowGroups::of(&data), 3, &mut seeded(9));
         let fast = kmeans_from_centers(&data, init.clone(), 50);
         let slow = kmeans_from_centers_reference(&data, init, 50);
         assert_eq!(fast.assignments, slow.assignments);

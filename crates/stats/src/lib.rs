@@ -12,9 +12,8 @@
 //! * [`silhouette`] — silhouette-coefficient model selection implementing the
 //!   paper's "smallest k with at least 90 % of the best score" rule: a
 //!   warm-started k-means sweep whose candidates are all scored in one
-//!   fused distance pass.
-//! * [`distcache`] — the dense pairwise-distance matrix, kept as the
-//!   reference arithmetic the fused silhouette pass is pinned to.
+//!   fused distance pass. Both stages do their per-row work once per
+//!   distinct feature row, with bit-identical results.
 //! * [`bic`] — SimPoint/X-means BIC model selection, the related-work
 //!   alternative the ablations compare against.
 //! * [`regression`] — univariate linear-regression (F-test) feature scoring
@@ -28,7 +27,7 @@
 
 pub mod bic;
 pub mod descriptive;
-pub mod distcache;
+mod groups;
 pub mod kmeans;
 pub mod matrix;
 pub mod regression;
@@ -42,7 +41,6 @@ pub use descriptive::{
     cov, cov_triple, mean, population_variance, quantile_sorted, sample_variance, stddev,
     try_cov_triple, CovTriple, LengthMismatch, Summary,
 };
-pub use distcache::DistCache;
 pub use kmeans::{
     kmeans, kmeans_from_centers, kmeans_from_centers_reference, kmeans_minibatch, KMeans,
     KMeansResult,
@@ -53,10 +51,7 @@ pub use regression::{
 };
 pub use rng::{seeded, split_seed, SeedRng};
 pub use sampling::{srs_indices, srs_indices_seeded, systematic_indices};
-pub use silhouette::{
-    choose_k, kmeans_sweep, silhouette_score, silhouette_score_cached, silhouette_scores,
-    KSelection,
-};
+pub use silhouette::{choose_k, kmeans_sweep, silhouette_score, silhouette_scores, KSelection};
 pub use stratified::{
     confidence_interval, optimal_allocation, proportional_allocation, required_sample_size,
     stratified_se, StratumStats,

@@ -18,24 +18,45 @@
 //! k-means chain (each k starts from the previous k's centers plus one
 //! ++-seeded center) and keeps every candidate; no warm start depends on a
 //! score, so scoring waits until the chain ends. [`silhouette_scores`] then
-//! scores every candidate in **one distance pass**: each pairwise distance is
-//! computed once, on the fly, and scattered into per-(candidate, cluster,
-//! lane) sums — `O(n²·d + n²·Σk)` time, `O(threads · Σk · LANES)` scratch,
-//! and no `n × n` matrix.
+//! scores every candidate in **one distance pass**: each pairwise distance
+//! from a scored row is computed once, on the fly, and scattered into
+//! per-(candidate, cluster, lane) sums — no `n × n` matrix.
 //!
-//! The pass is pinned bit for bit to the reference arithmetic of
-//! [`DistCache::build`] + [`silhouette_score_cached`]: the same
-//! `Matrix::norm_sq_dist` distance, per-cluster sums from `+0.0` in
-//! ascending `j`, per-point silhouettes summed in ascending `i` within fixed
-//! [`SIL_CHUNK`]-sized chunks, and the chunk partials folded in chunk order.
-//! The chunking never depends on the worker count, so every score is
-//! bit-identical at every thread count.
+//! The pass is pinned bit for bit to a reference arithmetic: a dense
+//! distance matrix of the same `Matrix::norm_sq_dist` distances with a
+//! forced `0.0` diagonal, per-cluster sums from `+0.0` in ascending `j`,
+//! per-point silhouettes summed in ascending `i` within fixed
+//! [`SIL_CHUNK`]-sized chunks, and the chunk partials folded in chunk
+//! order. The chunking never depends on the worker count, so every score
+//! is bit-identical at every thread count. (The reference lives with the
+//! tests that check it.)
+//!
+//! # Distinct rows
+//!
+//! Feature rows repeat heavily (a unit's vector comes from ten call-stack
+//! snapshots), so the pass scores each *distinct* row once. Two rows with
+//! identical bits see an identical sequence of distances to every `j`. The
+//! one place they could differ is the diagonal: the reference forces
+//! `d(i, i) = 0.0`, while the pass computes a row's distance to its
+//! duplicate as `(‖x‖² + ‖x‖²) − 2·dot(x, x)`. `Matrix::row_sq_norms`
+//! uses the same `Matrix::dot`, so that is `2s − 2s`, exactly `+0.0` for
+//! finite `s`, and the clamp in `norm_sq_dist` turns the `∞ − ∞` and NaN
+//! cases into `0.0` too. Adding `+0.0` to a sum of non-negative distances
+//! started at `+0.0` never changes it, so every duplicate's
+//! per-(candidate, cluster) sums equal its representative's, bit for bit.
+//! A member's silhouette also depends on its own cluster, so rows are
+//! grouped by bits *and* by their label in every scored clustering; within
+//! such a group every silhouette is the representative's. The per-point
+//! values are then folded in the unchanged `SIL_CHUNK` order. A sweep's
+//! k-means labels never split a bit-identical group, so on SimProf traces
+//! the pass costs `O(u · n · (d + Σk))` for `u` distinct rows instead of
+//! `O(n² · (d + Σk))`.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::distcache::DistCache;
-use crate::kmeans::{kmeans, kmeans_from_centers, KMeans, KMeansResult};
+use crate::groups::RowGroups;
+use crate::kmeans::{kmeans_from_centers_in, kmeans_in, sample_by_sq_dist, KMeans, KMeansResult};
 use crate::matrix::Matrix;
 use crate::rng::{seeded, split_seed};
 
@@ -44,7 +65,7 @@ use crate::rng::{seeded, split_seed};
 /// same at every thread count.
 const SIL_CHUNK: usize = 64;
 
-/// Points scored side by side in the fused pass: every distance from point
+/// Rows scored side by side in the fused pass: every distance from point
 /// `j` lands in `LANES` adjacent accumulators per cluster, so the adds are
 /// independent (no FP-add latency chain) and vectorize.
 const LANES: usize = 8;
@@ -73,10 +94,13 @@ fn too_few_clusters(sizes: &[usize]) -> bool {
     sizes.iter().filter(|&&s| s > 0).count() < 2
 }
 
-/// The silhouette of a point in cluster `own` (of size ≥ 2) from its
-/// per-cluster distance sums `sum(c)`.
+/// The silhouette of a point in cluster `own` from its per-cluster
+/// distance sums `sum(c)`; `0` for a singleton cluster.
 #[inline]
 fn silhouette_from_sums(own: usize, sizes: &[usize], sum: impl Fn(usize) -> f64) -> f64 {
+    if sizes[own] <= 1 {
+        return 0.0; // singleton convention
+    }
     let a = sum(own) / (sizes[own] - 1) as f64;
     let b = (0..sizes.len())
         .filter(|&c| c != own && sizes[c] > 0)
@@ -90,53 +114,6 @@ fn silhouette_from_sums(own: usize, sizes: &[usize], sum: impl Fn(usize) -> f64)
     }
 }
 
-/// The silhouette of point `i` given its row of distances to all points.
-/// `dist_sum` is the caller's scratch buffer (one per chunk, reused).
-#[inline]
-fn point_silhouette(
-    row: impl Fn(usize) -> f64,
-    i: usize,
-    n: usize,
-    assignments: &[usize],
-    sizes: &[usize],
-    dist_sum: &mut [f64],
-) -> f64 {
-    let own = assignments[i];
-    if sizes[own] <= 1 {
-        return 0.0; // singleton convention
-    }
-    dist_sum.fill(0.0);
-    for j in 0..n {
-        if i == j {
-            continue;
-        }
-        dist_sum[assignments[j]] += row(j);
-    }
-    silhouette_from_sums(own, sizes, |c| dist_sum[c])
-}
-
-/// Mean silhouette over all points, parallel over fixed-size point chunks.
-/// `row_of(i)(j)` yields the distance from `i` to `j`.
-fn silhouette_chunked<R, D>(n: usize, assignments: &[usize], sizes: &[usize], row_of: R) -> f64
-where
-    R: Fn(usize) -> D + Sync,
-    D: Fn(usize) -> f64,
-{
-    let k = sizes.len();
-    let partials: Vec<f64> = (0..n.div_ceil(SIL_CHUNK))
-        .into_par_iter()
-        .map(|c| {
-            let mut dist_sum = vec![0.0f64; k];
-            let mut partial = 0.0;
-            for i in c * SIL_CHUNK..((c + 1) * SIL_CHUNK).min(n) {
-                partial += point_silhouette(row_of(i), i, n, assignments, sizes, &mut dist_sum);
-            }
-            partial
-        })
-        .collect();
-    partials.iter().sum::<f64>() / n as f64
-}
-
 /// Mean silhouette coefficient of a clustering, computing distances on the
 /// fly.
 ///
@@ -144,9 +121,10 @@ where
 /// fewer than 2 points. Singleton clusters contribute a silhouette of `0` for
 /// their point, per the standard convention.
 ///
-/// This is the textbook implementation (`Matrix::dist` per pair); the
-/// `choose_k` sweep scores through [`silhouette_scores`] instead, which uses
-/// the norm identity and so agrees with this one to floating-point noise.
+/// This is the textbook implementation (`Matrix::dist` per pair, ascending
+/// `i` within `SIL_CHUNK`-point chunks); the `choose_k` sweep scores
+/// through [`silhouette_scores`] instead, which uses the norm identity and
+/// so agrees with this one to floating-point noise.
 pub fn silhouette_score(data: &Matrix, assignments: &[usize]) -> f64 {
     let n = data.rows();
     assert_eq!(assignments.len(), n, "assignment length mismatch");
@@ -157,33 +135,26 @@ pub fn silhouette_score(data: &Matrix, assignments: &[usize]) -> f64 {
     if too_few_clusters(&sizes) {
         return 0.0;
     }
-    silhouette_chunked(n, assignments, &sizes, |i| {
-        let xi = data.row(i);
-        move |j| Matrix::dist(xi, data.row(j))
-    })
-}
-
-/// Mean silhouette coefficient read from a prebuilt [`DistCache`].
-///
-/// The reference arithmetic the fused [`silhouette_scores`] pass is pinned
-/// to: both must return the same bits for every clustering (see
-/// `tests/parallel_equivalence.rs`). It needs `n² × 8` bytes for the cache,
-/// so prefer [`silhouette_scores`] for real work. Same conventions as
-/// [`silhouette_score`].
-pub fn silhouette_score_cached(cache: &DistCache, assignments: &[usize]) -> f64 {
-    let n = cache.n();
-    assert_eq!(assignments.len(), n, "assignment length mismatch");
-    if n < 2 {
-        return 0.0;
-    }
-    let sizes = cluster_sizes(assignments);
-    if too_few_clusters(&sizes) {
-        return 0.0;
-    }
-    silhouette_chunked(n, assignments, &sizes, |i| {
-        let row = cache.row(i);
-        move |j| row[j]
-    })
+    let partials: Vec<f64> = (0..n.div_ceil(SIL_CHUNK))
+        .into_par_iter()
+        .map(|c| {
+            let mut dist_sum = vec![0.0f64; sizes.len()];
+            let mut partial = 0.0;
+            for i in c * SIL_CHUNK..((c + 1) * SIL_CHUNK).min(n) {
+                let own = assignments[i];
+                if sizes[own] > 1 {
+                    let xi = data.row(i);
+                    dist_sum.fill(0.0);
+                    for j in (0..n).filter(|&j| j != i) {
+                        dist_sum[assignments[j]] += Matrix::dist(xi, data.row(j));
+                    }
+                }
+                partial += silhouette_from_sums(own, &sizes, |c| dist_sum[c]);
+            }
+            partial
+        })
+        .collect();
+    partials.iter().sum::<f64>() / n as f64
 }
 
 /// One clustering taking part in the fused pass.
@@ -199,17 +170,23 @@ struct Scored<'a> {
 /// Mean silhouette coefficients of several clusterings of the same `data`,
 /// in one pass over the pairwise distances.
 ///
-/// Each distance is computed once and never stored: every chunk of
-/// [`SIL_CHUNK`] points is walked in blocks of [`LANES`] points against all
-/// `j`, adding each distance into per-(clustering, cluster, lane) sums. The
-/// result is bit-identical to [`silhouette_score_cached`] on each clustering
-/// at every worker count, including its degeneracy rules (`0.0` for fewer
-/// than 2 points or fewer than 2 non-empty clusters).
+/// Each distance is computed once and never stored: the distinct rows are
+/// walked in blocks of [`LANES`] against all `j`, adding each distance into
+/// per-(clustering, cluster, lane) sums, and every point takes the
+/// silhouettes of its group (see the module docs). The result is
+/// bit-identical to the dense-matrix reference on each clustering at every
+/// worker count, including its degeneracy rules (`0.0` for fewer than 2
+/// points or fewer than 2 non-empty clusters).
 ///
 /// # Panics
 ///
 /// Panics if any clustering's length differs from `data.rows()`.
 pub fn silhouette_scores(data: &Matrix, clusterings: &[&[usize]]) -> Vec<f64> {
+    silhouette_scores_in(data, &RowGroups::of(data), clusterings)
+}
+
+/// [`silhouette_scores`] over `data`'s precomputed row groups.
+fn silhouette_scores_in(data: &Matrix, rows: &RowGroups, clusterings: &[&[usize]]) -> Vec<f64> {
     let _span = simprof_obs::span!("stats.silhouette");
     let n = data.rows();
     let mut scores = vec![0.0; clusterings.len()];
@@ -229,65 +206,74 @@ pub fn silhouette_scores(data: &Matrix, clusterings: &[&[usize]]) -> Vec<f64> {
         return scores;
     }
 
+    // Same bits and same cluster in every scored clustering ⇒ same
+    // silhouettes, bit for bit. A sweep's labels never split a row group,
+    // so the row groups usually serve as they are.
+    let labels = |i: usize| scored.iter().map(move |s| s.assignments[i]);
+    let split;
+    let groups = if (0..n).all(|i| labels(i).eq(labels(rows.reps[rows.group[i]]))) {
+        rows
+    } else {
+        split = RowGroups::by(n, |a, b| {
+            rows.group[a].cmp(&rows.group[b]).then_with(|| labels(a).cmp(labels(b)))
+        });
+        &split
+    };
     let norms = data.row_sq_norms();
-    // Point j's accumulator row in every clustering, laid out point-major
-    // so the scatter for one j reads one contiguous run.
-    let slots: Vec<usize> = (0..n)
-        .flat_map(|j| scored.iter().map(move |s| (s.base + s.assignments[j]) * LANES))
-        .collect();
-    let per_point = scored.len();
+    let per_row = scored.len();
+    let u = groups.len();
 
-    let partials: Vec<Vec<f64>> = (0..n.div_ceil(SIL_CHUNK))
+    // Silhouettes of each block of LANES representatives, `per_row` per
+    // representative.
+    let blocks: Vec<Vec<f64>> = (0..u.div_ceil(LANES))
         .into_par_iter()
-        .map(|chunk| {
-            let end = ((chunk + 1) * SIL_CHUNK).min(n);
+        .map(|block| {
+            let g0 = block * LANES;
+            let lanes = (u - g0).min(LANES);
+            // A short last block repeats its last representative in the
+            // spare lanes; their sums are never read.
+            let reps: [usize; LANES] = std::array::from_fn(|l| groups.reps[g0 + l.min(lanes - 1)]);
             let mut sums = vec![0.0f64; width * LANES];
-            let mut partial = vec![0.0f64; per_point];
-            for i0 in (chunk * SIL_CHUNK..end).step_by(LANES) {
-                let lanes = (end - i0).min(LANES);
-                // A short last block repeats its last point in the spare
-                // lanes; their sums are never read.
-                let block: [usize; LANES] = std::array::from_fn(|l| (i0 + l).min(end - 1));
-                sums.fill(0.0);
-                for j in 0..n {
-                    let xj = data.row(j);
-                    let mut d: [f64; LANES] = std::array::from_fn(|l| {
-                        let i = block[l];
-                        Matrix::norm_sq_dist(data.row(i), norms[i], xj, norms[j])
-                    });
-                    for v in &mut d {
-                        *v = v.sqrt();
-                    }
-                    // The reference skips `j == i`; adding +0.0 to a sum of
-                    // non-negative distances leaves it unchanged bit for bit.
-                    if (i0..i0 + lanes).contains(&j) {
-                        d[j - i0] = 0.0;
-                    }
-                    for &slot in &slots[j * per_point..(j + 1) * per_point] {
-                        let acc: &mut [f64; LANES] =
-                            (&mut sums[slot..slot + LANES]).try_into().expect("LANES-wide slot");
-                        for (a, &dl) in acc.iter_mut().zip(&d) {
-                            *a += dl;
-                        }
-                    }
+            for j in 0..n {
+                let xj = data.row(j);
+                // `d(i, i)` comes out exactly +0.0 (see the module docs).
+                let mut d: [f64; LANES] = std::array::from_fn(|l| {
+                    let i = reps[l];
+                    Matrix::norm_sq_dist(data.row(i), norms[i], xj, norms[j])
+                });
+                for v in &mut d {
+                    *v = v.sqrt();
                 }
-                for l in 0..lanes {
-                    for (p, s) in partial.iter_mut().zip(&scored) {
-                        let own = s.assignments[i0 + l];
-                        *p += if s.sizes[own] <= 1 {
-                            0.0 // singleton convention
-                        } else {
-                            silhouette_from_sums(own, &s.sizes, |c| sums[(s.base + c) * LANES + l])
-                        };
+                for s in &scored {
+                    let slot = (s.base + s.assignments[j]) * LANES;
+                    let acc: &mut [f64; LANES] =
+                        (&mut sums[slot..slot + LANES]).try_into().expect("LANES-wide slot");
+                    for (a, &dl) in acc.iter_mut().zip(&d) {
+                        *a += dl;
                     }
                 }
             }
-            partial
+            let mut out = Vec::with_capacity(lanes * per_row);
+            for (l, &i) in reps[..lanes].iter().enumerate() {
+                out.extend(scored.iter().map(|s| {
+                    silhouette_from_sums(s.assignments[i], &s.sizes, |c| {
+                        sums[(s.base + c) * LANES + l]
+                    })
+                }));
+            }
+            out
         })
         .collect();
 
+    let silhouette = |i: usize, t: usize| {
+        let g = groups.group[i];
+        blocks[g / LANES][(g % LANES) * per_row + t]
+    };
     for (t, s) in scored.iter().enumerate() {
-        scores[s.index] = partials.iter().map(|p| p[t]).sum::<f64>() / n as f64;
+        let chunk_sums = (0..n)
+            .step_by(SIL_CHUNK)
+            .map(|c0| (c0..(c0 + SIL_CHUNK).min(n)).fold(0.0, |p, i| p + silhouette(i, t)));
+        scores[s.index] = chunk_sums.sum::<f64>() / n as f64;
     }
     scores
 }
@@ -306,32 +292,17 @@ pub struct KSelection {
 /// Extends a converged `(k−1)`-center solution to `k` centers with one
 /// ++-seeded addition: the new center is drawn with probability proportional
 /// to squared distance from the nearest existing center.
-fn extend_centers(data: &Matrix, prev: &Matrix, seed: u64) -> Matrix {
-    use rand::RngExt;
-    let n = data.rows();
-    let d2: Vec<f64> = (0..n)
-        .map(|i| {
+fn extend_centers(data: &Matrix, rows: &RowGroups, prev: &Matrix, seed: u64) -> Matrix {
+    let d2: Vec<f64> = rows
+        .reps
+        .iter()
+        .map(|&r| {
             (0..prev.rows())
-                .map(|c| Matrix::sq_dist(data.row(i), prev.row(c)))
+                .map(|c| Matrix::sq_dist(data.row(r), prev.row(c)))
                 .fold(f64::INFINITY, f64::min)
         })
         .collect();
-    let mut rng = seeded(seed);
-    let total: f64 = d2.iter().sum();
-    let pick = if total <= 0.0 {
-        rng.random_range(0..n)
-    } else {
-        let mut target = rng.random::<f64>() * total;
-        let mut chosen = n - 1;
-        for (i, &d) in d2.iter().enumerate() {
-            target -= d;
-            if target <= 0.0 {
-                chosen = i;
-                break;
-            }
-        }
-        chosen
-    };
+    let pick = sample_by_sq_dist(rows, &d2, &mut seeded(seed));
     let mut centers = Matrix::zeros(prev.rows() + 1, prev.cols());
     for c in 0..prev.rows() {
         centers.row_mut(c).copy_from_slice(prev.row(c));
@@ -349,17 +320,23 @@ fn extend_centers(data: &Matrix, prev: &Matrix, seed: u64) -> Matrix {
 /// the lower inertia. Deterministic in `seed` and bit-identical at every
 /// worker count.
 pub fn kmeans_sweep(data: &Matrix, k_max: usize, seed: u64) -> Vec<KMeansResult> {
+    kmeans_sweep_in(data, &RowGroups::of(data), k_max, seed)
+}
+
+/// [`kmeans_sweep`] over `data`'s precomputed row groups.
+fn kmeans_sweep_in(data: &Matrix, rows: &RowGroups, k_max: usize, seed: u64) -> Vec<KMeansResult> {
     let k_max = k_max.min(data.rows());
     let mut candidates: Vec<KMeansResult> = Vec::with_capacity(k_max.saturating_sub(1));
     for k in 2..=k_max {
         let mut config = KMeans::new(k, seed);
         let result = match candidates.last() {
-            None => kmeans(data, config),
+            None => kmeans_in(data, rows, config),
             Some(prev) => {
                 config.n_init = SWEEP_COLD_RESTARTS;
-                let cold = kmeans(data, config);
-                let init = extend_centers(data, &prev.centers, split_seed(seed, 0x3A9E ^ k as u64));
-                let warm = kmeans_from_centers(data, init, config.max_iter);
+                let cold = kmeans_in(data, rows, config);
+                let init =
+                    extend_centers(data, rows, &prev.centers, split_seed(seed, 0x3A9E ^ k as u64));
+                let warm = kmeans_from_centers_in(data, rows, init, config.max_iter);
                 if warm.inertia < cold.inertia {
                     warm
                 } else {
@@ -380,10 +357,12 @@ pub fn kmeans_sweep(data: &Matrix, k_max: usize, seed: u64) -> Vec<KMeansResult>
 /// Falls back to `k = 1` when the data shows no cluster structure (best
 /// silhouette below `min_structure`) or has fewer than 3 rows.
 ///
-/// The candidates come from [`kmeans_sweep`] and are scored together by
-/// [`silhouette_scores`] in one distance pass, with no `n²` memory.
-/// Everything is deterministic in `seed` and bit-identical at every worker
-/// count.
+/// The rows are grouped by bit pattern once (gauge `stats.distinct_rows`)
+/// and every stage does its per-row work once per distinct row. The
+/// candidates come from [`kmeans_sweep`] (span `stats.kmeans_sweep`) and
+/// are scored together by [`silhouette_scores`] (span `stats.silhouette`)
+/// in one distance pass, with no `n²` memory. Everything is deterministic
+/// in `seed` and bit-identical at every worker count.
 pub fn choose_k(
     data: &Matrix,
     k_max: usize,
@@ -392,20 +371,28 @@ pub fn choose_k(
     seed: u64,
 ) -> KSelection {
     let _span = simprof_obs::span!("stats.choose_k");
+    let rows = RowGroups::of(data);
+    simprof_obs::gauge_set("stats.distinct_rows", rows.len() as f64);
+    let single = |scores| {
+        simprof_obs::gauge_set("stats.chosen_k", 1.0);
+        KSelection { k: 1, result: kmeans_in(data, &rows, KMeans::new(1, seed)), scores }
+    };
     let n = data.rows();
     if n < 3 || k_max.min(n) < 2 {
-        simprof_obs::gauge_set("stats.chosen_k", 1.0);
-        return KSelection { k: 1, result: kmeans(data, KMeans::new(1, seed)), scores: Vec::new() };
+        return single(Vec::new());
     }
 
-    let candidates = kmeans_sweep(data, k_max, seed);
+    let candidates = {
+        let _span = simprof_obs::span!("stats.kmeans_sweep");
+        kmeans_sweep_in(data, &rows, k_max, seed)
+    };
     let clusterings: Vec<&[usize]> = candidates.iter().map(|r| r.assignments.as_slice()).collect();
-    let scores: Vec<(usize, f64)> = (2..).zip(silhouette_scores(data, &clusterings)).collect();
+    let scores: Vec<(usize, f64)> =
+        (2..).zip(silhouette_scores_in(data, &rows, &clusterings)).collect();
     let best = scores.iter().map(|&(_, s)| s).fold(f64::NEG_INFINITY, f64::max);
 
     if best < min_structure {
-        simprof_obs::gauge_set("stats.chosen_k", 1.0);
-        return KSelection { k: 1, result: kmeans(data, KMeans::new(1, seed)), scores };
+        return single(scores);
     }
 
     let (chosen, result) = scores
@@ -503,56 +490,6 @@ mod tests {
         let sel = choose_k(&data, 5, 0.9, 0.25, 3);
         let ks: Vec<usize> = sel.scores.iter().map(|&(k, _)| k).collect();
         assert_eq!(ks, vec![2, 3, 4, 5]);
-    }
-
-    /// Regression: the distance-cache scoring path must match the naive
-    /// implementation to 1e-12 (the cache computes distances via the norm
-    /// identity, so exact bit equality is not expected).
-    #[test]
-    fn cached_silhouette_matches_naive_to_1e12() {
-        for (centers, per, k) in [
-            (vec![(0.0, 0.0), (10.0, 10.0)], 15usize, 2usize),
-            (vec![(0.0, 0.0), (8.0, 0.0), (0.0, 8.0)], 11, 3),
-            (vec![(1.0, 2.0), (1.5, 2.5), (9.0, -4.0), (20.0, 20.0)], 7, 4),
-        ] {
-            let data = blobs(&centers, per);
-            let n = data.rows();
-            let assignments: Vec<usize> = (0..n).map(|i| i % k).collect();
-            let naive = silhouette_score(&data, &assignments);
-            let cached = silhouette_score_cached(&DistCache::build(&data), &assignments);
-            assert!((naive - cached).abs() <= 1e-12, "naive {naive} vs cached {cached} (k = {k})");
-        }
-    }
-
-    #[test]
-    fn cached_silhouette_degenerate_cases_match_naive() {
-        let data = blobs(&[(0.0, 0.0)], 10);
-        let cache = DistCache::build(&data);
-        assert_eq!(silhouette_score_cached(&cache, &[0usize; 10]), 0.0);
-        let tiny = Matrix::from_rows(&[vec![1.0]]);
-        assert_eq!(silhouette_score_cached(&DistCache::build(&tiny), &[0]), 0.0);
-    }
-
-    #[test]
-    fn fused_scores_match_cached_reference_bitwise() {
-        // 150 points: two full chunks plus a ragged one, and a ragged last
-        // lane block. Clusterings cover singletons, an empty middle cluster
-        // and a degenerate one-cluster labelling.
-        let data = blobs(&[(0.0, 0.0), (6.0, 1.0), (2.0, 9.0)], 50);
-        let n = data.rows();
-        let striped: Vec<usize> = (0..n).map(|i| i % 3).collect();
-        let blocked: Vec<usize> = (0..n).map(|i| i / 50).collect();
-        let singletons: Vec<usize> = (0..n).map(|i| if i < 4 { i } else { 4 + i % 2 }).collect();
-        let gap: Vec<usize> = (0..n).map(|i| if i % 2 == 0 { 0 } else { 3 }).collect();
-        let one = vec![2usize; n];
-        let clusterings: Vec<&[usize]> = vec![&striped, &blocked, &singletons, &gap, &one];
-        let fused = silhouette_scores(&data, &clusterings);
-        let cache = DistCache::build(&data);
-        for (a, &s) in clusterings.iter().zip(&fused) {
-            assert_eq!(s.to_bits(), silhouette_score_cached(&cache, a).to_bits());
-        }
-        assert_eq!(fused[4], 0.0);
-        assert!(fused[1] > 0.9, "blocked labelling scores {}", fused[1]);
     }
 
     #[test]

@@ -14,9 +14,15 @@ use proptest::prelude::*;
 use simprof::engine::FaultPlan;
 use simprof::stats::{
     choose_k, kmeans_from_centers, kmeans_from_centers_reference, kmeans_sweep, silhouette_score,
-    silhouette_score_cached, silhouette_scores, DistCache, Matrix,
+    silhouette_scores, KMeansResult, Matrix,
 };
 use simprof::workloads::{Benchmark, Framework, WorkloadConfig};
+
+/// The dense-matrix silhouette reference, shared with `simprof-stats`'s own
+/// suite.
+#[path = "../crates/stats/tests/support/mod.rs"]
+mod support;
+use support::{silhouette_score_cached, DistCache};
 
 /// Serializes tests that flip the global worker-count override.
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
@@ -58,6 +64,33 @@ fn matrix_strategy() -> impl Strategy<Value = Matrix> {
             .collect();
         Matrix::from_rows(&data)
     })
+}
+
+/// Strategy: a duplicate-heavy feature matrix like a profiled trace's —
+/// 3..300 rows drawn with repetition from a pool of 1..40 patterns whose
+/// values are multiples of 0.1, with column counts on both `Matrix::dot`
+/// shapes. The first and last pattern differ only in the sign of a zero,
+/// which the row grouping must keep apart.
+fn quantized_matrix_strategy() -> impl Strategy<Value = Matrix> {
+    (3usize..300, 1usize..40, 1usize..40, any::<u64>()).prop_map(|(rows, cols, patterns, seed)| {
+        let mix = |x: u64| ((x ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize;
+        let mut pool: Vec<Vec<f64>> = (0..patterns)
+            .map(|p| (0..cols).map(|j| (mix((p * 64 + j) as u64) % 50) as f64 * 0.1).collect())
+            .collect();
+        pool[0][0] = 0.0;
+        if patterns > 1 {
+            pool[patterns - 1] = pool[0].clone();
+            pool[patterns - 1][0] = -0.0;
+        }
+        let data: Vec<Vec<f64>> =
+            (0..rows).map(|i| pool[mix((i as u64) << 20) % patterns].clone()).collect();
+        Matrix::from_rows(&data)
+    })
+}
+
+/// The bits of a k-means result's centers (NaN-safe, unlike `==`).
+fn center_bits(r: &KMeansResult) -> Vec<u64> {
+    (0..r.centers.rows()).flat_map(|c| r.centers.row(c).to_vec()).map(f64::to_bits).collect()
 }
 
 /// A labelling of `n` points with a singleton cluster (label 0, point 0),
@@ -177,6 +210,85 @@ proptest! {
         }
         prop_assert_eq!(one.0.inertia.to_bits(), many.0.inertia.to_bits());
         prop_assert_eq!(&one.0.assignments, &many.0.assignments);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On duplicate-heavy data, where the fused pass scores each distinct
+    /// row once and every point reads its group's silhouette, the scores of
+    /// every sweep candidate and of a labelling that splits duplicates
+    /// across clusters carry the reference's bits at 1 and N threads.
+    #[test]
+    fn fused_silhouette_on_duplicate_rows_bit_identical_to_cached_reference(
+        m in quantized_matrix_strategy(),
+        seed in any::<u64>(),
+        groups in 1usize..4,
+        salt in any::<u64>(),
+        threads in 2usize..6,
+    ) {
+        let mut clusterings: Vec<Vec<usize>> =
+            kmeans_sweep(&m, 8, seed).into_iter().map(|r| r.assignments).collect();
+        clusterings.push(ragged_labels(m.rows(), groups, salt));
+        let refs: Vec<&[usize]> = clusterings.iter().map(Vec::as_slice).collect();
+        let (one, many) = one_vs_many(threads, || silhouette_scores(&m, &refs));
+        let cache = DistCache::build(&m);
+        for (t, a) in refs.iter().enumerate() {
+            let reference = silhouette_score_cached(&cache, a).to_bits();
+            prop_assert_eq!(one[t].to_bits(), reference, "1 thread, clustering {}", t);
+            prop_assert_eq!(many[t].to_bits(), reference, "{} threads, clustering {}", threads, t);
+        }
+    }
+
+    /// On duplicate-heavy data the grouped, accelerated Lloyd loop carries
+    /// the per-point reference scan's bits: assignments, centers, inertia
+    /// and iteration counts, at 1 and N threads.
+    #[test]
+    fn accelerated_kmeans_on_duplicate_rows_bit_identical_to_reference_lloyd(
+        m in quantized_matrix_strategy(),
+        k in 1usize..8,
+        threads in 2usize..6,
+    ) {
+        let k = k.min(m.rows());
+        let init: Vec<Vec<f64>> = (0..k).map(|i| m.row(i * m.rows() / k).to_vec()).collect();
+        let (one, many) = one_vs_many(threads, || {
+            let accel = kmeans_from_centers(&m, Matrix::from_rows(&init), 100);
+            let reference = kmeans_from_centers_reference(&m, Matrix::from_rows(&init), 100);
+            (accel, reference)
+        });
+        for (accel, reference) in [&one, &many] {
+            prop_assert_eq!(&accel.assignments, &reference.assignments);
+            prop_assert_eq!(center_bits(accel), center_bits(reference));
+            prop_assert_eq!(accel.inertia.to_bits(), reference.inertia.to_bits());
+            prop_assert_eq!(accel.iterations, reference.iterations);
+        }
+        prop_assert_eq!(&one.0.assignments, &many.0.assignments);
+        prop_assert_eq!(one.0.inertia.to_bits(), many.0.inertia.to_bits());
+    }
+
+    /// `choose_k` on duplicate-heavy data is bit-identical between 1 and N
+    /// threads and reports exactly the reference scores of its sweep.
+    #[test]
+    fn choose_k_on_duplicate_rows_bit_identical_and_pinned_to_reference(
+        m in quantized_matrix_strategy(),
+        seed in any::<u64>(),
+        threads in 2usize..6,
+    ) {
+        let (one, many) = one_vs_many(threads, || choose_k(&m, 8, 0.9, 0.25, seed));
+        prop_assert_eq!(one.k, many.k);
+        prop_assert_eq!(&one.result.assignments, &many.result.assignments);
+        prop_assert_eq!(center_bits(&one.result), center_bits(&many.result));
+        prop_assert_eq!(one.result.inertia.to_bits(), many.result.inertia.to_bits());
+        let cache = DistCache::build(&m);
+        let sweep = kmeans_sweep(&m, 8, seed);
+        prop_assert_eq!(one.scores.len(), sweep.len());
+        for ((&(ka, sa), &(kb, sb)), r) in one.scores.iter().zip(&many.scores).zip(&sweep) {
+            prop_assert_eq!(ka, kb);
+            prop_assert_eq!(sa.to_bits(), sb.to_bits(), "1-vs-N score bits differ at k = {}", ka);
+            let reference = silhouette_score_cached(&cache, &r.assignments).to_bits();
+            prop_assert_eq!(sa.to_bits(), reference, "score differs from reference at k = {}", ka);
+        }
     }
 }
 

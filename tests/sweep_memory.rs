@@ -1,5 +1,7 @@
 //! Memory bound of the k-selection sweep: `choose_k` scores its candidates
-//! in one fused distance pass and must never hold an `n × n` buffer.
+//! in one fused distance pass and must never hold an `n × n` buffer, and
+//! its per-distinct-row state must not make duplicate-heavy input cost
+//! more than all-distinct input.
 //!
 //! Heap is measured with `TrackingAllocator` as this binary's global
 //! allocator, so the file holds a single test (peaks are process-wide).
@@ -27,6 +29,14 @@ fn four_blobs(n: usize, cols: usize) -> Matrix {
     Matrix::from_rows(&rows)
 }
 
+/// [`four_blobs`] quantized to `distinct` rows: row `i` repeats row
+/// `i % distinct`, so the matrix has `distinct` distinct rows.
+fn repeated_blobs(n: usize, cols: usize, distinct: usize) -> Matrix {
+    let pool = four_blobs(distinct, cols);
+    let rows: Vec<Vec<f64>> = (0..n).map(|i| pool.row(i % distinct).to_vec()).collect();
+    Matrix::from_rows(&rows)
+}
+
 #[test]
 fn choose_k_peak_heap_stays_far_below_a_distance_matrix() {
     let n = 2_000;
@@ -42,5 +52,16 @@ fn choose_k_peak_heap_stays_far_below_a_distance_matrix() {
     assert!(
         peak < matrix_bytes / 8,
         "sweep peak {peak} B reaches an eighth of the {matrix_bytes} B distance matrix"
+    );
+
+    let repeated = repeated_blobs(n, 10, 40);
+    let base = current_alloc_bytes();
+    reset_peak();
+    let sel = choose_k(&repeated, 20, 0.9, 0.25, 42);
+    let repeated_peak = peak_alloc_bytes().saturating_sub(base);
+    assert_eq!(sel.scores.len(), 19, "every k in 2..=20 is scored");
+    assert!(
+        repeated_peak <= peak,
+        "sweep peak on 40 distinct rows {repeated_peak} B exceeds the all-distinct {peak} B"
     );
 }
