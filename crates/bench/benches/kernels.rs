@@ -193,7 +193,7 @@ fn bench_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("workloads/build");
     let cfg = WorkloadConfig::paper(1);
     for w in WorkloadId::all() {
-        if !["sort_sp", "bayes_hp", "cc_hp"].contains(&w.label().as_str()) {
+        if !["sort_sp", "grep_sp", "wc_hp", "bayes_hp", "cc_hp"].contains(&w.label().as_str()) {
             continue;
         }
         g.bench_function(w.label(), |b| {
@@ -207,8 +207,8 @@ fn bench_build(c: &mut Criterion) {
     g.finish();
 
     let synth = TextSynth::new(4_000, 1.0, 10, 1);
-    c.bench_function("synth/text_lines 9MB", |b| {
-        b.iter(|| black_box(synth.lines(black_box(9 << 20), 2)))
+    c.bench_function("synth/text_corpus 9MB", |b| {
+        b.iter(|| black_box(synth.corpus(black_box(9 << 20), 2)))
     });
     let kronecker = Kronecker::for_input(GraphInput::Google, 14, 8);
     c.bench_function("synth/kronecker s14", |b| b.iter(|| black_box(kronecker.generate(3))));

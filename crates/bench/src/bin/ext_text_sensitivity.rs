@@ -20,8 +20,8 @@ fn main() {
     let wl = cfg.workload;
     let bytes = wl.text_bytes;
 
-    let train_lines = TextInput::Base.lines(bytes, wl.seed);
-    let train = Benchmark::WordCount.run_spark_on_text(&wl, &train_lines);
+    let train_corpus = TextInput::Base.corpus(bytes, wl.seed);
+    let train = Benchmark::WordCount.run_spark_on_text(&wl, &train_corpus);
     let analysis =
         SimProf::new(cfg.simprof).analyze(&train.trace).expect("workload trace is valid");
     println!(
@@ -35,8 +35,8 @@ fn main() {
     let mut names = Vec::new();
     let mut rows = Vec::new();
     for input in TextInput::ALL.into_iter().filter(|&i| i != TextInput::Base) {
-        let lines = input.lines(bytes, wl.seed);
-        let out = Benchmark::WordCount.run_spark_on_text(&wl, &lines);
+        let corpus = input.corpus(bytes, wl.seed);
+        let out = Benchmark::WordCount.run_spark_on_text(&wl, &corpus);
         rows.push(vec![
             input.label().to_string(),
             out.trace.units.len().to_string(),

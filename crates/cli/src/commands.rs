@@ -1200,17 +1200,28 @@ mod tests {
         let events = dir.join("events.jsonl");
         let timeline_path = dir.join("timeline.json");
         let report_path = dir.join("obs_report.json");
+        let run_timeline = dir.join("run_timeline.json");
+        let run_report = dir.join("run_obs_report.json");
         // Force a real pool: on a single-core host the parallel regions
         // would otherwise run inline and never spawn worker threads.
         rayon::set_threads(2);
-        let result = profile(&opts(&format!(
+        let profiled = profile(&opts(&format!(
             "-w grep_sp --scale tiny --seed 5 --events {} --timeline {} --report {}",
             events.display(),
             timeline_path.display(),
             report_path.display()
         )));
+        // Profiling itself is single-threaded (job builds and the engine
+        // turn loop never enter the pool); `run` adds the analysis, whose
+        // parallel regions put slices on worker rows.
+        let ran = run_workload(&opts(&format!(
+            "-w grep_sp --scale tiny --seed 5 -n 5 --timeline {} --report {}",
+            run_timeline.display(),
+            run_report.display()
+        )));
         rayon::set_threads(0);
-        result.unwrap();
+        profiled.unwrap();
+        ran.unwrap();
 
         // Event log: meta header first, then span and unit-closed records.
         let log = std::fs::read_to_string(&events).unwrap();
@@ -1220,19 +1231,22 @@ mod tests {
         assert!(log.contains("span_open"), "event log records span opens");
         assert!(log.contains("unit_closed"), "event log records closed units");
 
-        // Timeline: Chrome-trace JSON with slices on at least one worker tid.
+        // Timeline: Chrome-trace JSON with begin slices; the run's timeline
+        // has slices on at least one worker tid.
         let tl = std::fs::read_to_string(&timeline_path).unwrap();
         assert!(tl.contains("traceEvents"));
         assert!(tl.contains("\"B\""), "timeline has begin slices");
+        assert!(std::fs::read_to_string(&report_path).unwrap().contains("engine.run"));
+        let tl = std::fs::read_to_string(&run_timeline).unwrap();
         assert!(tl.contains("worker-"), "timeline names a worker thread");
 
         // The run report carries the worker span off the driver thread.
         let report: simprof_obs::RunReport =
-            serde_json::from_str(std::fs::read_to_string(&report_path).unwrap().trim()).unwrap();
+            serde_json::from_str(std::fs::read_to_string(&run_report).unwrap().trim()).unwrap();
         let worker = report.find_span("parallel.worker").expect("worker span recorded");
         assert_ne!(worker.thread, 0, "worker span attributed to a pool thread");
 
-        for p in [&events, &timeline_path, &report_path] {
+        for p in [&events, &timeline_path, &report_path, &run_timeline, &run_report] {
             let _ = std::fs::remove_file(p);
         }
     }

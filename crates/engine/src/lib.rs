@@ -24,8 +24,9 @@
 //!   recovery (crash re-queue, speculative twins, lost-fetch re-charging).
 //! * [`faults`] — seeded runtime fault injection: the [`faults::FaultPlan`]
 //!   the scheduler consults and the [`faults::FaultLog`] it returns.
-//! * [`ops`] — instrumented kernels (tokenize, hash combine, quicksort,
-//!   k-way merge, graph gather) that run real algorithms and emit cost items.
+//! * [`ops`] — instrumented kernels (hash combine, quicksort, k-way merge)
+//!   that run real algorithms and emit cost items, plus the cost items of
+//!   text scans (tokenize, grep) whose counts the builders compute.
 //! * [`hdfs`] — block-granularity distributed-filesystem cost model.
 //! * [`spark`] — Spark-flavoured job assembly: long-lived executor threads,
 //!   map-side combine, shuffle stages, realistic method naming.

@@ -109,23 +109,8 @@ impl Hasher for FxHasher {
 /// `HashMap` with the [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Tokenizes lines into whitespace-separated words, returning the real
-/// tokens and the cost item for the scan.
-pub fn tokenize(
-    lines: &[String],
-    path: Vec<MethodId>,
-    input_region: Region,
-    seed: u64,
-) -> (Vec<&str>, WorkItem) {
-    let bytes: u64 = lines.iter().map(|l| l.len() as u64).sum();
-    let tokens: Vec<&str> = lines.iter().flat_map(|l| l.split_whitespace()).collect();
-    let item = tokenize_item(bytes, tokens.len() as u64, path, input_region, seed);
-    (tokens, item)
-}
-
-/// The cost item of scanning `bytes` of input into `tokens` tokens — what
-/// [`tokenize`] charges, for callers that know the counts without
-/// materializing the tokens.
+/// The cost item of scanning `bytes` of input text into `tokens` tokens
+/// (tokenization: a byte scan plus a per-token emit).
 pub fn tokenize_item(
     bytes: u64,
     tokens: u64,
@@ -143,28 +128,23 @@ pub fn tokenize_item(
     )
 }
 
-/// Scans lines for a literal substring (grep), returning matching line
-/// indices and the cost item.
-pub fn scan_match(
-    lines: &[String],
-    needle: &str,
+/// The cost item of scanning `bytes` of input text for a literal substring
+/// (grep) that `matches` lines contain: a byte scan plus a per-match emit.
+pub fn scan_item(
+    bytes: u64,
+    matches: u64,
     path: Vec<MethodId>,
     input_region: Region,
     seed: u64,
-) -> (Vec<usize>, WorkItem) {
-    let bytes: u64 = lines.iter().map(|l| l.len() as u64).sum();
-    let matches: Vec<usize> =
-        lines.iter().enumerate().filter(|(_, l)| l.contains(needle)).map(|(i, _)| i).collect();
-    let instrs = bytes * costs::SCAN_PER_BYTE + matches.len() as u64 * costs::TOKEN_EMIT;
-    let item = WorkItem::compute(
+) -> WorkItem {
+    WorkItem::compute(
         path,
-        instrs,
+        bytes * costs::SCAN_PER_BYTE + matches * costs::TOKEN_EMIT,
         costs::SEQ_APKI,
         AccessPattern::Sequential,
         input_region,
         seed,
-    );
-    (matches, item)
+    )
 }
 
 /// Hash-aggregates `pairs` by key with `merge` (the map-side combine /
@@ -438,19 +418,13 @@ mod tests {
     }
 
     #[test]
-    fn tokenize_counts_real_tokens() {
-        let lines = vec!["the quick brown fox".to_owned(), "jumps  over".to_owned()];
-        let (tokens, item) = tokenize(&lines, path(), region(1024), 1);
-        assert_eq!(tokens, vec!["the", "quick", "brown", "fox", "jumps", "over"]);
-        assert_eq!(item.instrs, (19 + 11) * costs::TOKENIZE_PER_BYTE + 6 * costs::TOKEN_EMIT);
-        assert_eq!(item.pattern, AccessPattern::Sequential);
-    }
-
-    #[test]
-    fn scan_match_finds_lines() {
-        let lines = vec!["error: disk".to_owned(), "ok".to_owned(), "error again".to_owned()];
-        let (m, _item) = scan_match(&lines, "error", path(), region(128), 1);
-        assert_eq!(m, vec![0, 2]);
+    fn text_scan_items_charge_bytes_and_emits() {
+        let tok = tokenize_item(30, 6, path(), region(1024), 1);
+        assert_eq!(tok.instrs, 30 * costs::TOKENIZE_PER_BYTE + 6 * costs::TOKEN_EMIT);
+        assert_eq!(tok.pattern, AccessPattern::Sequential);
+        let scan = scan_item(22, 2, path(), region(128), 1);
+        assert_eq!(scan.instrs, 22 * costs::SCAN_PER_BYTE + 2 * costs::TOKEN_EMIT);
+        assert_eq!(scan.pattern, AccessPattern::Sequential);
     }
 
     #[test]

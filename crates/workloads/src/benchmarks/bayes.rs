@@ -14,7 +14,8 @@ use simprof_engine::{ops, Job, MethodRegistry, OpClass, Stage, Task, WorkItem};
 use simprof_sim::{AccessPattern, Machine, Region};
 
 use super::{
-    fnv1a, hdfs_write_item, mark_shuffle_fetch, overlap_stall, partition_ranges, route, spill_item,
+    fnv1a, fnv1a_extend, hdfs_write_item, mark_shuffle_fetch, overlap_stall, partition_ranges,
+    route, spill_item, synth, word_hashes,
 };
 use crate::config::WorkloadConfig;
 use crate::synth::text::{LabeledCorpus, TextSynth};
@@ -30,52 +31,72 @@ const SCORE_PER_TOKEN: u64 = CLASSES as u64 * 18;
 const _: () = assert!(CLASSES <= 10);
 
 fn corpus(cfg: &WorkloadConfig) -> LabeledCorpus {
-    let synth = TextSynth::new(5_000, 1.0, 9, cfg.sub_seed(0xBA1E5));
-    LabeledCorpus::generate(&synth, CLASSES, cfg.text_bytes / 2, cfg.sub_seed(5))
+    synth(|| {
+        let synth = TextSynth::new(5_000, 1.0, 9, cfg.sub_seed(0xBA1E5));
+        LabeledCorpus::generate(&synth, CLASSES, cfg.text_bytes / 2, cfg.sub_seed(5))
+    })
 }
 
-/// The trained model: `(class, word-hash) → count` plus per-class totals,
-/// and each word's per-class log-likelihood terms.
-#[derive(Debug, Clone, Default)]
+/// The trained model: per-class document counts, the number of distinct
+/// `(class, word-hash)` entries, and each vocabulary word's per-class
+/// log-likelihood terms.
+#[derive(Debug, Clone)]
 pub struct BayesModel {
-    counts: FxHashMap<(usize, u64), i64>,
-    class_tokens: [i64; CLASSES],
+    /// Distinct `(class, word-hash)` entries seen in training.
+    entries: usize,
     class_docs: [i64; CLASSES],
-    /// `ln((count + 1) / denom_c)` for each class `c`, per word hash the
-    /// model has seen (filled in by [`finish`](Self::finish)).
-    terms: FxHashMap<u64, [f64; CLASSES]>,
-    /// The same terms for a word no class has seen.
-    unseen: [f64; CLASSES],
+    /// `ln((count + 1) / denom_c)` for each class `c`, by word id; a word no
+    /// class has seen gets the `count = 0` terms.
+    terms: Vec<[f64; CLASSES]>,
 }
 
 impl BayesModel {
-    fn observe(&mut self, class: usize, word: &str) {
-        *self.counts.entry((class, fnv1a(word))).or_insert(0) += 1;
-        self.class_tokens[class] += 1;
-    }
-
-    /// Computes every word's Laplace-smoothed log-likelihood terms once
-    /// training is complete.
-    fn finish(&mut self) {
-        let vocab = self.counts.len() as f64 + 1.0;
-        let denom: [f64; CLASSES] = std::array::from_fn(|c| self.class_tokens[c] as f64 + vocab);
-        let term = |c: usize, count: i64| ((count as f64 + 1.0) / denom[c]).ln();
-        self.unseen = std::array::from_fn(|c| term(c, 0));
-        for (&(c, h), &count) in &self.counts {
-            self.terms.entry(h).or_insert(self.unseen)[c] = term(c, count);
+    /// Trains the Laplace-smoothed multinomial model on every document of
+    /// `docs`; `hashes` holds each vocabulary word's FNV-1a hash.
+    ///
+    /// Words are counted per `(class, word-hash)` entry, so two words that
+    /// shared a hash would share their counts and terms exactly as a
+    /// hash-keyed count table merges them.
+    fn train(docs: &LabeledCorpus, hashes: &[u64]) -> Self {
+        let corpus = &docs.corpus;
+        let mut class_docs = [0i64; CLASSES];
+        let mut class_tokens = [0i64; CLASSES];
+        let mut by_id = vec![[0i64; CLASSES]; hashes.len()];
+        for (i, &class) in docs.labels.iter().enumerate() {
+            class_docs[class] += 1;
+            for &id in corpus.line(i) {
+                by_id[usize::from(id)][class] += 1;
+                class_tokens[class] += 1;
+            }
         }
+        let mut counts: FxHashMap<(usize, u64), i64> = FxHashMap::default();
+        for (row, &h) in by_id.iter().zip(hashes) {
+            for (c, &count) in row.iter().enumerate().filter(|&(_, &count)| count > 0) {
+                *counts.entry((c, h)).or_insert(0) += count;
+            }
+        }
+
+        let vocab = counts.len() as f64 + 1.0;
+        let denom: [f64; CLASSES] = std::array::from_fn(|c| class_tokens[c] as f64 + vocab);
+        let term = |c: usize, count: i64| ((count as f64 + 1.0) / denom[c]).ln();
+        let unseen: [f64; CLASSES] = std::array::from_fn(|c| term(c, 0));
+        let mut by_hash: FxHashMap<u64, [f64; CLASSES]> = FxHashMap::default();
+        for (&(c, h), &count) in &counts {
+            by_hash.entry(h).or_insert(unseen)[c] = term(c, count);
+        }
+        let terms = hashes.iter().map(|h| by_hash.get(h).copied().unwrap_or(unseen)).collect();
+        Self { entries: counts.len(), class_docs, terms }
     }
 
-    /// Classifies a document by maximum log-likelihood with Laplace
-    /// smoothing. Each class's score sums its prior and then the document's
-    /// word terms in document order.
-    pub fn classify(&self, doc: &str) -> usize {
+    /// Classifies a document (its word ids) by maximum log-likelihood with
+    /// Laplace smoothing. Each class's score sums its prior and then the
+    /// document's word terms in document order.
+    pub fn classify(&self, doc: &[u16]) -> usize {
         let total_docs: i64 = self.class_docs.iter().sum::<i64>().max(1);
         let mut scores: [f64; CLASSES] =
             std::array::from_fn(|c| (self.class_docs[c].max(1) as f64 / total_docs as f64).ln());
-        for w in doc.split_whitespace() {
-            let terms = self.terms.get(&fnv1a(w)).unwrap_or(&self.unseen);
-            for (score, term) in scores.iter_mut().zip(terms) {
+        for &id in doc {
+            for (score, term) in scores.iter_mut().zip(&self.terms[usize::from(id)]) {
                 *score += term;
             }
         }
@@ -90,57 +111,55 @@ impl BayesModel {
 
     /// Model table size (distinct `(class, word)` entries).
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.entries
     }
 
     /// Whether the model is empty.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.entries == 0
     }
 }
 
-/// Trains the real model (shared by both frameworks' builders).
-fn train(docs: &[(usize, String)]) -> BayesModel {
-    let mut model = BayesModel::default();
-    for &(class, ref line) in docs {
-        model.class_docs[class] += 1;
-        for w in line.split_whitespace() {
-            model.observe(class, w);
-        }
-    }
-    model.finish();
-    model
+/// The FNV-1a hash of the `"class:word"` shuffle key of a combined
+/// `(class, word)` pair: FNV continued over the class digit, `':'` and the
+/// word's bytes, with no key string built.
+fn class_word_hash(class: usize, word: &str) -> u64 {
+    fnv1a_extend(fnv1a_extend(fnv1a(""), &[b'0' + class as u8, b':']), word.as_bytes())
 }
 
-/// The `"class:word"` shuffle key of a combined `(class, word)` pair.
-fn class_word(class: usize, word: &str) -> String {
-    format!("{class}:{word}")
-}
-
-/// The tokenize item of a partition's `"class document"` input records
-/// (one class digit, a space, the document), counted without building them.
+/// The tokenize item of documents `lo..hi` as `"class document"` input
+/// records (one class digit, a space, the document), counted without
+/// building them.
 fn labeled_tokenize_item(
-    docs: &[(usize, String)],
+    docs: &LabeledCorpus,
+    (lo, hi): (usize, usize),
     path: Vec<simprof_engine::MethodId>,
     in_region: Region,
     seed: u64,
 ) -> WorkItem {
-    let bytes = docs.iter().map(|(_, l)| l.len() as u64 + 2).sum();
-    let tokens = docs.iter().map(|(_, l)| l.split_whitespace().count() as u64 + 1).sum();
+    let n = (hi - lo) as u64;
+    let bytes = docs.corpus.bytes(lo..hi) + n;
+    let tokens = n * (docs.corpus.words_per_line() as u64 + 1);
     ops::tokenize_item(bytes, tokens, path, in_region, seed)
 }
 
-/// A partition's `((class, word), 1)` records, keyed on borrowed words.
-fn labeled_pairs(docs: &[(usize, String)]) -> impl Iterator<Item = ((usize, &str), i64)> {
-    docs.iter()
-        .flat_map(|&(class, ref line)| line.split_whitespace().map(move |w| ((class, w), 1i64)))
+/// The `((class, word id), 1)` records of documents `lo..hi`.
+fn labeled_pairs(
+    docs: &LabeledCorpus,
+    (lo, hi): (usize, usize),
+) -> impl Iterator<Item = ((usize, u16), i64)> + '_ {
+    (lo..hi).flat_map(move |i| {
+        let class = docs.labels[i];
+        docs.corpus.line(i).iter().map(move |&id| ((class, id), 1i64))
+    })
 }
 
 /// Classification items for one partition of documents: a streaming scan
 /// plus random model probes, and the real predicted labels.
 #[allow(clippy::too_many_arguments)]
 fn classify_items(
-    docs: &[(usize, String)],
+    docs: &LabeledCorpus,
+    (lo, hi): (usize, usize),
     model: &BayesModel,
     model_region: Region,
     scan_path: Vec<simprof_engine::MethodId>,
@@ -149,9 +168,9 @@ fn classify_items(
     read_stall: u64,
     seed: u64,
 ) -> (Vec<usize>, Vec<WorkItem>) {
-    let tokens: u64 = docs.iter().map(|(_, l)| l.split_whitespace().count() as u64).sum();
-    let bytes: u64 = docs.iter().map(|(_, l)| l.len() as u64 + 1).sum();
-    let predictions: Vec<usize> = docs.iter().map(|(_, l)| model.classify(l)).collect();
+    let tokens = ((hi - lo) * docs.corpus.words_per_line()) as u64;
+    let bytes = docs.corpus.bytes(lo..hi);
+    let predictions: Vec<usize> = (lo..hi).map(|i| model.classify(docs.corpus.line(i))).collect();
     let items = vec![
         WorkItem::compute(
             scan_path,
@@ -182,29 +201,32 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
     let train_fn = reg.intern("org.bigdatabench.bayes.NaiveBayes.train", OpClass::Reduce);
     let predict_fn = reg.intern("org.bigdatabench.bayes.NaiveBayesModel.predict", OpClass::Map);
 
-    let corpus = corpus(cfg);
-    let model = train(&corpus.docs);
+    let docs = corpus(cfg);
+    let hashes = word_hashes(&docs.corpus);
+    let model = BayesModel::train(&docs, &hashes);
     let model_region = machine.alloc(model.len() as u64 * ENTRY_BYTES);
-    let ranges = partition_ranges(corpus.docs.len(), cfg.partitions);
+    let ranges = partition_ranges(docs.corpus.len(), cfg.partitions);
 
-    // Stage 0: tokenize + map-side combine of (class:word, 1).
-    let mut reducer_inputs: Vec<Vec<(String, i64)>> = vec![Vec::new(); cfg.reducers];
+    // Stage 0: tokenize + map-side combine of (class:word, 1). Keys are
+    // `(class, word id)`: one-digit classes and id order make their order
+    // the `"class:word"` key's byte order.
+    let mut reducer_inputs: Vec<Vec<((usize, u16), i64)>> = vec![Vec::new(); cfg.reducers];
     let mut map_tasks = Vec::with_capacity(ranges.len());
-    for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let docs = &corpus.docs[lo..hi];
+    for (p, &range) in ranges.iter().enumerate() {
         let seed = cfg.sub_seed(1100 + p as u64);
-        let bytes: u64 = docs.iter().map(|(_, l)| l.len() as u64 + 1).sum();
+        let bytes = docs.corpus.bytes(range.0..range.1);
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
         let tok_item = labeled_tokenize_item(
-            docs,
+            &docs,
+            range,
             vec![sm.map_partitions_with_index, emit_fn],
             in_region,
             seed,
         );
         items.push(tok_item.with_io_stall(cfg.hdfs.read_stall(bytes)));
         let (combined, combine_items) = ops::hash_combine(
-            labeled_pairs(docs),
+            labeled_pairs(&docs, range),
             |a, b| *a += b,
             ENTRY_BYTES,
             BATCH,
@@ -223,8 +245,8 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
             seed,
         ));
         for ((class, w), v) in combined {
-            let k = class_word(class, w);
-            reducer_inputs[route(&k, cfg.reducers)].push((k, v));
+            let r = route(class_word_hash(class, docs.corpus.word(w)), cfg.reducers);
+            reducer_inputs[r].push(((class, w), v));
         }
         map_tasks.push(Task::new(sm.shuffle_map_base(), items));
     }
@@ -267,14 +289,14 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
     // Stage 2: classify every document against the trained model.
     let mut classify_tasks = Vec::with_capacity(ranges.len());
     for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let docs = &corpus.docs[lo..hi];
         let seed = cfg.sub_seed(1300 + p as u64);
-        let bytes: u64 = docs.iter().map(|(_, l)| l.len() as u64 + 1).sum();
+        let bytes = docs.corpus.bytes(lo..hi);
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
         let read_stall = cfg.hdfs.read_stall(bytes);
         let (_preds, score_items) = classify_items(
-            docs,
+            &docs,
+            (lo, hi),
             &model,
             model_region,
             vec![sm.map_partitions_with_index, emit_fn],
@@ -308,23 +330,24 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     let reducer_m = reg.intern("org.bigdatabench.bayes.CountSumReducer.reduce", OpClass::Reduce);
     let score_mapper = reg.intern("org.bigdatabench.bayes.ScoreMapper.map", OpClass::Map);
 
-    let corpus = corpus(cfg);
-    let model = train(&corpus.docs);
+    let docs = corpus(cfg);
+    let hashes = word_hashes(&docs.corpus);
+    let model = BayesModel::train(&docs, &hashes);
     let model_region = machine.alloc(model.len() as u64 * ENTRY_BYTES);
-    let ranges = partition_ranges(corpus.docs.len(), cfg.partitions);
+    let ranges = partition_ranges(docs.corpus.len(), cfg.partitions);
 
     // --- Job 1: train ---
     let mut runs_per_reducer: Vec<Vec<Vec<u64>>> = vec![Vec::new(); cfg.reducers];
     let mut count_per_reducer: Vec<usize> = vec![0; cfg.reducers];
     let mut map_tasks = Vec::with_capacity(ranges.len());
-    for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let docs = &corpus.docs[lo..hi];
+    for (p, &range) in ranges.iter().enumerate() {
         let seed = cfg.sub_seed(1400 + p as u64);
-        let bytes: u64 = docs.iter().map(|(_, l)| l.len() as u64 + 1).sum();
+        let bytes = docs.corpus.bytes(range.0..range.1);
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
         let tok_item = labeled_tokenize_item(
-            docs,
+            &docs,
+            range,
             vec![mapper, hm.map_output_buffer_collect],
             in_region,
             seed,
@@ -332,11 +355,8 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         items.push(tok_item.with_io_stall(cfg.hdfs.read_stall(bytes)));
         // Spill sort over emitted (class:word) key hashes, with the real
         // bounded-buffer multi-spill pipeline.
-        let key_hashes: Vec<u64> = docs
-            .iter()
-            .flat_map(|&(class, ref line)| {
-                line.split_whitespace().map(move |w| fnv1a(w) ^ (class as u64) << 56)
-            })
+        let key_hashes: Vec<u64> = labeled_pairs(&docs, range)
+            .map(|((class, w), _)| hashes[usize::from(w)] ^ (class as u64) << 56)
             .collect();
         items.extend(super::map_side_sort_spill(
             key_hashes,
@@ -349,7 +369,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         ));
         // Combine.
         let (combined, combine_items) = ops::hash_combine(
-            labeled_pairs(docs),
+            labeled_pairs(&docs, range),
             |a, b| *a += b,
             ENTRY_BYTES,
             BATCH,
@@ -369,9 +389,9 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         ));
         let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
         for ((class, w), _) in combined {
-            let k = class_word(class, w);
-            let r = route(&k, cfg.reducers);
-            per_r[r].push(fnv1a(&k));
+            let k = class_word_hash(class, docs.corpus.word(w));
+            let r = route(k, cfg.reducers);
+            per_r[r].push(k);
             count_per_reducer[r] += 1;
         }
         for (r, mut run) in per_r.into_iter().enumerate() {
@@ -413,14 +433,14 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     // --- Job 2: classify ---
     let mut classify_tasks = Vec::with_capacity(ranges.len());
     for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let docs = &corpus.docs[lo..hi];
         let seed = cfg.sub_seed(1600 + p as u64);
-        let bytes: u64 = docs.iter().map(|(_, l)| l.len() as u64 + 1).sum();
+        let bytes = docs.corpus.bytes(lo..hi);
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
         let read_stall = cfg.hdfs.read_stall(bytes);
         let (_preds, score_items) = classify_items(
-            docs,
+            &docs,
+            (lo, hi),
             &model,
             model_region,
             vec![score_mapper, hm.map_output_buffer_collect],
@@ -446,7 +466,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         hm.reduce_base(),
         vec![
             {
-                let bytes = corpus.docs.len() as u64 * 4;
+                let bytes = docs.corpus.len() as u64 * 4;
                 let region = machine.alloc(bytes.max(64));
                 WorkItem::io(
                     vec![hm.fetcher_copy],
@@ -477,14 +497,22 @@ mod tests {
     #[test]
     fn model_learns_classes() {
         let cfg = WorkloadConfig::tiny(23);
-        let corpus = corpus(&cfg);
-        let model = train(&corpus.docs);
+        let docs = corpus(&cfg);
+        let model = BayesModel::train(&docs, &word_hashes(&docs.corpus));
         assert!(!model.is_empty());
         // Training-set accuracy should beat chance (25 %) comfortably —
         // the class-marker vocabulary makes classes learnable.
-        let correct = corpus.docs.iter().filter(|&&(c, ref l)| model.classify(l) == c).count();
-        let acc = correct as f64 / corpus.docs.len() as f64;
+        let n = docs.corpus.len();
+        let correct = (0..n).filter(|&i| model.classify(docs.corpus.line(i)) == docs.labels[i]);
+        let acc = correct.count() as f64 / n as f64;
         assert!(acc > 0.5, "accuracy {acc}");
+    }
+
+    #[test]
+    fn class_word_hash_is_the_key_strings_hash() {
+        for (class, word) in [(0, "ba"), (3, "kelo"), (9, "")] {
+            assert_eq!(class_word_hash(class, word), fnv1a(&format!("{class}:{word}")));
+        }
     }
 
     #[test]

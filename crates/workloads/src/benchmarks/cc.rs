@@ -350,8 +350,10 @@ pub(crate) fn init_degrees_stage(
 /// Builds the Spark Connected Components job.
 pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegistry) -> Job {
     let sm = SparkMethods::intern(reg);
-    let g = Kronecker::for_input(GraphInput::Google, cfg.graph_scale, cfg.graph_degree)
-        .generate(cfg.sub_seed(6));
+    let g = super::synth(|| {
+        Kronecker::for_input(GraphInput::Google, cfg.graph_scale, cfg.graph_degree)
+            .generate(cfg.sub_seed(6))
+    });
     spark_on_graph(cfg, machine, reg, &sm, &g)
 }
 
@@ -396,8 +398,10 @@ pub fn spark_on_graph(
 
 /// Builds the Hadoop Connected Components job: one MapReduce per superstep.
 pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegistry) -> Job {
-    let g = Kronecker::for_input(GraphInput::Google, cfg.graph_scale, cfg.graph_degree)
-        .generate(cfg.sub_seed(6));
+    let g = super::synth(|| {
+        Kronecker::for_input(GraphInput::Google, cfg.graph_scale, cfg.graph_degree)
+            .generate(cfg.sub_seed(6))
+    });
     hadoop_on_graph(cfg, machine, reg, &g)
 }
 

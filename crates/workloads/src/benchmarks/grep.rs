@@ -10,51 +10,65 @@
 
 use simprof_engine::hadoop::HadoopMethods;
 use simprof_engine::spark::SparkMethods;
-use simprof_engine::{ops, Job, MethodRegistry, OpClass, Stage, Task};
-use simprof_sim::Machine;
+use simprof_engine::{ops, Job, MethodId, MethodRegistry, OpClass, Stage, Task, WorkItem};
+use simprof_sim::{Machine, Region};
 
-use super::{hdfs_write_item, partition_ranges};
+use super::{hdfs_write_item, partition_ranges, synth};
 use crate::config::WorkloadConfig;
-use crate::synth::text::TextSynth;
+use crate::synth::text::{Corpus, TextSynth};
 
 /// Zipf rank of the needle word: rare enough that matches (and therefore
 /// output IO) are a trivial fraction of the job, keeping grep essentially a
 /// pure scan — the paper's single-phase grep_sp.
 const NEEDLE_RANK: usize = 300;
 
-fn synth(cfg: &WorkloadConfig) -> TextSynth {
-    TextSynth::new(4_000, 1.0, 10, cfg.sub_seed(0x63E0))
+/// The corpus and its needle: the word at [`NEEDLE_RANK`].
+fn input(cfg: &WorkloadConfig) -> (Corpus, String) {
+    synth(|| {
+        let synth = TextSynth::new(4_000, 1.0, 10, cfg.sub_seed(0x63E0));
+        (synth.corpus(cfg.text_bytes * 3, cfg.sub_seed(3)), synth.word_at(NEEDLE_RANK).to_owned())
+    })
 }
 
-fn corpus(cfg: &WorkloadConfig, synth: &TextSynth) -> Vec<String> {
-    synth.lines(cfg.text_bytes * 3, cfg.sub_seed(3))
+/// The scan of lines `lo..hi` for the needle (`matched` flags each line of
+/// the corpus) and the bytes of the lines it matched, newlines included.
+fn scan(
+    corpus: &Corpus,
+    matched: &[bool],
+    (lo, hi): (usize, usize),
+    path: Vec<MethodId>,
+    in_region: Region,
+    seed: u64,
+) -> (WorkItem, u64) {
+    let hits: Vec<usize> = (lo..hi).filter(|&i| matched[i]).collect();
+    let out = hits.iter().map(|&i| corpus.line_len(i) as u64 + 1).sum();
+    let text = corpus.bytes(lo..hi) - (hi - lo) as u64;
+    (ops::scan_item(text, hits.len() as u64, path, in_region, seed), out)
 }
 
 /// Builds the Spark Grep job: a single map-only stage.
 pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegistry) -> Job {
     let sm = SparkMethods::intern(reg);
     let filter_fn = reg.intern("org.bigdatabench.grep.MatchFilterFn.apply", OpClass::Map);
-    let synth = synth(cfg);
-    let needle = synth.word_at(NEEDLE_RANK).to_owned();
-    let lines = corpus(cfg, &synth);
-    let ranges = partition_ranges(lines.len(), cfg.partitions);
+    let (corpus, needle) = input(cfg);
+    let matched = corpus.lines_containing(&needle);
+    let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
     let mut tasks = Vec::with_capacity(ranges.len());
-    for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let slice = &lines[lo..hi];
+    for (p, &range) in ranges.iter().enumerate() {
         let seed = cfg.sub_seed(500 + p as u64);
-        let bytes: u64 = slice.iter().map(|l| l.len() as u64 + 1).sum();
+        let bytes = corpus.bytes(range.0..range.1);
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
-        let (matches, scan) = ops::scan_match(
-            slice,
-            &needle,
+        let (scan, out) = scan(
+            &corpus,
+            &matched,
+            range,
             vec![sm.map_partitions_with_index, filter_fn],
             in_region,
             seed,
         );
         items.push(scan.with_io_stall(cfg.hdfs.read_stall(bytes)));
-        let out: u64 = matches.iter().map(|&i| slice[i].len() as u64 + 1).sum();
         items.push(hdfs_write_item(&cfg.hdfs, machine, out, vec![sm.dfs_write], seed));
         tasks.push(Task::new(sm.result_base(), items));
     }
@@ -66,28 +80,26 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     let hm = HadoopMethods::intern(reg);
     let mapper = reg.intern("org.bigdatabench.grep.RegexMapper.map", OpClass::Map);
     let collector = reg.intern("org.bigdatabench.grep.IdentityReducer.reduce", OpClass::Reduce);
-    let synth = synth(cfg);
-    let needle = synth.word_at(NEEDLE_RANK).to_owned();
-    let lines = corpus(cfg, &synth);
-    let ranges = partition_ranges(lines.len(), cfg.partitions);
+    let (corpus, needle) = input(cfg);
+    let matched = corpus.lines_containing(&needle);
+    let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
     let mut total_match_bytes = 0u64;
     let mut map_tasks = Vec::with_capacity(ranges.len());
-    for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let slice = &lines[lo..hi];
+    for (p, &range) in ranges.iter().enumerate() {
         let seed = cfg.sub_seed(600 + p as u64);
-        let bytes: u64 = slice.iter().map(|l| l.len() as u64 + 1).sum();
+        let bytes = corpus.bytes(range.0..range.1);
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
-        let (matches, scan) = ops::scan_match(
-            slice,
-            &needle,
+        let (scan, out) = scan(
+            &corpus,
+            &matched,
+            range,
             vec![mapper, hm.map_output_buffer_collect],
             in_region,
             seed,
         );
         items.push(scan.with_io_stall(cfg.hdfs.read_stall(bytes)));
-        let out: u64 = matches.iter().map(|&i| slice[i].len() as u64 + 1).sum();
         total_match_bytes += out;
         items.push(super::spill_item(
             &cfg.hdfs,
@@ -104,7 +116,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     let mut items = Vec::new();
     let region = machine.alloc(total_match_bytes.max(64));
     items.push(
-        simprof_engine::WorkItem::io(
+        WorkItem::io(
             vec![hm.fetcher_copy],
             total_match_bytes / 6 + 1,
             cfg.shuffle_fetch_stall(total_match_bytes),
@@ -129,6 +141,18 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
 mod tests {
     use super::*;
     use simprof_sim::MachineConfig;
+
+    #[test]
+    fn scan_finds_matching_lines() {
+        let lines = ["error: disk", "ok ok", "error again"];
+        let corpus = Corpus::from_lines(&lines);
+        let matched = corpus.lines_containing("error");
+        assert_eq!(matched, [true, false, true]);
+        let (item, out) = scan(&corpus, &matched, (0, 3), vec![], Region::new(0x10_000, 128), 1);
+        assert_eq!(out, 12 + 12, "matched lines' bytes, newlines included");
+        let text = (11 + 5 + 11) as u64;
+        assert_eq!(item.instrs, text * ops::costs::SCAN_PER_BYTE + 2 * ops::costs::TOKEN_EMIT);
+    }
 
     #[test]
     fn spark_grep_is_single_stage() {

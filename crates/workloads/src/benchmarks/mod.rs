@@ -3,8 +3,17 @@
 //!
 //! Each builder takes the [`crate::WorkloadConfig`], the machine (for
 //! address-space allocation), and the method registry, synthesizes its input
-//! data, *really executes* the benchmark's computation, and returns the
-//! [`simprof_engine::Job`] cost trace to schedule.
+//! data (under a `workloads.synth` span), *really executes* the benchmark's
+//! computation, and returns the [`simprof_engine::Job`] cost trace to
+//! schedule.
+//!
+//! The text builders (sort, wc, grep, bayes) work on a word-id
+//! [`Corpus`]: line bytes come from word lengths, and every per-word
+//! quantity — FNV-1a keys and routing hashes ([`word_hashes`]), grep hits —
+//! is a per-vocabulary table indexed by id, so no line or token string is
+//! built. Combines key on ids; the vocabulary is in `str` order, so their
+//! id-sorted outputs are in word order. No builder enters a parallel
+//! region.
 
 pub mod bayes;
 pub mod cc;
@@ -15,6 +24,8 @@ pub mod wordcount;
 
 use simprof_engine::{Hdfs, MethodId, WorkItem};
 use simprof_sim::Machine;
+
+use crate::synth::text::Corpus;
 
 /// Splits `n` elements into `p` near-equal contiguous ranges.
 pub fn partition_ranges(n: usize, p: usize) -> Vec<(usize, usize)> {
@@ -31,20 +42,41 @@ pub fn partition_ranges(n: usize, p: usize) -> Vec<(usize, usize)> {
     out
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// Deterministic FNV-1a hash, used for key routing and key sorting so runs
 /// do not depend on the process's `HashMap` seed.
 pub fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
+    fnv1a_extend(FNV_OFFSET, s.as_bytes())
+}
+
+/// Continues an FNV-1a hash state over `bytes`:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`, so a composite key's hash
+/// is its parts' bytes hashed in order, with no string built.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
 }
 
-/// Which reducer a key routes to.
-pub fn route(key: &str, reducers: usize) -> usize {
-    (fnv1a(key) % reducers.max(1) as u64) as usize
+/// Which reducer a key with FNV-1a hash `hash` routes to.
+pub fn route(hash: u64, reducers: usize) -> usize {
+    (hash % reducers.max(1) as u64) as usize
+}
+
+/// The FNV-1a hash of every vocabulary word, by id: each word is hashed
+/// once per build, however often it occurs.
+pub fn word_hashes(corpus: &Corpus) -> Vec<u64> {
+    corpus.word_table(|w| fnv1a(w))
+}
+
+/// Synthesizes a builder's input under a `workloads.synth` span, so input
+/// synthesis shows up inside `workloads.build` as its own layer.
+pub(crate) fn synth<T>(make: impl FnOnce() -> T) -> T {
+    let _span = simprof_obs::span!("workloads.synth");
+    make()
 }
 
 /// An HDFS-read work item over a fresh input region of `bytes`.
@@ -249,9 +281,10 @@ mod tests {
     fn fnv_is_stable_and_spreads() {
         assert_eq!(fnv1a("spark"), fnv1a("spark"));
         assert_ne!(fnv1a("spark"), fnv1a("hadoop"));
+        assert_eq!(fnv1a_extend(fnv1a("3:"), b"word"), fnv1a("3:word"));
         let mut buckets = [0usize; 4];
         for i in 0..1000 {
-            buckets[route(&format!("word{i}"), 4)] += 1;
+            buckets[route(fnv1a(&format!("word{i}")), 4)] += 1;
         }
         for &b in &buckets {
             assert!(b > 150, "routing roughly uniform: {buckets:?}");

@@ -74,8 +74,10 @@ pub fn pagerank(g: &SynthGraph, partitions: usize, iters: usize, record_targets:
 /// Builds the Spark PageRank job.
 pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegistry) -> Job {
     let sm = SparkMethods::intern(reg);
-    let g = Kronecker::for_input(GraphInput::Google, cfg.graph_scale, cfg.graph_degree)
-        .generate(cfg.sub_seed(7));
+    let g = super::synth(|| {
+        Kronecker::for_input(GraphInput::Google, cfg.graph_scale, cfg.graph_degree)
+            .generate(cfg.sub_seed(7))
+    });
     spark_on_graph(cfg, machine, reg, &sm, &g)
 }
 
@@ -140,8 +142,10 @@ pub fn spark_on_graph(
 /// Builds the Hadoop PageRank job: one MapReduce per iteration (capped, as
 /// iterative MR jobs are expensive).
 pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegistry) -> Job {
-    let g = Kronecker::for_input(GraphInput::Google, cfg.graph_scale, cfg.graph_degree)
-        .generate(cfg.sub_seed(7));
+    let g = super::synth(|| {
+        Kronecker::for_input(GraphInput::Google, cfg.graph_scale, cfg.graph_degree)
+            .generate(cfg.sub_seed(7))
+    });
     hadoop_on_graph(cfg, machine, reg, &g)
 }
 

@@ -19,19 +19,25 @@ use simprof_engine::{ops, Job, MethodRegistry, OpClass, Stage, Task, WorkItem};
 use simprof_sim::{AccessPattern, Machine};
 
 use super::{
-    fnv1a, hdfs_write_item, mark_shuffle_fetch, overlap_stall, partition_ranges, spill_item,
+    hdfs_write_item, mark_shuffle_fetch, overlap_stall, partition_ranges, spill_item, synth,
+    word_hashes,
 };
 use crate::config::WorkloadConfig;
-use crate::synth::text::TextSynth;
+use crate::synth::text::{Corpus, TextSynth};
 
-fn corpus(cfg: &WorkloadConfig) -> Vec<String> {
-    TextSynth::new(6_000, 1.05, 8, cfg.sub_seed(0x5047)).lines(cfg.text_bytes * 3, cfg.sub_seed(4))
+fn corpus(cfg: &WorkloadConfig) -> Corpus {
+    synth(|| {
+        TextSynth::new(6_000, 1.05, 8, cfg.sub_seed(0x5047))
+            .corpus(cfg.text_bytes * 3, cfg.sub_seed(4))
+    })
 }
 
-/// Key of a record: hash of its first word (uniform-ish over u64, so range
-/// partitioning splits evenly).
-fn key_of(line: &str) -> u64 {
-    fnv1a(line.split_whitespace().next().unwrap_or(""))
+/// Key of every record: the FNV-1a hash of its first word (uniform-ish
+/// over u64, so range partitioning splits evenly), read from the
+/// per-vocabulary hash table.
+fn keys(corpus: &Corpus) -> Vec<u64> {
+    let hashes = word_hashes(corpus);
+    (0..corpus.len()).map(|i| hashes[usize::from(corpus.line(i)[0])]).collect()
 }
 
 /// Range boundaries from a deterministic sample of keys.
@@ -52,18 +58,17 @@ fn range_of(key: u64, bounds: &[u64]) -> usize {
 pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegistry) -> Job {
     let sm = SparkMethods::intern(reg);
     let key_fn = reg.intern("org.bigdatabench.sort.KeyExtractFn.apply", OpClass::Map);
-    let lines = corpus(cfg);
-    let all_keys: Vec<u64> = lines.iter().map(|l| key_of(l)).collect();
+    let corpus = corpus(cfg);
+    let all_keys = keys(&corpus);
     let bounds = boundaries(&all_keys, cfg.reducers);
-    let ranges = partition_ranges(lines.len(), cfg.partitions);
+    let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
     let mut reducer_keys: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
     let mut reducer_bytes: Vec<u64> = vec![0; cfg.reducers];
     let mut map_tasks = Vec::with_capacity(ranges.len());
     for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let slice = &lines[lo..hi];
         let seed = cfg.sub_seed(700 + p as u64);
-        let bytes: u64 = slice.iter().map(|l| l.len() as u64 + 1).sum();
+        let bytes = corpus.bytes(lo..hi);
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
         // Key extraction + routing: a streaming map pass with the lazy HDFS
@@ -86,11 +91,10 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
             vec![sm.shuffle_writer_write, sm.serialize_object],
             seed,
         ));
-        for (i, line) in slice.iter().enumerate() {
-            let k = all_keys[lo + i];
+        for (i, &k) in (lo..hi).zip(&all_keys[lo..hi]) {
             let r = range_of(k, &bounds);
             reducer_keys[r].push(k);
-            reducer_bytes[r] += line.len() as u64 + 1;
+            reducer_bytes[r] += corpus.line_len(i) as u64 + 1;
         }
         map_tasks.push(Task::new(sm.shuffle_map_base(), items));
     }
@@ -126,18 +130,17 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
 pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegistry) -> Job {
     let hm = HadoopMethods::intern(reg);
     let mapper = reg.intern("org.bigdatabench.sort.IdentityMapper.map", OpClass::Map);
-    let lines = corpus(cfg);
-    let all_keys: Vec<u64> = lines.iter().map(|l| key_of(l)).collect();
+    let corpus = corpus(cfg);
+    let all_keys = keys(&corpus);
     let bounds = boundaries(&all_keys, cfg.reducers);
-    let ranges = partition_ranges(lines.len(), cfg.partitions);
+    let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
     let mut runs_per_reducer: Vec<Vec<Vec<u64>>> = vec![Vec::new(); cfg.reducers];
     let mut reducer_bytes: Vec<u64> = vec![0; cfg.reducers];
     let mut map_tasks = Vec::with_capacity(ranges.len());
     for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let slice = &lines[lo..hi];
         let seed = cfg.sub_seed(900 + p as u64);
-        let bytes: u64 = slice.iter().map(|l| l.len() as u64 + 1).sum();
+        let bytes = corpus.bytes(lo..hi);
         let mut items = Vec::new();
         let in_region = machine.alloc(bytes.max(64));
         // Identity map: cheap record passthrough, reads overlapped.
@@ -161,11 +164,10 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
             seed,
         ));
         let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
-        for (i, line) in slice.iter().enumerate() {
-            let k = all_keys[lo + i];
+        for (i, &k) in (lo..hi).zip(&all_keys[lo..hi]) {
             let r = range_of(k, &bounds);
             per_r[r].push(k);
-            reducer_bytes[r] += line.len() as u64 + 1;
+            reducer_bytes[r] += corpus.line_len(i) as u64 + 1;
         }
         for (r, mut run) in per_r.into_iter().enumerate() {
             run.sort_unstable();
@@ -219,14 +221,14 @@ mod tests {
     #[test]
     fn range_partitioning_preserves_all_records() {
         let cfg = WorkloadConfig::tiny(43);
-        let lines = corpus(&cfg);
-        let keys: Vec<u64> = lines.iter().map(|l| key_of(l)).collect();
+        let corpus = corpus(&cfg);
+        let keys = keys(&corpus);
         let bounds = boundaries(&keys, cfg.reducers);
         let mut counts = vec![0usize; cfg.reducers];
         for &k in &keys {
             counts[range_of(k, &bounds)] += 1;
         }
-        assert_eq!(counts.iter().sum::<usize>(), lines.len());
+        assert_eq!(counts.iter().sum::<usize>(), corpus.len());
         // Keys routed to reducer r are all below reducer r+1's keys.
         let mut maxima = vec![0u64; cfg.reducers];
         let mut minima = vec![u64::MAX; cfg.reducers];

@@ -16,16 +16,16 @@
 //! merge, sum, and HDFS write.
 
 use simprof_engine::hadoop::HadoopMethods;
-use simprof_engine::ops::FxHashMap;
 use simprof_engine::spark::SparkMethods;
-use simprof_engine::{ops, Job, MethodRegistry, OpClass, Stage, Task, WorkItem};
-use simprof_sim::{AccessPattern, Machine};
+use simprof_engine::{ops, Job, MethodId, MethodRegistry, OpClass, Stage, Task, WorkItem};
+use simprof_sim::{AccessPattern, Machine, Region};
 
 use super::{
-    fnv1a, hdfs_write_item, mark_shuffle_fetch, overlap_stall, partition_ranges, route, spill_item,
+    hdfs_write_item, mark_shuffle_fetch, overlap_stall, partition_ranges, route, spill_item, synth,
+    word_hashes,
 };
 use crate::config::WorkloadConfig;
-use crate::synth::text::TextSynth;
+use crate::synth::text::{Corpus, TextSynth};
 
 /// Vocabulary size for the WordCount corpus.
 const VOCAB: usize = 4_000;
@@ -34,8 +34,24 @@ const ENTRY_BYTES: u64 = 56;
 /// Records per hash-combine batch.
 const BATCH: usize = 4_096;
 
-fn corpus(cfg: &WorkloadConfig) -> Vec<String> {
-    TextSynth::new(VOCAB, 1.0, 10, cfg.sub_seed(0x77C)).lines(cfg.text_bytes, cfg.sub_seed(2))
+fn corpus(cfg: &WorkloadConfig) -> Corpus {
+    synth(|| {
+        TextSynth::new(VOCAB, 1.0, 10, cfg.sub_seed(0x77C)).corpus(cfg.text_bytes, cfg.sub_seed(2))
+    })
+}
+
+/// Tokenizes lines `lo..hi`: their word ids, and the cost item of scanning
+/// their text (newlines excluded) into those tokens.
+fn tokenize(
+    corpus: &Corpus,
+    (lo, hi): (usize, usize),
+    path: Vec<MethodId>,
+    in_region: Region,
+    seed: u64,
+) -> (&[u16], WorkItem) {
+    let tokens = corpus.lines(lo..hi);
+    let text = corpus.bytes(lo..hi) - (hi - lo) as u64;
+    (tokens, ops::tokenize_item(text, tokens.len() as u64, path, in_region, seed))
 }
 
 /// The fused map-side-combine kernel of Spark WordCount (§IV-F, Fig. 14).
@@ -46,38 +62,41 @@ fn corpus(cfg: &WorkloadConfig) -> Vec<String> {
 /// fusion makes the phase's performance "fairly stable" — the probe ramp is
 /// diluted by the constant-cost scan work sharing every sampling unit.
 ///
-/// Returns the real combined counts (sorted) and the interleaved item trace.
+/// Returns the real combined counts of lines `lo..hi` (sorted by word id,
+/// which is word order) and the interleaved item trace.
+#[allow(clippy::too_many_arguments)]
 fn fused_scan_combine(
-    lines: &[String],
-    in_region: simprof_sim::Region,
+    corpus: &Corpus,
+    (lo, hi): (usize, usize),
+    in_region: Region,
     read_stall: u64,
     machine: &mut Machine,
     sm: &SparkMethods,
     leaves: &FusedLeaves,
     seed: u64,
-) -> (Vec<(String, i64)>, Vec<WorkItem>) {
+) -> (Vec<(u16, i64)>, Vec<WorkItem>) {
     use simprof_engine::ops::costs;
     const CHUNK_LINES: usize = 16;
 
-    // Real incremental aggregation, with per-chunk checkpoints. Keys borrow
-    // from the corpus; a `String` is made once per distinct word at the end.
-    let mut map: FxHashMap<&str, i64> = FxHashMap::default();
+    // Real incremental aggregation into a dense per-id count array, with
+    // per-chunk checkpoints; a word is new to the map when its count is 0.
+    let mut counts = vec![0i64; corpus.vocabulary().len()];
+    let mut distinct = 0u64;
     // (bytes, tokens, distinct-after-chunk)
     let mut checkpoints: Vec<(u64, u64, u64)> = Vec::new();
-    for chunk in lines.chunks(CHUNK_LINES) {
-        let bytes: u64 = chunk.iter().map(|l| l.len() as u64 + 1).sum();
-        let mut tokens = 0u64;
-        for line in chunk {
-            for w in line.split_whitespace() {
-                tokens += 1;
-                *map.entry(w).or_insert(0) += 1;
-            }
+    for start in (lo..hi).step_by(CHUNK_LINES) {
+        let chunk = start..(start + CHUNK_LINES).min(hi);
+        let tokens = corpus.lines(chunk.clone());
+        for &id in tokens {
+            let count = &mut counts[usize::from(id)];
+            distinct += u64::from(*count == 0);
+            *count += 1;
         }
-        checkpoints.push((bytes, tokens, map.len() as u64));
+        checkpoints.push((corpus.bytes(chunk), tokens.len() as u64, distinct));
     }
 
-    let total_bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
-    let map_region = machine.alloc((map.len() as u64 * ENTRY_BYTES).max(64));
+    let total_bytes = corpus.bytes(lo..hi);
+    let map_region = machine.alloc((distinct * ENTRY_BYTES).max(64));
     let mut items = Vec::with_capacity(checkpoints.len() * 2);
     for (i, &(bytes, tokens, distinct)) in checkpoints.iter().enumerate() {
         // Scan chunk: record-reader + tokenizer pulled by the combiner. The
@@ -111,9 +130,8 @@ fn fused_scan_combine(
             seed.wrapping_add(2 * i as u64 + 1),
         ));
     }
-    let mut combined: Vec<(&str, i64)> = map.into_iter().collect();
-    combined.sort_unstable();
-    (combined.into_iter().map(|(w, c)| (w.to_owned(), c)).collect(), items)
+    let combined = (0..=u16::MAX).zip(counts).filter(|&(_, c)| c > 0).collect();
+    (combined, items)
 }
 
 /// Leaf frames observed below the fused combine operation.
@@ -154,8 +172,8 @@ impl FusedLeaves {
 
 /// Builds the Spark WordCount job on the default corpus.
 pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegistry) -> Job {
-    let lines = corpus(cfg);
-    spark_with_corpus(cfg, machine, reg, &lines)
+    let corpus = corpus(cfg);
+    spark_with_corpus(cfg, machine, reg, &corpus)
 }
 
 /// Builds the Spark WordCount job on an explicit corpus — the entry point of
@@ -164,27 +182,28 @@ pub fn spark_with_corpus(
     cfg: &WorkloadConfig,
     machine: &mut Machine,
     reg: &mut MethodRegistry,
-    lines: &[String],
+    corpus: &Corpus,
 ) -> Job {
     let sm = SparkMethods::intern(reg);
     let tokenize_fn = reg.intern("org.bigdatabench.wc.TokenizeFn.apply", OpClass::Map);
     let sum_fn = reg.intern("org.bigdatabench.wc.SumFn.apply", OpClass::Reduce);
     let leaves = FusedLeaves::intern(reg, tokenize_fn);
-    let ranges = partition_ranges(lines.len(), cfg.partitions);
+    let hashes = word_hashes(corpus);
+    let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
-    let mut reducer_inputs: Vec<Vec<(String, i64)>> = vec![Vec::new(); cfg.reducers];
+    let mut reducer_inputs: Vec<Vec<(u16, i64)>> = vec![Vec::new(); cfg.reducers];
     let mut map_tasks = Vec::with_capacity(ranges.len());
-    for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let slice = &lines[lo..hi];
+    for (p, &range) in ranges.iter().enumerate() {
         let seed = cfg.sub_seed(100 + p as u64);
-        let bytes: u64 = slice.iter().map(|l| l.len() as u64 + 1).sum();
+        let bytes = corpus.bytes(range.0..range.1);
         let mut items = Vec::new();
 
         // The fused map-side combine (read + tokenize + probe interleaved,
         // read stalls overlapped record by record — Fig. 14's structure).
         let in_region = machine.alloc(bytes.max(64));
         let (combined, fused_items) = fused_scan_combine(
-            slice,
+            corpus,
+            range,
             in_region,
             cfg.hdfs.read_stall(bytes),
             machine,
@@ -203,8 +222,7 @@ pub fn spark_with_corpus(
             seed,
         ));
         for (w, c) in combined {
-            let r = route(&w, cfg.reducers);
-            reducer_inputs[r].push((w, c));
+            reducer_inputs[route(hashes[usize::from(w)], cfg.reducers)].push((w, c));
         }
         map_tasks.push(Task::new(sm.shuffle_map_base(), items));
     }
@@ -242,32 +260,32 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     let hm = HadoopMethods::intern(reg);
     let mapper = reg.intern("org.bigdatabench.wc.TokenizerMapper.map", OpClass::Map);
     let reducer_m = reg.intern("org.bigdatabench.wc.IntSumReducer.reduce", OpClass::Reduce);
-    let lines = corpus(cfg);
-    let ranges = partition_ranges(lines.len(), cfg.partitions);
+    let corpus = corpus(cfg);
+    let hashes = word_hashes(&corpus);
+    let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
     // Per reducer: one sorted run of key hashes per mapper, plus the real
     // (word, count) pairs for the reduce computation.
     let mut runs_per_reducer: Vec<Vec<Vec<u64>>> = vec![Vec::new(); cfg.reducers];
-    let mut pairs_per_reducer: Vec<Vec<(&str, i64)>> = vec![Vec::new(); cfg.reducers];
+    let mut pairs_per_reducer: Vec<Vec<(u16, i64)>> = vec![Vec::new(); cfg.reducers];
 
     let mut map_tasks = Vec::with_capacity(ranges.len());
-    for (p, &(lo, hi)) in ranges.iter().enumerate() {
-        let slice = &lines[lo..hi];
+    for (p, &range) in ranges.iter().enumerate() {
         let seed = cfg.sub_seed(300 + p as u64);
-        let bytes: u64 = slice.iter().map(|l| l.len() as u64 + 1).sum();
+        let bytes = corpus.bytes(range.0..range.1);
         let mut items = Vec::new();
 
         // The record reader feeds the mapper lazily: HDFS read stalls are
         // overlapped with tokenization rather than forming a prefix phase.
         let in_region = machine.alloc(bytes.max(64));
         let (tokens, tok_item) =
-            ops::tokenize(slice, vec![mapper, hm.map_output_buffer_collect], in_region, seed);
+            tokenize(&corpus, range, vec![mapper, hm.map_output_buffer_collect], in_region, seed);
         items.push(tok_item.with_io_stall(cfg.hdfs.read_stall(bytes)));
 
         // sortAndSpill: the real bounded-buffer pipeline — one quicksort +
         // spill per buffer fill, plus a map-side merge when the mapper
         // overflowed its buffer more than once.
-        let key_hashes: Vec<u64> = tokens.iter().map(|t| fnv1a(t)).collect();
+        let key_hashes: Vec<u64> = tokens.iter().map(|&t| hashes[usize::from(t)]).collect();
         items.extend(super::map_side_sort_spill(
             key_hashes,
             &cfg.hdfs,
@@ -306,8 +324,9 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         // run per reducer.
         let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
         for (w, c) in combined {
-            let r = route(w, cfg.reducers);
-            per_r[r].push(fnv1a(w));
+            let h = hashes[usize::from(w)];
+            let r = route(h, cfg.reducers);
+            per_r[r].push(h);
             pairs_per_reducer[r].push((w, c));
         }
         for (r, mut run) in per_r.into_iter().enumerate() {
@@ -331,10 +350,12 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         items.extend(merge_items);
 
         // The real reduce: sum counts per word (sequential over sorted runs).
-        let pairs = std::mem::take(&mut pairs_per_reducer[r]);
-        let mut sums: FxHashMap<&str, i64> = FxHashMap::default();
-        for (w, c) in pairs {
-            *sums.entry(w).or_insert(0) += c;
+        let mut sums = vec![0i64; corpus.vocabulary().len()];
+        let mut distinct = 0u64;
+        for (w, c) in std::mem::take(&mut pairs_per_reducer[r]) {
+            let sum = &mut sums[usize::from(w)];
+            distinct += u64::from(*sum == 0);
+            *sum += c;
         }
         let reduce_instrs = total_keys as u64 * 14;
         items.push(WorkItem::compute(
@@ -346,7 +367,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
             seed,
         ));
 
-        let out = sums.len() as u64 * 14;
+        let out = distinct * 14;
         items.push(hdfs_write_item(&cfg.hdfs, machine, out, vec![hm.dfs_write], seed));
         reduce_tasks.push(Task::new(hm.reduce_base(), items));
     }
@@ -395,28 +416,42 @@ mod tests {
     #[test]
     fn fused_combine_counts_match_naive_recount() {
         let cfg = WorkloadConfig::tiny(41);
-        let lines = corpus(&cfg);
+        let corpus = corpus(&cfg);
         let mut m = Machine::new(MachineConfig::scaled(1));
         let mut reg = MethodRegistry::new();
         let sm = SparkMethods::intern(&mut reg);
         let tok = reg.intern("t", OpClass::Map);
         let leaves = FusedLeaves::intern(&mut reg, tok);
         let region = m.alloc(1024);
-        let (combined, items) = fused_scan_combine(&lines, region, 0, &mut m, &sm, &leaves, 1);
-        // Independent recount.
+        let lines = (0, corpus.len());
+        let (combined, items) =
+            fused_scan_combine(&corpus, lines, region, 0, &mut m, &sm, &leaves, 1);
+        // Independent recount over the rendered text.
+        let text: Vec<String> = (0..corpus.len()).map(|i| corpus.render(i)).collect();
         let mut naive: std::collections::HashMap<&str, i64> = Default::default();
-        for l in &lines {
+        for l in &text {
             for w in l.split_whitespace() {
                 *naive.entry(w).or_insert(0) += 1;
             }
         }
         assert_eq!(combined.len(), naive.len());
-        for (w, c) in &combined {
-            assert_eq!(naive[w.as_str()], *c, "count for {w}");
+        for &(w, c) in &combined {
+            assert_eq!(naive[corpus.word(w)], c, "count for {}", corpus.word(w));
         }
-        // Sorted output, alternating scan/probe items.
-        assert!(combined.windows(2).all(|w| w[0].0 < w[1].0));
+        // Sorted by word, alternating scan/probe items.
+        assert!(combined.windows(2).all(|w| corpus.word(w[0].0) < corpus.word(w[1].0)));
         assert!(items.len() >= 4 && items.len() % 2 == 0);
+    }
+
+    #[test]
+    fn tokenize_counts_real_tokens() {
+        let corpus = Corpus::from_lines(&["the quick brown", "fox jumps over"]);
+        let (tokens, item) = tokenize(&corpus, (0, 2), vec![], Region::new(0x10_000, 1024), 1);
+        let words: Vec<&str> = tokens.iter().map(|&id| corpus.word(id)).collect();
+        assert_eq!(words, ["the", "quick", "brown", "fox", "jumps", "over"]);
+        let bytes = 15 + 14;
+        assert_eq!(item.instrs, bytes * ops::costs::TOKENIZE_PER_BYTE + 6 * ops::costs::TOKEN_EMIT);
+        assert_eq!(item.pattern, AccessPattern::Sequential);
     }
 
     #[test]

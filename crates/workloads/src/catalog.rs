@@ -16,6 +16,7 @@ use simprof_sim::Machine;
 use crate::benchmarks::{bayes, cc, grep, pagerank, sort, wordcount};
 use crate::config::WorkloadConfig;
 use crate::synth::kronecker::SynthGraph;
+use crate::synth::text::Corpus;
 
 /// The six BigDataBench benchmarks the paper evaluates (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -139,7 +140,7 @@ impl Benchmark {
     /// # Panics
     ///
     /// Panics for benchmarks other than WordCount.
-    pub fn run_spark_on_text(self, cfg: &WorkloadConfig, lines: &[String]) -> RunOutput {
+    pub fn run_spark_on_text(self, cfg: &WorkloadConfig, corpus: &Corpus) -> RunOutput {
         assert!(
             self == Benchmark::WordCount,
             "text-input sensitivity is implemented for WordCount"
@@ -147,7 +148,7 @@ impl Benchmark {
         let mut machine = Machine::new(cfg.machine);
         let mut registry = MethodRegistry::new();
         let job =
-            traced_build(|| wordcount::spark_with_corpus(cfg, &mut machine, &mut registry, lines));
+            traced_build(|| wordcount::spark_with_corpus(cfg, &mut machine, &mut registry, corpus));
         let trace = profile_job(&job, cfg, &mut machine, &mut registry);
         RunOutput {
             trace,

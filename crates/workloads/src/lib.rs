@@ -25,4 +25,4 @@ pub mod synth;
 pub use catalog::{Benchmark, Framework, RunOutput, WorkloadId};
 pub use config::WorkloadConfig;
 pub use synth::kronecker::{GraphInput, Kronecker, SynthGraph};
-pub use synth::text::{LabeledCorpus, TextInput, TextSynth};
+pub use synth::text::{Corpus, LabeledCorpus, TextInput, TextSynth};

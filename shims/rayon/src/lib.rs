@@ -140,6 +140,8 @@ struct PoolState {
     active: usize,
     closed: bool,
     spawned: usize,
+    /// Id of the last context whose region every offered worker joined.
+    joined: Option<u64>,
 }
 
 struct Pool {
@@ -167,6 +169,7 @@ fn pool() -> &'static Pool {
             active: 0,
             closed: true,
             spawned: 0,
+            joined: None,
         }),
         work_cv: Condvar::new(),
         done_cv: Condvar::new(),
@@ -193,6 +196,10 @@ fn worker_main() {
         let ctx = st.ctx.clone();
         st.open_slots -= 1;
         st.active += 1;
+        if st.open_slots == 0 {
+            // A submitter may be waiting for the last claim.
+            pool.done_cv.notify_all();
+        }
         drop(st);
         {
             // Record under the submitting job's context (if it has one) so
@@ -249,8 +256,20 @@ fn pool_run(extra: usize, work: &(dyn Fn() + Sync)) {
 
     // Close the job (late wakers may no longer claim it) and wait out the
     // workers that did claim it — after this, no reference to `work`'s
-    // stack frame survives.
+    // stack frame survives. The first region under each observability
+    // context also stays open until every offered slot is claimed, so
+    // every worker joins — and records a `parallel.worker` span in — at
+    // least one region of each observed run, however late it woke, instead
+    // of only when it happened to wake before the submitter drained a
+    // region's chunks. Later regions under the same context pay no wait.
     let mut st = pool.state.lock().expect("pool lock");
+    let ctx = st.ctx.as_ref().map(simprof_obs::ObsContext::id);
+    if ctx.is_some() && ctx != st.joined {
+        while st.open_slots > 0 {
+            st = pool.done_cv.wait(st).expect("pool lock");
+        }
+        st.joined = ctx;
+    }
     st.closed = true;
     st.job = None;
     st.ctx = None;
@@ -460,6 +479,35 @@ mod tests {
         let r = f();
         set_threads(0);
         r
+    }
+
+    #[test]
+    fn every_worker_joins_an_observed_run() {
+        // A region far too small for a parked worker to wake before the
+        // submitter drains it: each observed run still records a
+        // `parallel.worker` span on every offered worker's thread.
+        fn worker_threads(nodes: &[simprof_obs::SpanNode], out: &mut Vec<usize>) {
+            for n in nodes {
+                if n.name == "parallel.worker" && !out.contains(&n.thread) {
+                    out.push(n.thread);
+                }
+                worker_threads(&n.children, out);
+            }
+        }
+        for _ in 0..3 {
+            let report = with_threads(3, || {
+                let ctx = simprof_obs::ObsContext::new();
+                let installed = ctx.install();
+                let v: Vec<u32> = (0..8u32).into_par_iter().map(|x| x + 1).collect();
+                assert_eq!(v, (1..9).collect::<Vec<_>>());
+                let report = ctx.finish_report();
+                drop(installed);
+                report
+            });
+            let mut threads = Vec::new();
+            worker_threads(&report.spans, &mut threads);
+            assert_eq!(threads.len(), 2, "both offered workers appear: {threads:?}");
+        }
     }
 
     #[test]
