@@ -1,5 +1,6 @@
 //! Perf-regression gate: compare a fresh `bench_pipeline` record against
-//! the canonical record committed in-repo.
+//! the canonical record committed in-repo. Both sides are read as the
+//! typed records of `simprof_bench::records`.
 //!
 //! ```text
 //! perf_gate --canonical canonical/BENCH_pipeline.json --fresh BENCH_pipeline.json \
@@ -25,6 +26,8 @@
 //! results is a bug, not a win.
 
 use std::process::ExitCode;
+
+use simprof_bench::records::{load_record, PipelinePhases, PipelineRecord, TraceStreamRecord};
 
 /// Canonical phases shorter than this are too noisy to gate.
 const MIN_PHASE_SECS: f64 = 0.02;
@@ -70,38 +73,10 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn load(path: &str) -> Result<serde_json::Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))
-}
-
-/// Looks up a dotted path (`"phases.cluster_secs"`) as f64.
-fn num(v: &serde_json::Value, path: &str) -> Result<f64, String> {
-    let mut cur = v;
-    for seg in path.split('.') {
-        cur = cur.get(seg).ok_or(format!("missing field `{path}`"))?;
-    }
-    cur.as_f64().ok_or(format!("field `{path}` is not a number"))
-}
-
-fn flag_true(v: &serde_json::Value, path: &str) -> Result<bool, String> {
-    let mut cur = v;
-    for seg in path.split('.') {
-        cur = cur.get(seg).ok_or(format!("missing field `{path}`"))?;
-    }
-    Ok(matches!(cur, serde_json::Value::Bool(true)))
-}
-
 /// The records must describe the same experiment, else ratios are apples
-/// to oranges.
-fn check_config_match(
-    canon: &serde_json::Value,
-    fresh: &serde_json::Value,
-    fields: &[&str],
-) -> Result<(), String> {
-    for f in fields {
-        let c = num(canon, f)?;
-        let n = num(fresh, f)?;
+/// to oranges. Each entry is `(field, canonical, fresh)`.
+fn check_config_match(fields: &[(&str, u64, u64)]) -> Result<(), String> {
+    for &(f, c, n) in fields {
         if c != n {
             return Err(format!("config mismatch on `{f}`: canonical {c} vs fresh {n}"));
         }
@@ -141,37 +116,53 @@ fn gate_phase(
 }
 
 fn check_pipeline(args: &Args) -> Result<Vec<String>, String> {
-    let canon = load(&args.canonical)?;
-    let fresh = load(&args.fresh)?;
-    check_config_match(&canon, &fresh, &["units", "features", "k_max", "seed", "threads"])?;
+    let canon: PipelineRecord = load_record(&args.canonical)?;
+    let fresh: PipelineRecord = load_record(&args.fresh)?;
+    check_config_match(&[
+        ("units", canon.units as u64, fresh.units as u64),
+        ("features", canon.features as u64, fresh.features as u64),
+        ("k_max", canon.k_max as u64, fresh.k_max as u64),
+        ("seed", canon.seed, fresh.seed),
+        ("threads", canon.threads as u64, fresh.threads as u64),
+    ])?;
 
     let mut failures = Vec::new();
 
     // Correctness first: identity flags and the chosen k are absolute.
-    for flag in ["simulate.trace_bytes_identical_1_vs_n", "cluster.assignments_identical_1_vs_n"] {
-        if !flag_true(&fresh, flag)? {
+    for (flag, ok) in [
+        ("simulate.trace_bytes_identical_1_vs_n", fresh.simulate.trace_bytes_identical_1_vs_n),
+        ("cluster.assignments_identical_1_vs_n", fresh.cluster.assignments_identical_1_vs_n),
+    ] {
+        if !ok {
             failures.push(format!("fresh record has `{flag}` = false"));
         }
     }
-    let canon_k = num(&canon, "chosen_k_optimized")?;
-    let fresh_k = num(&fresh, "chosen_k_optimized")?;
+    let (canon_k, fresh_k) = (canon.chosen_k_optimized, fresh.chosen_k_optimized);
     if canon_k != fresh_k {
         failures.push(format!("chosen k drifted: canonical {canon_k} vs fresh {fresh_k}"));
     }
 
-    let canon_base = num(&canon, "baseline_sweep_secs")?;
-    let fresh_base = num(&fresh, "baseline_sweep_secs")?;
+    let (canon_base, fresh_base) = (canon.baseline_sweep_secs, fresh.baseline_sweep_secs);
     if canon_base <= 0.0 || fresh_base <= 0.0 {
         return Err("baseline_sweep_secs must be positive in both records".into());
     }
 
     println!("pipeline phases (normalized to each run's own naive baseline):");
-    for phase in ["synthesize_secs", "simulate_secs", "cluster_secs", "sampling_secs"] {
-        let path = format!("phases.{phase}");
+    let phases = |p: &PipelinePhases| {
+        [
+            ("synthesize_secs", p.synthesize_secs),
+            ("simulate_secs", p.simulate_secs),
+            ("cluster_secs", p.cluster_secs),
+            ("sampling_secs", p.sampling_secs),
+        ]
+    };
+    for ((phase, canon_secs), (_, fresh_secs)) in
+        phases(&canon.phases).into_iter().zip(phases(&fresh.phases))
+    {
         failures.extend(gate_phase(
             phase,
-            num(&canon, &path)?,
-            num(&fresh, &path)?,
+            canon_secs,
+            fresh_secs,
             canon_base,
             fresh_base,
             args.max_regress,
@@ -180,8 +171,7 @@ fn check_pipeline(args: &Args) -> Result<Vec<String>, String> {
 
     // End-to-end speedup is already self-normalized (baseline and optimized
     // sweep run back to back on the same machine), so gate it directly.
-    let canon_speedup = num(&canon, "speedup")?;
-    let fresh_speedup = num(&fresh, "speedup")?;
+    let (canon_speedup, fresh_speedup) = (canon.speedup, fresh.speedup);
     println!(
         "  speedup          canonical {canon_speedup:>7.2}×          fresh {fresh_speedup:>7.2}×"
     );
@@ -200,16 +190,22 @@ fn check_trace_stream(
     fresh_path: &str,
     max_regress: f64,
 ) -> Result<Vec<String>, String> {
-    let canon = load(canonical)?;
-    let fresh = load(fresh_path)?;
-    check_config_match(
-        &canon,
-        &fresh,
-        &["units", "hist_entries_per_unit", "method_universe", "chunk_units", "seed"],
-    )?;
+    let canon: TraceStreamRecord = load_record(canonical)?;
+    let fresh: TraceStreamRecord = load_record(fresh_path)?;
+    check_config_match(&[
+        ("units", canon.units as u64, fresh.units as u64),
+        (
+            "hist_entries_per_unit",
+            canon.hist_entries_per_unit as u64,
+            fresh.hist_entries_per_unit as u64,
+        ),
+        ("method_universe", canon.method_universe as u64, fresh.method_universe as u64),
+        ("chunk_units", canon.chunk_units as u64, fresh.chunk_units as u64),
+        ("seed", canon.seed, fresh.seed),
+    ])?;
 
     let mut failures = Vec::new();
-    if !flag_true(&fresh, "bit_identical")? {
+    if !fresh.bit_identical {
         failures.push("fresh trace-stream record has `bit_identical` = false".into());
     }
 
@@ -218,14 +214,14 @@ fn check_trace_stream(
     println!("trace-stream (normalized to each run's own batch path):");
     failures.extend(gate_phase(
         "streamed_secs",
-        num(&canon, "streamed_secs")?,
-        num(&fresh, "streamed_secs")?,
-        num(&canon, "batch_secs")?,
-        num(&fresh, "batch_secs")?,
+        canon.streamed_secs,
+        fresh.streamed_secs,
+        canon.batch_secs,
+        fresh.batch_secs,
         max_regress,
     ));
-    let canon_mem = num(&canon, "stream_to_batch_peak_ratio")?;
-    let fresh_mem = num(&fresh, "stream_to_batch_peak_ratio")?;
+    let (canon_mem, fresh_mem) =
+        (canon.stream_to_batch_peak_ratio, fresh.stream_to_batch_peak_ratio);
     println!("  peak-heap ratio  canonical {canon_mem:>7.3}          fresh {fresh_mem:>7.3}");
     if fresh_mem > canon_mem * (1.0 + max_regress) {
         failures.push(format!(

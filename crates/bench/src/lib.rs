@@ -4,11 +4,13 @@
 //! the [`figures`] module computes each one as plain data (so the
 //! computations are unit-testable), the `src/bin/figNN_*` binaries print
 //! them, `src/bin/all_figures` runs the whole evaluation and emits the
-//! paper-vs-measured record for `EXPERIMENTS.md`, and `benches/` holds the
-//! Criterion micro/ablation benchmarks.
+//! paper-vs-measured record for `EXPERIMENTS.md`, `benches/` holds the
+//! Criterion micro/ablation benchmarks, and [`records`] types the JSON
+//! records `bench_pipeline` writes and `perf_gate` gates.
 
 pub mod figures;
 pub mod harness;
+pub mod records;
 pub mod report;
 pub mod svg;
 

@@ -1191,29 +1191,56 @@ mod tests {
 
     #[test]
     fn transient_write_errors_are_retried_to_success() {
-        let plan = ChaosPlan { write_error_ppm: 250_000, ..ChaosPlan::none(11) };
-        let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
-        let mut w = TraceWriter::from_writer(chaos, "<chaos>", &meta(), Codec::Raw)
-            .unwrap()
-            .with_chunk_units(2)
-            .with_retry(RetryPolicy { max_retries: 8, backoff_ms: 0 });
-        for id in 0..10 {
-            w.push(&unit(id));
+        // A 25 % write-error rate, then a storm of 15 % write errors, 20 %
+        // short writes and 15 % flush errors. A short write followed by an
+        // error leaves a partial frame behind; the retry must overwrite it
+        // from the frame's start, so the surviving bytes are exactly the
+        // fault-free bytes. The storm's seed makes the one flush `finish`
+        // issues fail too.
+        let errors = ChaosPlan { write_error_ppm: 250_000, ..ChaosPlan::none(11) };
+        let storm = ChaosPlan {
+            write_error_ppm: 150_000,
+            short_write_ppm: 200_000,
+            flush_error_ppm: 150_000,
+            ..ChaosPlan::none(12)
+        };
+        for (plan, max_retries, units) in [(errors, 8, 10), (storm, 6, 60)] {
+            let mut clean = TraceWriter::in_memory(&meta()).unwrap().with_chunk_units(2);
+            for id in 0..units {
+                clean.push(&unit(id));
+            }
+            clean.finish(&MethodRegistry::new()).unwrap();
+            let clean = clean.into_bytes();
+
+            let chaos = ChaosWriter::new(Cursor::new(Vec::new()), plan);
+            let mut w = TraceWriter::from_writer(chaos, "<chaos>", &meta(), Codec::Raw)
+                .unwrap()
+                .with_chunk_units(2)
+                .with_retry(RetryPolicy { max_retries, backoff_ms: 0 });
+            for id in 0..units {
+                w.push(&unit(id));
+            }
+            let footer = w.finish(&MethodRegistry::new()).unwrap();
+            assert_eq!(footer.unit_count, units);
+            assert!(w.retries() > 0, "chaos at {plan:?} should have forced retries");
+            assert!(!w.degraded());
+            assert!(w.error().is_none());
+            let chaos = w.into_writer();
+            let counts = chaos.counts();
+            if plan == storm {
+                assert!(counts.short_writes > 0 && counts.flush_errors > 0, "{counts:?}");
+            }
+            let bytes = chaos.into_inner().into_inner();
+            assert!(bytes == clean, "retried write diverged from the fault-free bytes");
+            // The surviving bytes are a perfectly valid trace.
+            let mut r = TraceReader::from_reader(Cursor::new(bytes), "<chaos>").unwrap();
+            assert_eq!(r.footer().unwrap().unit_count, units);
+            let mut n = 0;
+            while r.next_unit().unwrap().is_some() {
+                n += 1;
+            }
+            assert_eq!(n, units);
         }
-        let footer = w.finish(&MethodRegistry::new()).unwrap();
-        assert_eq!(footer.unit_count, 10);
-        assert!(w.retries() > 0, "chaos at 25% per op should have forced retries");
-        assert!(!w.degraded());
-        assert!(w.error().is_none());
-        // The surviving bytes are a perfectly valid trace.
-        let bytes = w.into_writer().into_inner().into_inner();
-        let mut r = TraceReader::from_reader(Cursor::new(bytes), "<chaos>").unwrap();
-        assert_eq!(r.footer().unwrap().unit_count, 10);
-        let mut n = 0;
-        while r.next_unit().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 10);
     }
 
     #[test]

@@ -69,6 +69,34 @@ fn reseal_codec(layout: Layout) -> Codec {
     }
 }
 
+/// `trace-repair`'s rewrite: re-seals a salvage under the layout's codec
+/// and streams it back, asserting the re-sealed file is clean and its
+/// footer and streamed units are exactly what salvage recovered.
+fn assert_reseal_round_trips(layout: Layout, s: &Salvage) {
+    let mut w = TraceWriter::from_writer(
+        Cursor::new(Vec::new()),
+        "<repaired>",
+        &s.meta,
+        reseal_codec(layout),
+    )
+    .unwrap();
+    for u in &s.units {
+        w.push(u);
+    }
+    let sealed = w.finish(&s.footer.registry).unwrap();
+    prop_assert_eq!(sealed.unit_count, s.report.recovered_units);
+    let bytes = w.into_bytes();
+    prop_assert!(salvage_bytes(&bytes, "<repaired>").unwrap().report.clean);
+    let mut r = TraceReader::from_reader(Cursor::new(bytes), "<repaired>").unwrap();
+    let footer = r.footer().unwrap();
+    prop_assert_eq!(footer.unit_count, s.units.len() as u64);
+    let mut back = Vec::new();
+    while let Some(u) = r.next_unit().unwrap() {
+        back.push(u.clone());
+    }
+    prop_assert_eq!(&back, &s.units, "{}", layout.name());
+}
+
 /// The units salvage must recover when every chunk frame whose byte
 /// range satisfies `intact` survives and every other chunk is lost.
 /// Chunks hold `chunk` units each (tail chunk partial), in id order.
@@ -143,8 +171,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any single-byte bit flip, on every layout: streaming yields an
-    /// honest prefix, and salvage recovers exactly the chunks the flip did
-    /// not touch. On v3 the CRC over the *stored* bytes rejects a flipped
+    /// honest prefix, salvage recovers exactly the chunks the flip did
+    /// not touch, and the salvage re-seals into a trace that round-trips
+    /// bit-identically. On v3 the CRC over the *stored* bytes rejects a flipped
     /// frame before the decompressor sees it. v1 has no CRC, so a flipped
     /// chunk that still parses may come back altered; every other chunk
     /// must still come back exactly.
@@ -198,6 +227,7 @@ proptest! {
             if has_crc(layout) {
                 prop_assert!(!s.report.clean, "a flipped byte can never leave the file clean");
             }
+            assert_reseal_round_trips(layout, &s);
         }
     }
 
@@ -231,28 +261,7 @@ proptest! {
             prop_assert_eq!(s.report.clean, t == bytes.len());
             prop_assert_eq!(s.report.file_bytes, t as u64);
 
-            // trace-repair's rewrite: re-seal the salvage and stream it back.
-            let mut w = TraceWriter::from_writer(
-                Cursor::new(Vec::new()),
-                "<repaired>",
-                &s.meta,
-                reseal_codec(layout),
-            )
-            .unwrap();
-            for u in &s.units {
-                w.push(u);
-            }
-            let sealed = w.finish(&s.footer.registry).unwrap();
-            prop_assert_eq!(sealed.unit_count, s.report.recovered_units);
-            let mut r = TraceReader::from_reader(Cursor::new(w.into_bytes()), "<repaired>")
-                .unwrap();
-            let footer = r.footer().unwrap();
-            prop_assert_eq!(footer.unit_count, s.units.len() as u64);
-            let mut back = Vec::new();
-            while let Some(u) = r.next_unit().unwrap() {
-                back.push(u.clone());
-            }
-            prop_assert_eq!(back, s.units);
+            assert_reseal_round_trips(layout, &s);
         }
     }
 }

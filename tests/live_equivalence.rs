@@ -24,6 +24,7 @@ use simprof::core::{LiveAnalyzer, LiveConfig, SimProf, SimProfConfig};
 use simprof::engine::MethodId;
 use simprof::profiler::{ProfileTrace, ProfilerConfig, SamplingUnit, UnitSink};
 use simprof::sim::Counters;
+use simprof::workloads::{Benchmark, Framework, WorkloadConfig};
 
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -188,6 +189,24 @@ fn live_output_identical_across_thread_counts() {
     rayon::set_threads(0);
     assert_eq!(one.0, offline_one.cpis);
     assert_eq!(one.1, offline_one.model.assignments);
+}
+
+/// Bit-identity on a real workload: WordCount on the Spark-style runtime
+/// at tiny scale, replayed through the live analyzer with the default
+/// live config (stopping disabled), equals the offline analysis.
+#[test]
+fn live_equals_offline_on_wordcount_spark() {
+    let trace = Benchmark::WordCount.run(Framework::Spark, &WorkloadConfig::tiny(42));
+    let cfg = SimProfConfig { seed: 42, ..SimProfConfig::default() };
+    let offline = SimProf::new(cfg).analyze(&trace).unwrap();
+    let mut live = live_over(&trace, SimProfConfig { live: Some(LiveConfig::default()), ..cfg });
+    let (analysis, report) = live.finalize().unwrap();
+    assert!(!report.stopped_early, "stopping is disabled");
+    assert_eq!(report.units_profiled, trace.units.len());
+    assert_eq!(analysis.cpis, offline.cpis);
+    assert_eq!(analysis.model.assignments, offline.model.assignments);
+    assert_eq!(analysis.model.centers, offline.model.centers);
+    assert_eq!(analysis.stats, offline.stats);
 }
 
 /// A regime change the warmup never saw triggers re-formation, and the
