@@ -100,24 +100,46 @@ fn bench_stats(c: &mut Criterion) {
 }
 
 fn bench_machine(c: &mut Criterion) {
-    // The benchmark machine's hierarchy: 4 cores with private 8 KiB L1 and
-    // 64 KiB L2 over one shared 512 KiB LLC, cores interleaved access by
-    // access. Sequential 384 KiB misses L1 and L2 but fits the LLC.
-    let mut g = c.benchmark_group("sim/hierarchy_4core_64k_accesses");
-    for (name, pattern, bytes) in [
+    let patterns = [
         ("sequential 384KiB", AccessPattern::Sequential, 384 << 10),
         ("random 1MiB", AccessPattern::Random, 1 << 20),
         ("zipf 1MiB", AccessPattern::Zipf, 1 << 20),
-    ] {
+    ];
+    // The benchmark machine's hierarchy: 4 cores with private 8 KiB L1 and
+    // 64 KiB L2 over one shared 512 KiB LLC, cores taking turns in runs of
+    // 64 accesses through `access_run`, the call the engine makes per
+    // chunk. Sequential 384 KiB misses L1 and L2 but fits the LLC.
+    let mut g = c.benchmark_group("sim/hierarchy_4core_64k_accesses");
+    for (name, pattern, bytes) in patterns {
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut machine = Machine::new(MachineConfig::scaled(4));
                 let region = machine.alloc(bytes);
                 let mut cur = AccessCursor::new(region, pattern, 5);
-                for i in 0..65_536 {
-                    machine.access(i & 3, cur.next_addr());
+                for i in 0..1024 {
+                    machine.access_run(i & 3, &mut cur, 64, false);
                 }
                 black_box(machine.counters(0))
+            })
+        });
+    }
+    g.finish();
+
+    // Address generation alone: the same 65 536 addresses, drawn 64 at a
+    // time as `access_run` draws them.
+    let mut g = c.benchmark_group("sim/cursor_64k");
+    for (name, pattern, bytes) in patterns {
+        let name = name.split(' ').next().expect("pattern name");
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut cur = AccessCursor::new(Region::new(0x1_0000, bytes), pattern, 5);
+                let mut block = [0u64; 64];
+                let mut sum = 0u64;
+                for _ in 0..1024 {
+                    cur.fill(&mut block);
+                    sum = block.iter().fold(sum, |s, &a| s.wrapping_add(a));
+                }
+                black_box(sum)
             })
         });
     }

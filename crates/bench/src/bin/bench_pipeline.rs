@@ -8,16 +8,18 @@
 //!     [--trace-stream BENCH_trace_stream.json] [--mem-cap-mb N]
 //! ```
 //!
-//! **The pipeline record** ([`PipelineRecord`], `-o`). Every run times the
-//! simulate→analyze hot path in four phases — **synthesize** (a 2000 × 100
-//! synthetic feature matrix, 400 × 40 with `--quick`), **simulate** (the
-//! best of three real engine runs, each with the same trace bytes,
-//! replayed at 1 thread to prove the bytes are identical), **cluster**
-//! ([`choose_k`], with a 1-thread replay proving the assignments are
-//! identical), and **sampling** (the Eq. 1 allocator) — next to the naive
-//! pre-optimization sweep (one thread, a cold 4-restart k-means and the
-//! naive `O(n²·d)` silhouette per candidate k) that `perf_gate` normalizes
-//! every phase to. A divergence in either replay exits non-zero.
+//! **The pipeline record** ([`PipelineRecord`], `-o`). A run that asks for
+//! the record, for an observability artifact, or for no output at all
+//! times the simulate→analyze hot path in four phases — **synthesize** (a
+//! 2000 × 100 synthetic feature matrix, 400 × 40 with `--quick`),
+//! **simulate** (the best of three real engine runs, each with the same
+//! trace bytes, replayed at 1 thread to prove the bytes are identical),
+//! **cluster** ([`choose_k`], with a 1-thread replay proving the
+//! assignments are identical), and **sampling** (the Eq. 1 allocator) —
+//! next to the naive pre-optimization sweep (one thread, a cold 4-restart
+//! k-means and the naive `O(n²·d)` silhouette per candidate k) that
+//! `perf_gate` normalizes every phase to. A divergence in either replay
+//! exits non-zero.
 //!
 //! With `--report`, the run executes under an observability context and
 //! writes the versioned run report (span tree, metrics, Eq. 1 allocation
@@ -33,7 +35,8 @@
 //! by `simprof-obs`'s tracking allocator, installed here as the global
 //! allocator) is recorded. The two analyses must be bit-identical or the
 //! bench exits non-zero; `--mem-cap-mb` also fails the run when the
-//! *streamed* peak exceeds the cap (CI's large-trace memory smoke).
+//! *streamed* peak exceeds the cap (CI's large-trace memory smoke). Given
+//! without a pipeline output, `--trace-stream` runs only this comparison.
 
 use std::time::Instant;
 
@@ -407,10 +410,27 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // The pipeline phases run when one of their outputs is requested, or
+    // when no output is (a plain timing run); `--trace-stream` alone runs
+    // only its own comparison.
+    let wants_obs = args.report.is_some() || args.events.is_some() || args.timeline.is_some();
+    if wants_obs || args.output.is_some() || args.trace_stream.is_none() {
+        pipeline(&args, wants_obs);
+    }
+    if let Some(path) = &args.trace_stream {
+        if let Err(e) = trace_stream_bench(args.quick, args.mem_cap_mb, path) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Times the four pipeline phases next to the naive baseline sweep and
+/// writes the pipeline record and the observability artifacts requested.
+fn pipeline(args: &Args, wants_obs: bool) {
     let threads = rayon::current_threads();
     // Observability stays disabled (and free) unless an obs output
     // (report, event log, or timeline) was requested.
-    let wants_obs = args.report.is_some() || args.events.is_some() || args.timeline.is_some();
     let obs_ctx = wants_obs.then(simprof_obs::ObsContext::new);
     if let (Some(ctx), Some(path)) = (&obs_ctx, &args.events) {
         match simprof_obs::JsonlEventWriter::create(std::path::Path::new(path)) {
@@ -613,13 +633,6 @@ fn main() {
                 "wrote {path} (JSONL event log, schema v{})",
                 simprof_obs::EVENT_SCHEMA_VERSION
             );
-        }
-    }
-
-    if let Some(path) = &args.trace_stream {
-        if let Err(e) = trace_stream_bench(args.quick, args.mem_cap_mb, path) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
         }
     }
 }

@@ -207,14 +207,12 @@ enum StepEnd {
 /// The turn physics: runs one attempt on `core` until the budget runs out,
 /// the executor crashes, or the attempt finishes, charging `machine` and
 /// delivering fault events at their exact point in the cost stream.
-/// `turn_stack` is re-captured after every chunk because
+/// [`RunState::turn_stack`] is re-captured after every chunk because
 /// [`Running::advance`] resets the stack while the budget may still die
 /// mid-item.
-#[allow(clippy::too_many_arguments)]
 fn step_attempt(
     run: &mut Running,
     budget: &mut u64,
-    turn_stack: &mut Vec<MethodId>,
     machine: &mut Machine,
     rs: &mut RunState<'_>,
     plan: &FaultPlan,
@@ -266,10 +264,8 @@ fn step_attempt(
         run.access_credit += chunk * item.accesses_per_kinstr as u64;
         let n_acc = run.access_credit / 1000;
         run.access_credit %= 1000;
-        for _ in 0..n_acc {
-            let addr = run.cursor.next_addr();
-            machine.access_hinted(core, addr, streaming);
-        }
+        machine.access_run(core, &mut run.cursor, n_acc, streaming);
+        rs.accesses += n_acc;
 
         // IO stall charged proportionally to item progress.
         if item.io_stall_cycles > 0 {
@@ -288,8 +284,8 @@ fn step_attempt(
         run.done_in_item += chunk;
         run.done_in_task += chunk;
         *budget -= chunk;
-        turn_stack.clear();
-        turn_stack.extend_from_slice(&run.stack);
+        rs.turn_stack.clear();
+        rs.turn_stack.extend_from_slice(&run.stack);
 
         // Executor crash: the rest of this turn dies with the executor;
         // requeue bookkeeping is the caller's (crash order: crash event
@@ -320,6 +316,11 @@ struct RunState<'l> {
     log: FaultLog,
     migration: MigrationClock,
     turn_counter: u64,
+    /// Memory accesses issued, recorded once as `engine.accesses`.
+    accesses: u64,
+    /// The stack reported at the end of the current turn; one buffer for
+    /// the whole run, cleared as each turn starts.
+    turn_stack: Vec<MethodId>,
     cold_restart: Option<(usize, u64)>,
     listener: &'l mut dyn ExecListener,
 }
@@ -367,6 +368,8 @@ impl Scheduler {
             log: FaultLog::new(),
             migration: MigrationClock::new(self.config.perturbations, cores),
             turn_counter: 0,
+            accesses: 0,
+            turn_stack: Vec::new(),
             cold_restart: self.config.cold_restart,
             listener,
         };
@@ -412,6 +415,7 @@ impl Scheduler {
         // Aggregated locally, recorded once: hot-loop turns never touch the
         // registry.
         simprof_obs::counter_add("engine.quanta", rs.turn_counter);
+        simprof_obs::counter_add("engine.accesses", rs.accesses);
         simprof_obs::counter_add("engine.fault_events", rs.log.len() as u64);
         rs.log
     }
@@ -446,14 +450,13 @@ impl Scheduler {
         // a proportionally smaller budget: they fall behind their peers in
         // virtual time.
         let mut budget = (self.config.quantum / run.factor.max(1) as u64).max(1);
-        let mut turn_stack: Vec<MethodId> = Vec::new();
+        rs.turn_stack.clear();
         let plan = &self.config.faults;
         while budget > 0 {
             let Some(run) = running[core].as_mut() else {
                 break;
             };
-            let end =
-                step_attempt(run, &mut budget, &mut turn_stack, machine, rs, plan, stage_idx, core);
+            let end = step_attempt(run, &mut budget, machine, rs, plan, stage_idx, core);
             let (t, a) = (run.task_idx, run.attempt);
             match end {
                 StepEnd::Budget => break,
@@ -501,19 +504,13 @@ impl Scheduler {
                 }
             }
         }
-        self.turn_postlude(rs, machine, core, turn_stack);
+        self.turn_postlude(rs, machine, core);
         true
     }
 
     /// End-of-turn bookkeeping: GC/JIT noise, the one-shot cold restart,
     /// migration noise, and the listener progress callback.
-    fn turn_postlude(
-        &self,
-        rs: &mut RunState<'_>,
-        machine: &mut Machine,
-        core: CoreId,
-        mut turn_stack: Vec<MethodId>,
-    ) {
+    fn turn_postlude(&self, rs: &mut RunState<'_>, machine: &mut Machine, core: CoreId) {
         // GC/JIT noise: occasionally a turn is observed inside the JVM
         // runtime instead of the executor's own stack.
         rs.turn_counter += 1;
@@ -521,8 +518,8 @@ impl Scheduler {
             let h = gc_hash(gc.seed, core as u64, rs.turn_counter);
             if (h % 1_000_000) < gc.probability_ppm as u64 {
                 machine.io_stall(core, gc.pause_cycles);
-                turn_stack.clear();
-                turn_stack.push(gc.method);
+                rs.turn_stack.clear();
+                rs.turn_stack.push(gc.method);
             }
         }
 
@@ -537,7 +534,7 @@ impl Scheduler {
             }
         }
         rs.migration.poll(machine, core, total);
-        rs.listener.on_progress(core, total, &turn_stack, machine);
+        rs.listener.on_progress(core, total, &rs.turn_stack, machine);
     }
 
     /// Starts the next runnable attempt for `core`: pops pending attempts

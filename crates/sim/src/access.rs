@@ -89,67 +89,94 @@ impl AccessCursor {
         self.region
     }
 
-    #[inline]
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*: fast, deterministic, good enough for address spreading.
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     /// Produces the next address.
     #[inline]
     pub fn next_addr(&mut self) -> u64 {
+        let mut addr = [0];
+        self.fill(&mut addr);
+        addr[0]
+    }
+
+    /// Writes the next `out.len()` addresses to `out`, in order: exactly
+    /// what as many calls of [`AccessCursor::next_addr`] return, with the
+    /// pattern decided once for the whole run.
+    #[inline]
+    pub fn fill(&mut self, out: &mut [u64]) {
+        let base = self.region.base;
         let len = self.region.bytes.max(LINE_BYTES);
-        let addr = match self.pattern {
+        let rng = &mut self.rng_state;
+        match self.pattern {
             AccessPattern::Sequential => {
-                let a = self.region.base + self.pos;
-                // `pos < len` and `LINE_BYTES <= len`, so one subtraction
-                // is exactly `% len`.
-                self.pos += LINE_BYTES;
-                if self.pos >= len {
-                    self.pos -= len;
+                let mut pos = self.pos;
+                for a in out.iter_mut() {
+                    *a = base + pos;
+                    // `pos < len` and `LINE_BYTES <= len`, so one
+                    // subtraction is exactly `% len`.
+                    pos += LINE_BYTES;
+                    if pos >= len {
+                        pos -= len;
+                    }
                 }
-                a
+                self.pos = pos;
             }
             AccessPattern::Strided { stride_bytes } => {
-                let a = self.region.base + self.pos;
-                self.pos = (self.pos + stride_bytes.max(1)) % len;
-                a
+                let step = stride_bytes.max(1);
+                let mut pos = self.pos;
+                for a in out.iter_mut() {
+                    *a = base + pos;
+                    pos = (pos + step) % len;
+                }
+                self.pos = pos;
             }
             AccessPattern::Random => {
-                let lines = len / LINE_BYTES;
-                let line = self.next_rand() % lines.max(1);
-                self.region.base + line * LINE_BYTES
+                let lines = (len / LINE_BYTES).max(1);
+                for a in out.iter_mut() {
+                    *a = base + next_rand(rng) % lines * LINE_BYTES;
+                }
             }
             AccessPattern::Zipf => {
                 // Inverse-CDF sampling of P(rank ≤ r) ∝ ln r for s = 1:
                 // rank = lines^u with u uniform in [0, 1).
                 let lines = zipf_lines(self.region);
-                let u = self.next_rand() as f64 / (u64::MAX as f64 + 1.0);
-                let line =
-                    (zipf_rank(lines, self.ln_lines, u) as u64).saturating_sub(1).min(lines - 1);
-                self.region.base + line * LINE_BYTES
+                let ln_lines = self.ln_lines;
+                for a in out.iter_mut() {
+                    let u = next_rand(rng) as f64 / (u64::MAX as f64 + 1.0);
+                    let line = zipf_rank(lines, ln_lines, u).saturating_sub(1).min(lines - 1);
+                    *a = base + line * LINE_BYTES;
+                }
             }
             AccessPattern::RandomWindow { window_bytes } => {
                 let window = window_bytes.clamp(LINE_BYTES, len);
-                let window_lines = window / LINE_BYTES;
-                let line_in_window = self.next_rand() % window_lines.max(1);
-                let a = self.region.base + self.pos + line_in_window * LINE_BYTES;
-                // Advance the window one line per `window_lines` emissions so
-                // the working set slides through the region.
-                if self.emitted % window_lines.max(1) == window_lines.max(1) - 1 {
-                    self.pos = (self.pos + LINE_BYTES) % len.saturating_sub(window).max(1);
+                let window_lines = (window / LINE_BYTES).max(1);
+                let slide = len.saturating_sub(window).max(1);
+                let mut pos = self.pos;
+                for (a, emitted) in out.iter_mut().zip(self.emitted..) {
+                    let line_in_window = next_rand(rng) % window_lines;
+                    *a = base + pos + line_in_window * LINE_BYTES;
+                    // Advance the window one line per `window_lines`
+                    // emissions so the working set slides through the
+                    // region.
+                    if emitted % window_lines == window_lines - 1 {
+                        pos = (pos + LINE_BYTES) % slide;
+                    }
                 }
-                a
+                self.pos = pos;
             }
-        };
-        self.emitted += 1;
-        addr
+        }
+        self.emitted += out.len() as u64;
     }
+}
+
+/// One xorshift64* draw: fast, deterministic, good enough for address
+/// spreading.
+#[inline]
+fn next_rand(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 /// Number of lines a Zipf cursor draws from.
@@ -157,7 +184,8 @@ fn zipf_lines(region: Region) -> u64 {
     (region.bytes.max(LINE_BYTES) / LINE_BYTES).max(1)
 }
 
-/// `lines^u`, to the same integer part as `(lines as f64).powf(u)`.
+/// `lines^u` truncated to an integer, equal to `(lines as f64).powf(u) as
+/// u64`.
 ///
 /// `exp(u · ln lines)` is about a third cheaper than `powf`. Rounding
 /// `ln lines` and the product leaves an absolute error of at most
@@ -167,13 +195,26 @@ fn zipf_lines(region: Region) -> u64 {
 /// unless the result lies within 64 ε of an integer, both truncate to the
 /// same rank; inside that band this falls back to `powf` itself.
 #[inline]
-fn zipf_rank(lines: u64, ln_lines: f64, u: f64) -> f64 {
+fn zipf_rank(lines: u64, ln_lines: f64, u: f64) -> u64 {
     let fast = (u * ln_lines).exp();
-    if (fast - fast.round()).abs() <= 64.0 * f64::EPSILON * fast {
-        (lines as f64).powf(u)
+    let rank = fast as u64;
+    if dist_to_integer(fast, rank) <= 64.0 * f64::EPSILON * fast {
+        (lines as f64).powf(u) as u64
     } else {
-        fast
+        rank
     }
+}
+
+/// `(x - x.round()).abs()` for `1 ≤ x < 2^64`, given `trunc = x as u64`,
+/// without a call to `round`. `trunc as f64` is exact (below 2^53 every
+/// integer is a double, above it `x` is one), and so are `x - trunc` and
+/// `1 - frac` (Sterbenz: both operand pairs lie within a factor of two of
+/// each other). The nearer of the two is the distance to `x.round()`, a
+/// tie at one half included.
+#[inline]
+fn dist_to_integer(x: f64, trunc: u64) -> f64 {
+    let frac = x - trunc as f64;
+    frac.min(1.0 - frac)
 }
 
 #[cfg(test)]
@@ -279,12 +320,38 @@ mod tests {
                 state ^= state << 17;
                 let u = state as f64 / (u64::MAX as f64 + 1.0);
                 let expected = (lines as f64).powf(u) as u64;
-                assert_eq!(zipf_rank(lines, ln_lines, u) as u64, expected, "lines {lines}, u {u}");
+                assert_eq!(zipf_rank(lines, ln_lines, u), expected, "lines {lines}, u {u}");
             }
         }
         // Exact integer powers sit inside the guard band and take `powf`.
-        assert_eq!(zipf_rank(4, 4f64.ln(), 0.5), 2.0);
-        assert_eq!(zipf_rank(1, 0.0, 0.7), 1.0);
+        assert_eq!(zipf_rank(4, 4f64.ln(), 0.5), 2);
+        assert_eq!(zipf_rank(1, 0.0, 0.7), 1);
+    }
+
+    #[test]
+    fn dist_to_integer_matches_round() {
+        let round_dist = |x: f64| (x - x.round()).abs();
+        let check = |x: f64| {
+            let got = dist_to_integer(x, x as u64);
+            assert_eq!(got.to_bits(), round_dist(x).to_bits(), "x = {x:e}");
+        };
+        // Integers, small and up to the top of the `u64` range.
+        for k in (1u64..2_000).chain([1 << 52, (1 << 53) - 1, 1 << 53, 1 << 63, u64::MAX]) {
+            check(k as f64);
+        }
+        // Half-integers are ties, which `round` breaks away from zero.
+        // The widest binade that still holds them is [2^51, 2^52); from
+        // 2^52 on `k + 0.5` rounds to an integer, which is checked too.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..20_000 {
+            let k = next_rand(&mut state);
+            check((1u64 << 51 | k >> 13) as f64 + 0.5);
+            check((1u64 << 52 | k >> 12) as f64 + 0.5);
+            check((k % 1_000 + 1) as f64 + 0.5);
+            // Random values in [1, 2^64): uniform mantissas, every exponent.
+            let mantissa = 1.0 + (k >> 11) as f64 / (1u64 << 53) as f64;
+            check(mantissa * (2f64).powi((k % 64) as i32));
+        }
     }
 
     #[test]

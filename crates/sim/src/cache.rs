@@ -1,12 +1,20 @@
 //! One set-associative LRU cache level.
 //!
 //! Per set the model keeps each way's line tag, a valid mask (one bit per
-//! way) and the set's recency order packed into one `u128`: 5-bit way
-//! numbers, most recently touched first. A touch moves its way to the front
-//! with a few word operations, and the victim of a miss is the first
-//! invalid way, else the last way in the order, read off without a scan.
-//! Caches built with [`Cache::with_line_index`] also keep a line → way
-//! index, so a lookup needs no tag scan either.
+//! way) and the set's recency order packed into one word: way numbers,
+//! most recently touched first. A touch moves its way to the front with a
+//! few word operations, and the victim of a miss is the first invalid way,
+//! else the last way in the order, read off without a scan. Caches built
+//! with [`Cache::with_line_index`] also keep a line → way index, so a
+//! lookup needs no tag scan either.
+//!
+//! The recency word follows the geometry: a level of up to 16 ways packs
+//! 4-bit way numbers into a `u64`, a wider one 5-bit numbers into a
+//! `u128`. [`LruCache`] is generic over the word and holds the one
+//! implementation; [`Cache`] is the level with the word its geometry needs.
+
+use std::fmt::Debug;
+use std::ops::{BitAnd, BitOr, BitXor, Not, Shl, Shr};
 
 use serde::{Deserialize, Serialize};
 
@@ -14,7 +22,7 @@ use crate::LINE_BYTES;
 
 /// The largest associativity a [`Cache`] supports: the recency order packs
 /// one 5-bit way number per way into a `u128`.
-pub const MAX_WAYS: usize = 25;
+pub const MAX_WAYS: usize = <u128 as RecencyWord>::MAX_WAYS;
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,7 +42,7 @@ impl CacheConfig {
     /// positive multiple of `ways × 64 B`.
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
         assert!(ways > 0, "cache needs at least one way");
-        assert_ways_supported(ways);
+        assert_ways_supported(ways, MAX_WAYS);
         assert!(capacity_bytes > 0, "cache needs capacity");
         assert_eq!(
             capacity_bytes % (ways as u64 * LINE_BYTES),
@@ -55,29 +63,92 @@ impl CacheConfig {
     }
 }
 
-fn assert_ways_supported(ways: usize) {
-    assert!(ways <= MAX_WAYS, "cache supports at most {MAX_WAYS} ways, got {ways}");
+fn assert_ways_supported(ways: usize, max: usize) {
+    assert!(ways <= max, "cache supports at most {max} ways, got {ways}");
 }
 
-/// Bits per way number in a set's packed recency order.
-const FIELD_BITS: u32 = 5;
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u64 {}
+    impl Sealed for u128 {}
+}
 
-/// The low bit of every recency field.
-const FIELD_ONES: u128 = {
-    let mut x = 0u128;
-    let mut i = 0;
-    while i < MAX_WAYS {
-        x |= 1 << (i as u32 * FIELD_BITS);
-        i += 1;
-    }
-    x
-};
+/// An unsigned word that holds a set's recency order: one
+/// [`FIELD_BITS`](RecencyWord::FIELD_BITS)-bit way number per way, most
+/// recent in the low field. Implemented for `u64` (4-bit fields, up to 16
+/// ways) and `u128` (5-bit fields, up to 25 ways).
+pub trait RecencyWord:
+    sealed::Sealed
+    + Copy
+    + Debug
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Not<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    /// Width of the word in bits.
+    const BITS: u32;
+    /// Bits per way number.
+    const FIELD_BITS: u32;
+    /// The most ways one word holds.
+    const MAX_WAYS: usize;
+    /// The low bit of every field.
+    const FIELD_ONES: Self;
+    /// The word holding `n` in its low bits.
+    fn of(n: usize) -> Self;
+    /// The low field, as a way number.
+    fn low_field(self) -> usize;
+    /// Wrapping subtraction.
+    fn wrapping_sub(self, rhs: Self) -> Self;
+    /// Wrapping multiplication.
+    fn wrapping_mul(self, rhs: Self) -> Self;
+    /// Wrapping negation.
+    fn wrapping_neg(self) -> Self;
+}
 
-/// The high bit of every recency field.
-const FIELD_HIGHS: u128 = FIELD_ONES << (FIELD_BITS - 1);
+macro_rules! recency_word {
+    ($t:ty, $field_bits:expr) => {
+        impl RecencyWord for $t {
+            const BITS: u32 = <$t>::BITS;
+            const FIELD_BITS: u32 = $field_bits;
+            const MAX_WAYS: usize = (<$t>::BITS / $field_bits) as usize;
+            const FIELD_ONES: $t = {
+                let mut x: $t = 0;
+                let mut i = 0;
+                while i < Self::MAX_WAYS {
+                    x |= 1 << (i as u32 * $field_bits);
+                    i += 1;
+                }
+                x
+            };
+            #[inline]
+            fn of(n: usize) -> Self {
+                n as $t
+            }
+            #[inline]
+            fn low_field(self) -> usize {
+                (self & ((1 << $field_bits) - 1)) as usize
+            }
+            #[inline]
+            fn wrapping_sub(self, rhs: Self) -> Self {
+                <$t>::wrapping_sub(self, rhs)
+            }
+            #[inline]
+            fn wrapping_mul(self, rhs: Self) -> Self {
+                <$t>::wrapping_mul(self, rhs)
+            }
+            #[inline]
+            fn wrapping_neg(self) -> Self {
+                <$t>::wrapping_neg(self)
+            }
+        }
+    };
+}
 
-/// One recency field.
-const FIELD_MASK: u128 = (1 << FIELD_BITS) - 1;
+recency_word!(u64, 4);
+recency_word!(u128, 5);
 
 /// Moves `way` to the front (most recent position) of a packed recency
 /// order. The way's position is the lowest field equal to `way`: XOR turns
@@ -87,13 +158,15 @@ const FIELD_MASK: u128 = (1 << FIELD_BITS) - 1;
 /// those past the cache's associativity, stay untouched. Constant shifts
 /// only, no branch.
 #[inline]
-fn move_to_front(order: u128, way: usize) -> u128 {
-    let x = order ^ (FIELD_ONES * way as u128);
-    let flags = x.wrapping_sub(FIELD_ONES) & !x & FIELD_HIGHS;
+fn move_to_front<W: RecencyWord>(order: W, way: usize) -> W {
+    let bits = W::FIELD_BITS;
+    let ones = W::FIELD_ONES;
+    let x = order ^ ones.wrapping_mul(W::of(way));
+    let flags = x.wrapping_sub(ones) & !x & ones << (bits - 1);
     let first = flags & flags.wrapping_neg(); // high bit of `way`'s field
-    let before = (first >> (FIELD_BITS - 1)) - 1;
-    let through = before << FIELD_BITS | FIELD_MASK;
-    order & !through | (order & before) << FIELD_BITS | way as u128
+    let before = (first >> (bits - 1)).wrapping_sub(W::of(1));
+    let through = before << bits | W::of((1 << bits) - 1);
+    order & !through | (order & before) << bits | W::of(way)
 }
 
 /// Line → way index growth step, in lines (64 KiB of index): the index is
@@ -109,13 +182,15 @@ fn grow_index(index: &mut Vec<u8>, at: usize) {
     index.resize(len, 0);
 }
 
-/// A set-associative LRU cache over 64-byte lines.
+/// A set-associative LRU cache over 64-byte lines whose sets keep their
+/// recency order in one `W` each.
 ///
 /// Stores line tags only — the model tracks presence, not data. Replacement
 /// fills the first invalid way of the set, else evicts the least recently
-/// touched way (hit or fill).
+/// touched way (hit or fill). Both words give the same hits, misses and
+/// victims; the narrow one is cheaper to update.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub struct LruCache<W: RecencyWord> {
     config: CacheConfig,
     sets: usize,
     ways: usize,
@@ -123,13 +198,13 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Per set: bit `w` is set exactly when way `w`'s tag is valid.
     valid: Vec<u32>,
-    /// Per set: the ways in recency order, 5 bits each, most recent in the
-    /// low field. Order among valid ways is exactly the order of their last
-    /// touch; the positions of invalid ways never matter because a miss
-    /// fills an invalid way before it evicts.
-    recency: Vec<u128>,
-    /// The recency fields in use (`ways` × 5 bits).
-    order_mask: u128,
+    /// Per set: the ways in recency order, most recent in the low field.
+    /// Order among valid ways is exactly the order of their last touch;
+    /// the positions of invalid ways never matter because a miss fills an
+    /// invalid way before it evicts.
+    recency: Vec<W>,
+    /// The recency fields in use (`ways` fields).
+    order_mask: W,
     /// `index[line]`: the way holding `line` plus one, 0 when absent.
     /// Mirrors the valid tags exactly; grown on the first fill beyond its
     /// length. `None` for caches that find lines by scanning their set.
@@ -139,18 +214,19 @@ pub struct Cache {
 /// Tag of an empty way (no line number reaches it: lines are `addr / 64`).
 const INVALID: u64 = u64::MAX;
 
-impl Cache {
+impl<W: RecencyWord> LruCache<W> {
     /// Builds an empty (all-invalid) cache that finds lines by scanning the
     /// set's tags — the cheapest layout for small, low-associativity levels.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry has more than [`MAX_WAYS`] ways.
+    /// Panics if the geometry has more ways than one `W` holds.
     pub fn new(config: CacheConfig) -> Self {
-        assert_ways_supported(config.ways);
-        let sets = config.sets();
         let ways = config.ways;
-        let identity = (0..ways).fold(0u128, |acc, w| acc | (w as u128) << (w as u32 * FIELD_BITS));
+        assert_ways_supported(ways, W::MAX_WAYS);
+        let sets = config.sets();
+        let bits = W::FIELD_BITS;
+        let identity = (1..ways).fold(W::of(0), |acc, w| acc | W::of(w) << (w as u32 * bits));
         Self {
             config,
             sets,
@@ -158,7 +234,9 @@ impl Cache {
             tags: vec![INVALID; sets * ways],
             valid: vec![0; sets],
             recency: vec![identity; sets],
-            order_mask: (1 << (ways as u32 * FIELD_BITS)) - 1,
+            // A right shift of all ones: 16 ways fill a whole `u64`, and
+            // `1 << 64` would overflow.
+            order_mask: !W::of(0) >> (W::BITS - ways as u32 * bits),
             index: None,
         }
     }
@@ -166,11 +244,11 @@ impl Cache {
     /// Builds an empty cache that also keeps a line → way index (one byte
     /// per line of the address space below the highest line it has held),
     /// so hits and misses are decided without scanning the set. Behaviour
-    /// is identical to [`Cache::new`]; only the lookup cost differs.
+    /// is identical to [`LruCache::new`]; only the lookup cost differs.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry has more than [`MAX_WAYS`] ways.
+    /// Panics if the geometry has more ways than one `W` holds.
     pub fn with_line_index(config: CacheConfig) -> Self {
         Self { index: Some(Vec::new()), ..Self::new(config) }
     }
@@ -204,6 +282,17 @@ impl Cache {
         }
     }
 
+    /// Reads the line-index entry a lookup of `addr` will read, so that
+    /// lookup finds it in the host's cache. Changes nothing; a no-op for
+    /// caches without an index.
+    #[inline]
+    pub(crate) fn preload(&self, addr: u64) {
+        let line = (addr / LINE_BYTES) as usize;
+        if let Some(&entry) = self.index.as_ref().and_then(|index| index.get(line)) {
+            std::hint::black_box(entry);
+        }
+    }
+
     /// Looks up the line containing `addr`, inserting it on miss (allocate-on-
     /// miss, LRU eviction). Returns `true` on hit.
     #[inline]
@@ -224,13 +313,14 @@ impl Cache {
         let valid = self.valid[set];
         let full = (1u32 << self.ways) - 1;
         let order = self.recency[set];
+        let bits = W::FIELD_BITS;
         let (way, order) = if valid != full {
             let way = (!valid).trailing_zeros() as usize;
             (way, move_to_front(order, way))
         } else {
             // Evict the last way in the order and rotate it to the front.
-            let way = (order >> ((self.ways as u32 - 1) * FIELD_BITS) & FIELD_MASK) as usize;
-            (way, order << FIELD_BITS & self.order_mask | way as u128)
+            let way = (order >> ((self.ways as u32 - 1) * bits)).low_field();
+            (way, order << bits & self.order_mask | W::of(way))
         };
         let slot = set * self.ways + way;
         if let Some(index) = &mut self.index {
@@ -301,6 +391,94 @@ impl Cache {
     }
 }
 
+/// A set-associative LRU cache level over 64-byte lines, with the recency
+/// word its geometry needs: [`Cache::Narrow`] for up to 16 ways,
+/// [`Cache::Wide`] up to [`MAX_WAYS`]. The two behave identically.
+#[derive(Debug, Clone)]
+pub enum Cache {
+    /// Up to 16 ways: 4-bit way numbers in a `u64`.
+    Narrow(LruCache<u64>),
+    /// 17 to [`MAX_WAYS`] ways: 5-bit way numbers in a `u128`.
+    Wide(LruCache<u128>),
+}
+
+/// Evaluates `$body` with `$c` bound to the [`LruCache`] inside a
+/// [`Cache`], monomorphized for each width.
+macro_rules! either {
+    ($cache:expr, $c:ident => $body:expr) => {
+        match $cache {
+            $crate::cache::Cache::Narrow($c) => $body,
+            $crate::cache::Cache::Wide($c) => $body,
+        }
+    };
+}
+pub(crate) use either;
+
+impl Cache {
+    /// Builds an empty (all-invalid) cache that finds lines by scanning the
+    /// set's tags — the cheapest layout for small, low-associativity levels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than [`MAX_WAYS`] ways.
+    pub fn new(config: CacheConfig) -> Self {
+        if config.ways <= u64::MAX_WAYS {
+            Self::Narrow(LruCache::new(config))
+        } else {
+            Self::Wide(LruCache::new(config))
+        }
+    }
+
+    /// Builds an empty cache that also keeps a line → way index (one byte
+    /// per line of the address space below the highest line it has held),
+    /// so hits and misses are decided without scanning the set. Behaviour
+    /// is identical to [`Cache::new`]; only the lookup cost differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than [`MAX_WAYS`] ways.
+    pub fn with_line_index(config: CacheConfig) -> Self {
+        if config.ways <= u64::MAX_WAYS {
+            Self::Narrow(LruCache::with_line_index(config))
+        } else {
+            Self::Wide(LruCache::with_line_index(config))
+        }
+    }
+
+    /// The geometry this cache was built with.
+    pub fn config(&self) -> CacheConfig {
+        either!(self, c => c.config())
+    }
+
+    /// Looks up the line containing `addr`, inserting it on miss (allocate-on-
+    /// miss, LRU eviction). Returns `true` on hit.
+    #[inline]
+    pub fn access(&mut self, addr: u64) -> bool {
+        either!(self, c => c.access(addr))
+    }
+
+    /// Checks for presence without updating LRU state or inserting.
+    pub fn probe(&self, addr: u64) -> bool {
+        either!(self, c => c.probe(addr))
+    }
+
+    /// Invalidates every line (e.g. context lost after an OS migration).
+    pub fn flush(&mut self) {
+        either!(self, c => c.flush())
+    }
+
+    /// Invalidates roughly `fraction` of all lines, deterministically chosen
+    /// from `seed` (see [`LruCache::flush_fraction`]).
+    pub fn flush_fraction(&mut self, fraction: f64, seed: u64) {
+        either!(self, c => c.flush_fraction(fraction, seed))
+    }
+
+    /// Number of currently valid lines (test/diagnostic helper).
+    pub fn valid_lines(&self) -> usize {
+        either!(self, c => c.valid_lines())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,15 +510,27 @@ mod tests {
     #[test]
     fn move_to_front_keeps_a_permutation() {
         // 20 ways in identity order; touch the last, the first, a middle one.
-        let mut order = (0..20u32).fold(0u128, |acc, w| acc | (w as u128) << (w * FIELD_BITS));
+        let mut order = (0..20u32).fold(0u128, |acc, w| acc | (w as u128) << (w * 5));
         for way in [19, 0, 7, 7, 19] {
             order = move_to_front(order, way);
             assert_eq!(order & 0x1F, way as u128);
         }
-        let fields: Vec<u128> = (0..20).map(|i| order >> (i * FIELD_BITS) & 0x1F).collect();
+        let fields: Vec<u128> = (0..20).map(|i| order >> (i * 5) & 0x1F).collect();
         let expected = [19, 7, 0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18];
         assert_eq!(fields, expected);
-        assert_eq!(order >> (20 * FIELD_BITS), 0, "fields past the ways stay zero");
+        assert_eq!(order >> (20 * 5), 0, "fields past the ways stay zero");
+    }
+
+    #[test]
+    fn narrow_move_to_front_uses_every_field() {
+        // 16 ways fill the whole `u64`; the last field moves like any other.
+        let mut order = (0..16u32).fold(0u64, |acc, w| acc | (w as u64) << (w * 4));
+        for way in [15, 0, 7, 7, 15] {
+            order = move_to_front(order, way);
+            assert_eq!(order & 0xF, way as u64);
+        }
+        let fields: Vec<u64> = (0..16).map(|i| order >> (i * 4) & 0xF).collect();
+        assert_eq!(fields, [15, 7, 0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14]);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{Cache, CacheConfig};
+use crate::access::AccessCursor;
+use crate::cache::{either, Cache, CacheConfig, LruCache, RecencyWord};
 
 /// Which level served a memory access. Variants are in depth order
 /// (`outcome as u64` = number of levels missed), which the machine's
@@ -31,6 +32,9 @@ pub struct PrivateCaches {
     pub l1: Cache,
     /// Unified L2.
     pub l2: Cache,
+    /// Addresses of the run [`PrivateCaches::access_run`] is walking:
+    /// kept between runs so a short run does not clear a fresh buffer.
+    block: [u64; BLOCK],
 }
 
 impl PrivateCaches {
@@ -39,28 +43,84 @@ impl PrivateCaches {
     /// indexing it too bought no measurable speed and would cost another
     /// byte per simulated line per core.
     pub fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
-        Self { l1: Cache::new(l1), l2: Cache::with_line_index(l2) }
+        Self { l1: Cache::new(l1), l2: Cache::with_line_index(l2), block: [0; BLOCK] }
     }
 
     /// Walks one address through L1 → L2 → `llc` and reports the serving
     /// level. All levels allocate on miss (inclusive-ish fill policy).
     #[inline]
     pub fn access(&mut self, llc: &mut Cache, addr: u64) -> AccessOutcome {
-        if self.l1.access(addr) {
-            AccessOutcome::L1Hit
-        } else if self.l2.access(addr) {
-            AccessOutcome::L2Hit
-        } else if llc.access(addr) {
-            AccessOutcome::LlcHit
-        } else {
-            AccessOutcome::Memory
-        }
+        either!(&mut self.l1, l1 => either!(&mut self.l2, l2 => either!(&mut *llc, llc => {
+            walk(l1, l2, llc, addr)
+        })))
+    }
+
+    /// Walks the next `n` addresses of `cursor` through L1 → L2 → `llc`,
+    /// reporting each serving level to `served` in order. The loop is
+    /// built once for the recency widths of the three levels, so no access
+    /// dispatches on them. Addresses are drawn 128 at a time, and before
+    /// each walk the L2 and LLC line-index entries of the address four
+    /// places ahead are read ([`LruCache::preload`]), so they are already
+    /// in the host's cache when their turn comes; that read changes no
+    /// model state.
+    #[inline]
+    pub(crate) fn access_run(
+        &mut self,
+        llc: &mut Cache,
+        cursor: &mut AccessCursor,
+        n: u64,
+        mut served: impl FnMut(AccessOutcome),
+    ) {
+        let Self { l1, l2, block } = self;
+        either!(l1, l1 => either!(l2, l2 => either!(&mut *llc, llc => {
+            let mut left = n;
+            while left > 0 {
+                let addrs = &mut block[..left.min(BLOCK as u64) as usize];
+                cursor.fill(addrs);
+                for (i, &addr) in addrs.iter().enumerate() {
+                    if let Some(&ahead) = addrs.get(i + LOOKAHEAD) {
+                        l2.preload(ahead);
+                        llc.preload(ahead);
+                    }
+                    served(walk(l1, l2, llc, addr));
+                }
+                left -= addrs.len() as u64;
+            }
+        })))
     }
 
     /// Flushes a fraction of both private levels (OS-migration model).
     pub fn flush_fraction(&mut self, fraction: f64, seed: u64) {
         self.l1.flush_fraction(fraction, seed);
         self.l2.flush_fraction(fraction, seed ^ 0xA5A5_A5A5);
+    }
+}
+
+/// Addresses [`PrivateCaches::access_run`] draws from the cursor at once:
+/// more than the engine's chunks issue (at most 127 on the paper-scale
+/// catalog), so a chunk is one block and the lookahead spans all of it.
+const BLOCK: usize = 128;
+
+/// How many accesses ahead of the walk [`PrivateCaches::access_run`]
+/// preloads line-index entries.
+const LOOKAHEAD: usize = 4;
+
+/// One address through L1 → L2 → LLC; every level allocates on miss.
+#[inline]
+fn walk<A: RecencyWord, B: RecencyWord, C: RecencyWord>(
+    l1: &mut LruCache<A>,
+    l2: &mut LruCache<B>,
+    llc: &mut LruCache<C>,
+    addr: u64,
+) -> AccessOutcome {
+    if l1.access(addr) {
+        AccessOutcome::L1Hit
+    } else if l2.access(addr) {
+        AccessOutcome::L2Hit
+    } else if llc.access(addr) {
+        AccessOutcome::LlcHit
+    } else {
+        AccessOutcome::Memory
     }
 }
 

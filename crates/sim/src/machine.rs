@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::access::Region;
+use crate::access::{AccessCursor, Region};
 use crate::cache::{Cache, CacheConfig};
 use crate::cost::CostModel;
 use crate::counters::Counters;
@@ -132,9 +132,44 @@ impl Penalties {
         ])
     }
 
+    /// Penalty cycles by outcome, with or without the streaming discount.
     #[inline]
-    fn cycles(&self, outcome: AccessOutcome, streaming: bool) -> u64 {
-        self.0[streaming as usize][outcome as usize]
+    fn row(&self, streaming: bool) -> &[u64; 4] {
+        &self.0[streaming as usize]
+    }
+}
+
+/// Misses and penalty cycles of a run of accesses, summed before they
+/// reach a core's [`Counters`].
+#[derive(Debug, Default)]
+struct Tally {
+    l1_misses: u64,
+    l2_misses: u64,
+    llc_misses: u64,
+    cycles: u64,
+}
+
+impl Tally {
+    /// Counts one access served at `outcome`, charging its penalty from
+    /// `penalties` (a [`Penalties::row`]).
+    #[inline]
+    fn add(&mut self, outcome: AccessOutcome, penalties: &[u64; 4]) {
+        // Outcomes are ordered by depth: each level missed counts once.
+        let depth = outcome as u64;
+        self.l1_misses += (depth >= 1) as u64;
+        self.l2_misses += (depth >= 2) as u64;
+        self.llc_misses += (depth >= 3) as u64;
+        self.cycles += penalties[outcome as usize];
+    }
+
+    /// Adds the tally of `accesses` accesses to `counters`.
+    #[inline]
+    fn charge(self, counters: &mut Counters, accesses: u64) {
+        counters.accesses += accesses;
+        counters.l1_misses += self.l1_misses;
+        counters.l2_misses += self.l2_misses;
+        counters.llc_misses += self.llc_misses;
+        counters.cycles += self.cycles;
     }
 }
 
@@ -200,24 +235,29 @@ impl Machine {
     /// penalty cycles and counting misses. Latency-bound (non-streaming).
     #[inline]
     pub fn access(&mut self, core: CoreId, addr: u64) -> AccessOutcome {
-        self.access_hinted(core, addr, false)
-    }
-
-    /// Issues one memory access; with `streaming = true`, miss penalties
-    /// are reduced by the prefetch divisor (the scheduler passes `true` for
-    /// sequential / short-stride work items).
-    #[inline]
-    pub fn access_hinted(&mut self, core: CoreId, addr: u64, streaming: bool) -> AccessOutcome {
         let c = &mut self.cores[core];
         let outcome = c.caches.access(&mut self.llcs[c.domain], addr);
-        // Outcomes are ordered by depth: each level missed counts once.
-        let depth = outcome as u64;
-        c.counters.accesses += 1;
-        c.counters.l1_misses += (depth >= 1) as u64;
-        c.counters.l2_misses += (depth >= 2) as u64;
-        c.counters.llc_misses += (depth >= 3) as u64;
-        c.counters.cycles += self.penalties.cycles(outcome, streaming);
+        let mut tally = Tally::default();
+        tally.add(outcome, self.penalties.row(false));
+        tally.charge(&mut c.counters, 1);
         outcome
+    }
+
+    /// Issues the next `n` accesses of `cursor` on `core`: the same walk,
+    /// outcomes and counters as `n` calls of [`Machine::access`] on
+    /// successive [`AccessCursor::next_addr`]s, except that with
+    /// `streaming = true` miss penalties are reduced by the prefetch
+    /// divisor (the scheduler passes `true` for sequential / short-stride
+    /// work items). The core and its LLC domain are looked up once, and the
+    /// counters are summed over the run and added once: integer sums, so
+    /// the order of the additions does not matter.
+    #[inline]
+    pub fn access_run(&mut self, core: CoreId, cursor: &mut AccessCursor, n: u64, streaming: bool) {
+        let c = &mut self.cores[core];
+        let penalties = self.penalties.row(streaming);
+        let mut tally = Tally::default();
+        c.caches.access_run(&mut self.llcs[c.domain], cursor, n, |o| tally.add(o, penalties));
+        tally.charge(&mut c.counters, n);
     }
 
     /// Charges an IO stall (disk/HDFS/network wait) on `core`.
@@ -256,7 +296,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{AccessCursor, AccessPattern};
+    use crate::access::AccessPattern;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::scaled(2))

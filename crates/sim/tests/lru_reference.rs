@@ -6,10 +6,13 @@
 //! scan of every way on each access (first invalid way, else minimum
 //! stamp). The library cache must reproduce it exactly — every hit/miss,
 //! every `probe`, `valid_lines`, and the lines `flush_fraction` drops —
-//! for any geometry up to 20 ways and any set count, with or without its
-//! line → way index.
+//! for any geometry up to [`MAX_WAYS`] and any set count, with or without
+//! its line → way index, and with either recency word: the narrow `u64`
+//! (up to 16 ways, the one [`Cache`] picks there) and the wide `u128`
+//! (any supported geometry).
 
 use proptest::prelude::*;
+use simprof_sim::cache::{LruCache, MAX_WAYS};
 use simprof_sim::{Cache, CacheConfig, LINE_BYTES};
 
 const INVALID: u64 = u64::MAX;
@@ -107,7 +110,21 @@ const SET_COUNTS: [usize; 16] = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 40,
 
 const FRACTIONS: [f64; 6] = [0.0, 0.1, 0.5, 0.8, 0.999, 1.0];
 
-/// Drives the reference and both library layouts through the same
+/// Every library layout of `config`: scan and line index, each with the
+/// wide word and, where it fits, the narrow one.
+fn layouts(config: CacheConfig) -> Vec<(&'static str, Cache)> {
+    let mut caches = vec![
+        ("wide scan", Cache::Wide(LruCache::new(config))),
+        ("wide indexed", Cache::Wide(LruCache::with_line_index(config))),
+    ];
+    if config.ways <= 16 {
+        caches.push(("narrow scan", Cache::Narrow(LruCache::new(config))));
+        caches.push(("narrow indexed", Cache::Narrow(LruCache::with_line_index(config))));
+    }
+    caches
+}
+
+/// Drives the reference and every library layout through the same
 /// operation stream, decoded from `ops`: about 5 % probes, `flush_permille`
 /// ‰ each of full and partial flushes, the rest accesses. Addresses come
 /// from a pool twice the cache's size (so sets fill, hit and evict), with
@@ -115,8 +132,7 @@ const FRACTIONS: [f64; 6] = [0.0, 0.1, 0.5, 0.8, 0.999, 1.0];
 fn run_differential(ways: usize, sets: usize, flush_permille: u64, ops: &[u64]) {
     let config = CacheConfig::new((sets * ways) as u64 * LINE_BYTES, ways);
     let mut reference = StampCache::new(config);
-    let mut scan = Cache::new(config);
-    let mut indexed = Cache::with_line_index(config);
+    let mut caches = layouts(config);
     let pool = (sets * ways * 2 + 3) as u64;
     let mut seen = Vec::new();
     for (step, &op) in ops.iter().enumerate() {
@@ -129,35 +145,37 @@ fn run_differential(ways: usize, sets: usize, flush_permille: u64, ops: &[u64]) 
         match kind {
             k if k < flush_permille => {
                 reference.flush();
-                scan.flush();
-                indexed.flush();
+                caches.iter_mut().for_each(|(_, c)| c.flush());
             }
             k if k < 2 * flush_permille => {
                 let fraction = FRACTIONS[(op >> 24) as usize % FRACTIONS.len()];
                 let seed = op >> 3;
                 reference.flush_fraction(fraction, seed);
-                scan.flush_fraction(fraction, seed);
-                indexed.flush_fraction(fraction, seed);
+                caches.iter_mut().for_each(|(_, c)| c.flush_fraction(fraction, seed));
             }
             k if k >= 950 => {
                 let expected = reference.probe(addr);
-                assert_eq!(scan.probe(addr), expected, "scan probe, step {}", step);
-                assert_eq!(indexed.probe(addr), expected, "indexed probe, step {}", step);
+                for (name, c) in &caches {
+                    assert_eq!(c.probe(addr), expected, "{name} probe, step {step}");
+                }
             }
             _ => {
                 let expected = reference.access(addr);
-                assert_eq!(scan.access(addr), expected, "scan access, step {}", step);
-                assert_eq!(indexed.access(addr), expected, "indexed access, step {}", step);
+                for (name, c) in &mut caches {
+                    assert_eq!(c.access(addr), expected, "{name} access, step {step}");
+                }
                 seen.push(addr);
             }
         }
-        assert_eq!(scan.valid_lines(), reference.valid_lines(), "scan valid, step {}", step);
-        assert_eq!(indexed.valid_lines(), reference.valid_lines(), "indexed valid, step {}", step);
+        for (name, c) in &caches {
+            assert_eq!(c.valid_lines(), reference.valid_lines(), "{name} valid, step {step}");
+        }
     }
     for &addr in &seen {
         let expected = reference.probe(addr);
-        assert_eq!(scan.probe(addr), expected, "final scan probe of {}", addr);
-        assert_eq!(indexed.probe(addr), expected, "final indexed probe of {}", addr);
+        for (name, c) in &caches {
+            assert_eq!(c.probe(addr), expected, "final {name} probe of {addr}");
+        }
     }
 }
 
@@ -166,7 +184,7 @@ proptest! {
 
     #[test]
     fn scan_free_lru_matches_stamp_scan(
-        ways in 1usize..21,
+        ways in 1usize..MAX_WAYS + 1,
         set_sel in 0usize..SET_COUNTS.len(),
         flush_permille in 0u64..25,
         ops in proptest::collection::vec(any::<u64>(), 1..4000),
@@ -175,9 +193,12 @@ proptest! {
     }
 }
 
-/// The widest supported geometry, on a long random stream.
+/// The geometries at the edges of the two words, on a long random stream:
+/// exactly 16 ways fill every field of the narrow word (its order mask
+/// must not be built as `1 << 64`), 17 ways are the narrowest wide
+/// geometry, 20 are the `ivy_bridge` LLC's, and 25 fill the wide word.
 #[test]
-fn max_ways_matches_stamp_scan() {
+fn word_edges_match_stamp_scan() {
     let mut state = 0x5EED_u64;
     let ops: Vec<u64> = (0..50_000)
         .map(|_| {
@@ -187,7 +208,20 @@ fn max_ways_matches_stamp_scan() {
             state
         })
         .collect();
-    for (sets, flush_permille) in [(1, 5), (7, 1), (16, 0)] {
-        run_differential(simprof_sim::cache::MAX_WAYS, sets, flush_permille, &ops);
+    for ways in [16, 17, 20, MAX_WAYS] {
+        for (sets, flush_permille) in [(1, 5), (7, 1), (16, 0)] {
+            run_differential(ways, sets, flush_permille, &ops);
+        }
+    }
+}
+
+/// [`Cache`] takes the narrow word exactly when the geometry fits it.
+#[test]
+fn width_follows_geometry() {
+    for ways in 1..=MAX_WAYS {
+        let config = CacheConfig::new(4 * ways as u64 * LINE_BYTES, ways);
+        for cache in [Cache::new(config), Cache::with_line_index(config)] {
+            assert_eq!(matches!(cache, Cache::Narrow(_)), ways <= 16, "{ways} ways");
+        }
     }
 }
