@@ -3,7 +3,7 @@
 //! and all-distinct rows, feature scoring, allocation), the
 //! machine model (4-core cache-hierarchy walks, pattern cursors), whole
 //! paper-scale engine runs, the instrumented engine kernels (quicksort
-//! trace, hash combine, k-way merge), job construction (input synthesis
+//! trace, hash combine, merge cost items), job construction (input synthesis
 //! plus whole `Benchmark::build` calls), and the trace codec (JSON chunk
 //! decode/encode, LZ decode/encode; reported per MB of raw JSON).
 
@@ -199,12 +199,11 @@ fn bench_ops(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("ops/kway_merge 8x8k", |b| {
-        let runs: Vec<Vec<u64>> =
-            (0..8).map(|r| (0..8_192u64).map(|i| i * 8 + r).collect()).collect();
+    c.bench_function("ops/merge_items 8x8k", |b| {
+        let lens = [8_192usize; 8];
         b.iter(|| {
-            let region = Region::new(0, 8 * 8_192 * 8);
-            black_box(ops::kway_merge(black_box(&runs), 8, region, vec![], 3))
+            let region = Region::new(0, 8 * 8_192 * 16);
+            black_box(ops::merge_items(black_box(&lens), region, vec![], 3))
         })
     });
 }
@@ -215,7 +214,9 @@ fn bench_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("workloads/build");
     let cfg = WorkloadConfig::paper(1);
     for w in WorkloadId::all() {
-        if !["sort_sp", "grep_sp", "wc_hp", "bayes_hp", "cc_hp"].contains(&w.label().as_str()) {
+        if !["sort_hp", "sort_sp", "grep_sp", "wc_hp", "bayes_hp", "cc_hp", "rank_hp"]
+            .contains(&w.label().as_str())
+        {
             continue;
         }
         g.bench_function(w.label(), |b| {

@@ -43,8 +43,12 @@ impl TraceInput {
     /// Opens `path`, auto-detecting the format from its leading bytes. A
     /// file that opens with the chunked magic's `SPTRC\0` prefix — or is
     /// cut short inside it — goes to the chunked reader, so a truncated or
-    /// unknown-version trace gets a trace error, not a JSON one.
+    /// unknown-version trace gets a trace error, not a JSON one. An empty
+    /// file is neither, and the error says so.
     pub fn open(path: &str) -> Result<Self, String> {
+        if std::fs::metadata(path).is_ok_and(|m| m.is_file() && m.len() == 0) {
+            return Err(format!("{path} is empty: not a .sptrc trace or a JSON bundle"));
+        }
         if simprof_trace::is_chunked(path) {
             let mut reader = TraceReader::open(path)?;
             let footer = reader.footer()?;

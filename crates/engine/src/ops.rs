@@ -91,6 +91,11 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
     fn write_u64(&mut self, i: u64) {
         self.add(i);
     }
@@ -341,67 +346,41 @@ fn partition<T: Ord>(data: &mut [T], lo: usize, hi: usize) -> usize {
     }
 }
 
-/// K-way merges sorted runs into one sorted vector, emitting cost items per
-/// merged chunk. The k advancing read frontiers stream through the runs'
-/// combined region once, so the pattern is a (prefetch-friendly) sequential
-/// walk of the whole region.
-pub fn kway_merge<T: Ord + Clone>(
-    runs: &[Vec<T>],
-    elem_bytes: u64,
+/// Elements merged per emitted cost item.
+const MERGE_CHUNK: usize = 8_192;
+
+/// The cost items of k-way merging sorted runs of `run_lens` elements: one
+/// item per [`MERGE_CHUNK`] merged elements plus one for the remainder,
+/// each charged per element by the merge fan-in (the non-empty runs). The
+/// k advancing read frontiers stream through the runs' combined region
+/// once, so the pattern is a (prefetch-friendly) sequential walk of the
+/// whole region.
+///
+/// A merge's cost depends only on how many elements each run holds, so
+/// no key is read, copied or merged.
+pub fn merge_items(
+    run_lens: &[usize],
     region: Region,
     path: Vec<MethodId>,
     seed: u64,
-) -> (Vec<T>, Vec<WorkItem>) {
-    const CHUNK: usize = 8_192;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let k = runs.iter().filter(|r| !r.is_empty()).count().max(1);
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heap: BinaryHeap<Reverse<(T, usize, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(ri, r)| Reverse((r[0].clone(), ri, 0)))
-        .collect();
-
-    let mut out = Vec::with_capacity(total);
-    let mut items = Vec::new();
+) -> Vec<WorkItem> {
+    let k = run_lens.iter().filter(|&&len| len > 0).count().max(1);
+    let total: usize = run_lens.iter().sum();
     let per_elem = costs::MERGE_BASE
-        + costs::MERGE_LOG * (k as u64).next_power_of_two().trailing_zeros() as u64;
-    let mut since_item = 0usize;
-    let mut emitted = 0u64;
-    while let Some(Reverse((v, ri, pos))) = heap.pop() {
-        out.push(v);
-        if pos + 1 < runs[ri].len() {
-            heap.push(Reverse((runs[ri][pos + 1].clone(), ri, pos + 1)));
-        }
-        since_item += 1;
-        if since_item == CHUNK {
-            items.push(WorkItem::compute(
+        + costs::MERGE_LOG * u64::from((k as u64).next_power_of_two().trailing_zeros());
+    (0..total.div_ceil(MERGE_CHUNK))
+        .map(|i| {
+            let merged = (total - i * MERGE_CHUNK).min(MERGE_CHUNK);
+            WorkItem::compute(
                 path.clone(),
-                since_item as u64 * per_elem,
+                merged as u64 * per_elem,
                 costs::MERGE_APKI,
                 AccessPattern::Sequential,
                 region,
-                seed.wrapping_add(emitted),
-            ));
-            emitted += 1;
-            since_item = 0;
-        }
-    }
-    if since_item > 0 {
-        items.push(WorkItem::compute(
-            path.clone(),
-            since_item as u64 * per_elem,
-            costs::MERGE_APKI,
-            AccessPattern::Sequential,
-            region,
-            seed.wrapping_add(emitted),
-        ));
-    }
-    let _ = elem_bytes;
-    (out, items)
+                seed.wrapping_add(i as u64),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -486,21 +465,20 @@ mod tests {
     }
 
     #[test]
-    fn kway_merge_merges() {
-        let runs = vec![vec![1u64, 4, 7], vec![2, 5, 8], vec![3, 6, 9], vec![]];
-        let (out, items) = kway_merge(&runs, 8, region(9 * 8), path(), 1);
-        assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8, 9]);
+    fn merge_items_charge_the_fan_in() {
+        let items = merge_items(&[3, 3, 3, 0], region(9 * 8), path(), 1);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].instrs, 9 * (costs::MERGE_BASE + 2 * costs::MERGE_LOG));
+        assert!(merge_items(&[0, 0], region(64), path(), 1).is_empty());
     }
 
     #[test]
-    fn kway_merge_chunking() {
-        let runs: Vec<Vec<u64>> =
-            (0..4).map(|r| (0..5000u64).map(|i| i * 4 + r).collect()).collect();
-        let (out, items) = kway_merge(&runs, 8, region(20_000 * 8), path(), 1);
-        assert_eq!(out.len(), 20_000);
-        assert!(out.windows(2).all(|w| w[0] <= w[1]));
-        assert!(items.len() >= 2, "20000 elems / 8192 chunk → ≥2 items");
+    fn merge_items_chunking() {
+        let items = merge_items(&[5_000; 4], region(20_000 * 8), path(), 1);
+        assert_eq!(items.len(), 3, "20000 elems / 8192 chunk → 3 items");
+        let per_elem = costs::MERGE_BASE + 2 * costs::MERGE_LOG;
+        assert_eq!(items[0].instrs, MERGE_CHUNK as u64 * per_elem);
+        assert_eq!(items[2].instrs, (20_000 - 2 * MERGE_CHUNK) as u64 * per_elem);
+        assert_eq!(items[2].seed, 3);
     }
 }

@@ -337,8 +337,8 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     let ranges = partition_ranges(docs.corpus.len(), cfg.partitions);
 
     // --- Job 1: train ---
-    let mut runs_per_reducer: Vec<Vec<Vec<u64>>> = vec![Vec::new(); cfg.reducers];
-    let mut count_per_reducer: Vec<usize> = vec![0; cfg.reducers];
+    // Per reducer: the length of each mapper's sorted run.
+    let mut run_lens: Vec<Vec<usize>> = vec![Vec::with_capacity(ranges.len()); cfg.reducers];
     let mut map_tasks = Vec::with_capacity(ranges.len());
     for (p, &range) in ranges.iter().enumerate() {
         let seed = cfg.sub_seed(1400 + p as u64);
@@ -387,46 +387,36 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
             vec![hm.codec_compress, hm.ifile_writer_append],
             seed,
         ));
-        let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
+        let mut per_r = vec![0usize; cfg.reducers];
         for ((class, w), _) in combined {
-            let k = class_word_hash(class, docs.corpus.word(w));
-            let r = route(k, cfg.reducers);
-            per_r[r].push(k);
-            count_per_reducer[r] += 1;
+            per_r[route(class_word_hash(class, docs.corpus.word(w)), cfg.reducers)] += 1;
         }
-        for (r, mut run) in per_r.into_iter().enumerate() {
-            run.sort_unstable();
-            runs_per_reducer[r].push(run);
+        for (lens, len) in run_lens.iter_mut().zip(per_r) {
+            lens.push(len);
         }
         map_tasks.push(Task::new(hm.map_base(), items));
     }
 
     let mut reduce_tasks = Vec::with_capacity(cfg.reducers);
-    for (r, runs) in runs_per_reducer.into_iter().enumerate() {
+    for (r, lens) in run_lens.iter().enumerate() {
         let seed = cfg.sub_seed(1500 + r as u64);
         let mut items = Vec::new();
-        let fetch_bytes = count_per_reducer[r] as u64 * 18;
+        let count = lens.iter().sum::<usize>() as u64;
+        let fetch_bytes = count * 18;
         let merge_region = machine.alloc(fetch_bytes.max(64));
-        let (_m, mut merge_items) =
-            ops::kway_merge(&runs, 16, merge_region, vec![hm.merger_merge], seed);
+        let mut merge_items = ops::merge_items(lens, merge_region, vec![hm.merger_merge], seed);
         overlap_stall(&mut merge_items, cfg.shuffle_fetch_stall(fetch_bytes));
         mark_shuffle_fetch(&mut merge_items, fetch_bytes);
         items.extend(merge_items);
         items.push(WorkItem::compute(
             vec![reducer_m],
-            count_per_reducer[r] as u64 * 30,
+            count * 30,
             ops::costs::SEQ_APKI,
             AccessPattern::Sequential,
             merge_region,
             seed,
         ));
-        items.push(hdfs_write_item(
-            &cfg.hdfs,
-            machine,
-            count_per_reducer[r] as u64 * 20,
-            vec![hm.dfs_write],
-            seed,
-        ));
+        items.push(hdfs_write_item(&cfg.hdfs, machine, count * 20, vec![hm.dfs_write], seed));
         reduce_tasks.push(Task::new(hm.reduce_base(), items));
     }
 

@@ -31,9 +31,10 @@ pub struct SuperstepStats {
     pub edges_from: Vec<usize>,
     /// Messages received by each target vertex-partition.
     pub msgs_to: Vec<usize>,
-    /// The actual message target ids emitted from each source partition
-    /// (used by the Hadoop builder's spill sort; empty unless recorded).
-    pub targets_from: Vec<Vec<u64>>,
+    /// The actual message target ids emitted from each source partition,
+    /// in emission order (used by the Hadoop builder's spill sort and
+    /// combiner; empty unless recorded).
+    pub targets_from: Vec<Vec<u32>>,
 }
 
 /// The partition of every vertex under [`partition_ranges`]`(n, partitions)`.
@@ -43,15 +44,6 @@ pub(crate) fn vertex_partitions(n: usize, partitions: usize) -> Vec<u32> {
         part.resize(part.len() + (hi - lo), u32::try_from(p).expect("partition count fits u32"));
     }
     part
-}
-
-/// The real label propagation, with per-superstep activity accounting.
-#[derive(Debug, Clone)]
-pub struct CcRun {
-    /// Final component labels.
-    pub labels: Vec<u32>,
-    /// One entry per executed superstep.
-    pub supersteps: Vec<SuperstepStats>,
 }
 
 /// Makes the directed CSR undirected by concatenating forward and reverse
@@ -81,21 +73,29 @@ pub fn undirected(g: &SynthGraph) -> SynthGraph {
     SynthGraph { n, offsets: deg, targets }
 }
 
-/// Runs synchronous min-label propagation, recording per-superstep activity
-/// for `partitions` vertex partitions. Stops at convergence or `cap`
-/// supersteps. Message target ids are kept only with `record_targets`.
-pub fn propagate(und: &SynthGraph, partitions: usize, cap: usize, record_targets: bool) -> CcRun {
+/// Runs synchronous min-label propagation and returns the final component
+/// labels. Each superstep's activity over `partitions` vertex partitions
+/// goes to `on_step` (with the superstep's index) as soon as the superstep
+/// ends, so a caller can consume it before the next one runs. Stops at
+/// convergence or `cap` supersteps. Message target ids are kept only with
+/// `record_targets`.
+pub fn propagate(
+    und: &SynthGraph,
+    partitions: usize,
+    cap: usize,
+    record_targets: bool,
+    mut on_step: impl FnMut(usize, SuperstepStats),
+) -> Vec<u32> {
     let n = und.n;
     let part = vertex_partitions(n, partitions);
     let mut labels: Vec<u32> = (0..n as u32).collect();
     let mut active: Vec<bool> = vec![true; n];
-    let mut supersteps = Vec::new();
 
-    for _ in 0..cap.max(1) {
+    for step in 0..cap.max(1) {
         let mut next = labels.clone();
         let mut edges_from = vec![0usize; partitions];
         let mut msgs_to = vec![0usize; partitions];
-        let mut targets_from: Vec<Vec<u64>> = vec![Vec::new(); partitions];
+        let mut targets_from: Vec<Vec<u32>> = vec![Vec::new(); partitions];
         let mut any_active = false;
         for v in 0..n {
             if !active[v] {
@@ -106,7 +106,7 @@ pub fn propagate(und: &SynthGraph, partitions: usize, cap: usize, record_targets
             for &t in und.neighbors(v) {
                 edges_from[p] += 1;
                 if record_targets {
-                    targets_from[p].push(t as u64);
+                    targets_from[p].push(t);
                 }
                 msgs_to[part[t as usize] as usize] += 1;
                 if labels[v] < next[t as usize] {
@@ -123,12 +123,12 @@ pub fn propagate(und: &SynthGraph, partitions: usize, cap: usize, record_targets
             changed |= active[v];
         }
         labels = next;
-        supersteps.push(SuperstepStats { edges_from, msgs_to, targets_from });
+        on_step(step, SuperstepStats { edges_from, msgs_to, targets_from });
         if !changed {
             break;
         }
     }
-    CcRun { labels, supersteps }
+    labels
 }
 
 /// Instruction costs of the graph kernels.
@@ -367,14 +367,15 @@ pub fn spark_on_graph(
     g: &SynthGraph,
 ) -> Job {
     let und = undirected(g);
-    let run = propagate(&und, cfg.partitions, cfg.max_iterations, false);
+    let mut supersteps = Vec::new();
+    propagate(&und, cfg.partitions, cfg.max_iterations, false, |_, ss| supersteps.push(ss));
     let regions = alloc_graph_regions(machine, &und);
 
     let mut stages = vec![load_stage(cfg, sm, &und, &regions)];
-    if let Some(first) = run.supersteps.first() {
+    if let Some(first) = supersteps.first() {
         stages.push(init_degrees_stage(cfg, sm, &regions, &first.edges_from, "cc-sp"));
     }
-    for (step, ss) in run.supersteps.iter().enumerate() {
+    for (step, ss) in supersteps.iter().enumerate() {
         stages.extend(graphx_superstep_stages(
             cfg,
             machine,
@@ -417,20 +418,30 @@ pub fn hadoop_on_graph(
     let reducer_m = reg.intern("org.bigdatabench.cc.MinLabelReducer.reduce", OpClass::Reduce);
     let und = undirected(g);
     let hp_cap = (cfg.max_iterations / 4).max(2);
-    let run = propagate(&und, cfg.partitions, hp_cap, true);
     let regions = alloc_graph_regions(machine, &und);
 
+    // Each superstep's MapReduce is built as soon as its propagation step
+    // ends, so only one step's message targets are ever held.
     let mut stages = Vec::new();
-    for (step, ss) in run.supersteps.iter().enumerate() {
+    propagate(&und, cfg.partitions, hp_cap, true, |step, ss| {
         stages.extend(hadoop_superstep_stages(
-            cfg, machine, &hm, mapper, reducer_m, &regions, ss, step, "cc-hp",
+            cfg,
+            machine,
+            &hm,
+            mapper,
+            reducer_m,
+            &regions,
+            ss.targets_from,
+            step,
+            "cc-hp",
         ));
-    }
+    });
     Job::new(stages)
 }
 
 /// One Hadoop superstep: map wave (read state, emit messages, sort, combine,
-/// spill) + reduce wave (fetch, merge, reduce, write).
+/// spill) + reduce wave (fetch, merge, reduce, write), from the message
+/// targets each vertex partition emitted, in emission order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hadoop_superstep_stages(
     cfg: &WorkloadConfig,
@@ -439,15 +450,16 @@ pub(crate) fn hadoop_superstep_stages(
     mapper: simprof_engine::MethodId,
     reducer_m: simprof_engine::MethodId,
     regions: &GraphRegions,
-    ss: &SuperstepStats,
+    targets_from: Vec<Vec<u32>>,
     step: usize,
     name: &str,
 ) -> Vec<Stage> {
     let mut map_tasks = Vec::new();
-    let mut msgs_per_reducer = vec![0usize; cfg.reducers];
-    let mut runs_per_reducer: Vec<Vec<Vec<u64>>> = vec![Vec::new(); cfg.reducers];
+    // Per reducer: the length of each mapper's sorted run.
+    let mut run_lens: Vec<Vec<usize>> = vec![Vec::new(); cfg.reducers];
+    let n = regions.values.bytes as usize / 8;
 
-    for (p, targets) in ss.targets_from.iter().enumerate() {
+    for (p, mut targets) in targets_from.into_iter().enumerate() {
         if targets.is_empty() {
             continue;
         }
@@ -467,21 +479,14 @@ pub(crate) fn hadoop_superstep_stages(
             )
             .with_io_stall(cfg.hdfs.read_stall(state_bytes + targets.len() as u64 * 8)),
         );
-        // Spill sort over the real message target ids.
-        let mut keys = targets.clone();
-        let buf = machine.alloc(keys.len() as u64 * 16);
-        items.extend(ops::quicksort_trace(
-            &mut keys,
-            16,
-            buf,
-            vec![hm.sort_and_spill, hm.quick_sort],
-            seed,
-        ));
-        // Combine messages per target.
-        let pairs = targets.iter().map(|&t| (t, 1u64));
+        // Spill sort over the real message target ids, then the combine of
+        // messages per target. The combiner runs first, since its batches
+        // see the messages in emission order; the sort buffer is allocated
+        // before the combiner's map, as the sort runs first in the job.
+        let buf = machine.alloc(targets.len() as u64 * 16);
         let (combined, combine_items) = ops::hash_combine(
-            pairs,
-            |a, b| *a += b,
+            targets.iter().map(|&t| (t, ())),
+            |(), ()| {},
             32,
             4_096,
             vec![hm.combiner_combine, reducer_m],
@@ -489,6 +494,13 @@ pub(crate) fn hadoop_superstep_stages(
             machine,
             seed,
         );
+        items.extend(ops::quicksort_trace(
+            &mut targets,
+            16,
+            buf,
+            vec![hm.sort_and_spill, hm.quick_sort],
+            seed,
+        ));
         items.extend(combine_items);
         let out = combined.len() as u64 * 16;
         items.push(spill_item(
@@ -499,37 +511,33 @@ pub(crate) fn hadoop_superstep_stages(
             seed,
         ));
         // Route combined messages to reducers by target-id range.
-        let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
-        let n = regions.values.bytes as usize / 8;
-        for &(t, _) in &combined {
-            let r = ((t as usize) * cfg.reducers / n.max(1)).min(cfg.reducers - 1);
-            per_r[r].push(t);
-            msgs_per_reducer[r] += 1;
+        let mut per_r = vec![0usize; cfg.reducers];
+        for &(t, ()) in &combined {
+            per_r[((t as usize) * cfg.reducers / n.max(1)).min(cfg.reducers - 1)] += 1;
         }
-        for (r, mut run) in per_r.into_iter().enumerate() {
-            run.sort_unstable();
-            runs_per_reducer[r].push(run);
+        for (lens, len) in run_lens.iter_mut().zip(per_r) {
+            lens.push(len);
         }
         map_tasks.push(Task::new(hm.map_base(), items));
     }
 
     let mut reduce_tasks = Vec::new();
-    for (r, runs) in runs_per_reducer.into_iter().enumerate() {
-        if msgs_per_reducer[r] == 0 {
+    for (r, lens) in run_lens.iter().enumerate() {
+        let msgs = lens.iter().sum::<usize>() as u64;
+        if msgs == 0 {
             continue;
         }
         let seed = cfg.sub_seed(5500 + step as u64 * 64 + r as u64);
         let mut items = Vec::new();
-        let bytes = msgs_per_reducer[r] as u64 * 16;
+        let bytes = msgs * 16;
         let merge_region = machine.alloc(bytes.max(64));
-        let (_m, mut merge_items) =
-            ops::kway_merge(&runs, 16, merge_region, vec![hm.merger_merge], seed);
+        let mut merge_items = ops::merge_items(lens, merge_region, vec![hm.merger_merge], seed);
         overlap_stall(&mut merge_items, cfg.shuffle_fetch_stall(bytes));
         mark_shuffle_fetch(&mut merge_items, bytes);
         items.extend(merge_items);
         items.push(WorkItem::compute(
             vec![reducer_m],
-            msgs_per_reducer[r] as u64 * gcosts::HP_REDUCE,
+            msgs * gcosts::HP_REDUCE,
             ops::costs::SEQ_APKI,
             AccessPattern::Sequential,
             merge_region,
@@ -601,19 +609,20 @@ mod tests {
     fn propagation_matches_union_find() {
         let g = Kronecker::for_input(GraphInput::Google, 9, 5).generate(2);
         let und = undirected(&g);
-        let run = propagate(&und, 4, 64, false);
+        let labels = propagate(&und, 4, 64, false, |_, _| {});
         let expect = components_by_union_find(&und);
-        assert_eq!(run.labels, expect, "min-label propagation finds the components");
+        assert_eq!(labels, expect, "min-label propagation finds the components");
     }
 
     #[test]
     fn activity_decays_over_supersteps() {
         let g = Kronecker::for_input(GraphInput::Google, 11, 6).generate(3);
         let und = undirected(&g);
-        let run = propagate(&und, 4, 64, false);
-        assert!(run.supersteps.len() >= 3, "{}", run.supersteps.len());
-        let first: usize = run.supersteps[0].edges_from.iter().sum();
-        let last: usize = run.supersteps.last().unwrap().edges_from.iter().sum();
+        let mut supersteps = Vec::new();
+        propagate(&und, 4, 64, false, |_, ss| supersteps.push(ss));
+        assert!(supersteps.len() >= 3, "{}", supersteps.len());
+        let first: usize = supersteps[0].edges_from.iter().sum();
+        let last: usize = supersteps.last().unwrap().edges_from.iter().sum();
         assert!(last < first / 2, "activity must shrink: {first} → {last}");
     }
 

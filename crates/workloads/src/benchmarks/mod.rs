@@ -125,7 +125,7 @@ pub const SPILL_RECORDS: usize = 32_768;
 /// The full Hadoop map-output pipeline for one mapper's emitted key hashes:
 /// per-spill quicksort (real sorting of each bounded buffer fill), a spill
 /// write per buffer, and — when several spills happened — a map-side k-way
-/// merge into the final map output file.
+/// merge into the final map output file, costed from the spill lengths.
 ///
 /// Returns the cost items in execution order.
 pub fn map_side_sort_spill(
@@ -139,11 +139,7 @@ pub fn map_side_sort_spill(
 ) -> Vec<WorkItem> {
     use simprof_engine::ops;
     let mut items = Vec::new();
-    if keys.is_empty() {
-        return items;
-    }
-    let spills = keys.len().div_ceil(SPILL_RECORDS);
-    let mut runs: Vec<Vec<u64>> = Vec::with_capacity(spills);
+    let mut spill_lens = Vec::with_capacity(keys.len().div_ceil(SPILL_RECORDS));
     for (i, chunk) in keys.chunks_mut(SPILL_RECORDS).enumerate() {
         let region = machine.alloc(chunk.len() as u64 * 16);
         items.extend(ops::quicksort_trace(
@@ -160,14 +156,17 @@ pub fn map_side_sort_spill(
             spill_path.clone(),
             seed.wrapping_add(0x200 + i as u64),
         ));
-        runs.push(chunk.to_vec());
+        spill_lens.push(chunk.len());
     }
-    if runs.len() > 1 {
+    if spill_lens.len() > 1 {
         let total_bytes: u64 = keys.len() as u64 * 16;
         let merge_region = machine.alloc(total_bytes);
-        let (_m, merge_items) =
-            ops::kway_merge(&runs, 16, merge_region, merge_path, seed.wrapping_add(0x400));
-        items.extend(merge_items);
+        items.extend(ops::merge_items(
+            &spill_lens,
+            merge_region,
+            merge_path,
+            seed.wrapping_add(0x400),
+        ));
         items.push(spill_item(hdfs, machine, total_bytes, spill_path, seed.wrapping_add(0x500)));
     }
     items

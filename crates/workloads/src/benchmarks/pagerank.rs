@@ -22,28 +22,28 @@ use crate::synth::kronecker::{GraphInput, Kronecker, SynthGraph};
 /// Damping factor.
 pub const DAMPING: f64 = 0.85;
 
-/// The real PageRank computation plus per-iteration activity stats.
-#[derive(Debug, Clone)]
-pub struct PrRun {
-    /// Final rank vector (sums to ~1).
-    pub ranks: Vec<f64>,
-    /// One stats record per iteration (identical shapes, real counts).
-    pub iterations: Vec<SuperstepStats>,
-}
-
-/// Runs `iters` power iterations on the directed graph.
-pub fn pagerank(g: &SynthGraph, partitions: usize, iters: usize, record_targets: bool) -> PrRun {
+/// Runs `iters` power iterations on the directed graph and returns the
+/// final rank vector (sums to ~1). Each iteration's activity (identical
+/// shapes, real counts) goes to `on_step` (with the iteration's index) as
+/// soon as the iteration ends. Message target ids are kept only with
+/// `record_targets`.
+pub fn pagerank(
+    g: &SynthGraph,
+    partitions: usize,
+    iters: usize,
+    record_targets: bool,
+    mut on_step: impl FnMut(usize, SuperstepStats),
+) -> Vec<f64> {
     let n = g.n;
     let part = vertex_partitions(n, partitions);
     let mut ranks = vec![1.0 / n as f64; n];
-    let mut iterations = Vec::with_capacity(iters);
 
-    for _ in 0..iters.max(1) {
+    for step in 0..iters.max(1) {
         let mut next = vec![(1.0 - DAMPING) / n as f64; n];
         let mut dangling = 0.0;
         let mut edges_from = vec![0usize; partitions];
         let mut msgs_to = vec![0usize; partitions];
-        let mut targets_from: Vec<Vec<u64>> = vec![Vec::new(); partitions];
+        let mut targets_from: Vec<Vec<u32>> = vec![Vec::new(); partitions];
         for (v, &rank) in ranks.iter().enumerate() {
             let deg = g.degree(v);
             if deg == 0 {
@@ -56,7 +56,7 @@ pub fn pagerank(g: &SynthGraph, partitions: usize, iters: usize, record_targets:
                 edges_from[p] += 1;
                 msgs_to[part[t as usize] as usize] += 1;
                 if record_targets {
-                    targets_from[p].push(t as u64);
+                    targets_from[p].push(t);
                 }
                 next[t as usize] += share;
             }
@@ -66,9 +66,9 @@ pub fn pagerank(g: &SynthGraph, partitions: usize, iters: usize, record_targets:
             *r += dangling_share;
         }
         ranks = next;
-        iterations.push(SuperstepStats { edges_from, msgs_to, targets_from });
+        on_step(step, SuperstepStats { edges_from, msgs_to, targets_from });
     }
-    PrRun { ranks, iterations }
+    ranks
 }
 
 /// Builds the Spark PageRank job.
@@ -89,7 +89,8 @@ pub fn spark_on_graph(
     sm: &SparkMethods,
     g: &SynthGraph,
 ) -> Job {
-    let run = pagerank(g, cfg.partitions, cfg.max_iterations, false);
+    let mut iterations = Vec::new();
+    pagerank(g, cfg.partitions, cfg.max_iterations, false, |_, ss| iterations.push(ss));
     let regions = alloc_graph_regions(machine, g);
 
     let mut stages = Vec::new();
@@ -114,11 +115,11 @@ pub fn spark_on_graph(
         })
         .collect();
     stages.push(Stage::new("rank-sp-load", load_tasks));
-    if let Some(first) = run.iterations.first() {
+    if let Some(first) = iterations.first() {
         stages.push(init_degrees_stage(cfg, sm, &regions, &first.edges_from, "rank-sp"));
     }
 
-    for (step, ss) in run.iterations.iter().enumerate() {
+    for (step, ss) in iterations.iter().enumerate() {
         stages.extend(graphx_superstep_stages(
             cfg,
             machine,
@@ -160,15 +161,24 @@ pub fn hadoop_on_graph(
     let mapper = reg.intern("org.bigdatabench.rank.RankShareMapper.map", OpClass::Map);
     let reducer_m = reg.intern("org.bigdatabench.rank.RankSumReducer.reduce", OpClass::Reduce);
     let hp_iters = (cfg.max_iterations / 4).max(2);
-    let run = pagerank(g, cfg.partitions, hp_iters, true);
     let regions = alloc_graph_regions(machine, g);
 
+    // Each iteration's MapReduce is built as soon as the iteration ends, so
+    // only one iteration's message targets are ever held.
     let mut stages = Vec::new();
-    for (step, ss) in run.iterations.iter().enumerate() {
+    pagerank(g, cfg.partitions, hp_iters, true, |step, ss| {
         stages.extend(hadoop_superstep_stages(
-            cfg, machine, &hm, mapper, reducer_m, &regions, ss, step, "rank-hp",
+            cfg,
+            machine,
+            &hm,
+            mapper,
+            reducer_m,
+            &regions,
+            ss.targets_from,
+            step,
+            "rank-hp",
         ));
-    }
+    });
     Job::new(stages)
 }
 
@@ -180,16 +190,16 @@ mod tests {
     #[test]
     fn ranks_sum_to_one() {
         let g = Kronecker::for_input(GraphInput::Google, 10, 6).generate(1);
-        let run = pagerank(&g, 4, 10, false);
-        let sum: f64 = run.ranks.iter().sum();
+        let ranks = pagerank(&g, 4, 10, false, |_, _| {});
+        let sum: f64 = ranks.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "{sum}");
-        assert!(run.ranks.iter().all(|&r| r > 0.0));
+        assert!(ranks.iter().all(|&r| r > 0.0));
     }
 
     #[test]
     fn high_in_degree_vertices_rank_higher() {
         let g = Kronecker::for_input(GraphInput::Google, 10, 8).generate(2);
-        let run = pagerank(&g, 4, 15, false);
+        let ranks = pagerank(&g, 4, 15, false, |_, _| {});
         // In-degree per vertex.
         let mut indeg = vec![0usize; g.n];
         for &t in &g.targets {
@@ -197,16 +207,17 @@ mod tests {
         }
         let max_in = (0..g.n).max_by_key(|&v| indeg[v]).unwrap();
         let zero_in = (0..g.n).find(|&v| indeg[v] == 0).unwrap();
-        assert!(run.ranks[max_in] > run.ranks[zero_in] * 5.0);
+        assert!(ranks[max_in] > ranks[zero_in] * 5.0);
     }
 
     #[test]
     fn iteration_stats_are_stable() {
         let g = Kronecker::for_input(GraphInput::Google, 9, 5).generate(3);
-        let run = pagerank(&g, 4, 5, false);
-        assert_eq!(run.iterations.len(), 5);
-        let e0: usize = run.iterations[0].edges_from.iter().sum();
-        let e4: usize = run.iterations[4].edges_from.iter().sum();
+        let mut iterations = Vec::new();
+        pagerank(&g, 4, 5, false, |_, ss| iterations.push(ss));
+        assert_eq!(iterations.len(), 5);
+        let e0: usize = iterations[0].edges_from.iter().sum();
+        let e4: usize = iterations[4].edges_from.iter().sum();
         assert_eq!(e0, e4, "PageRank activity does not decay");
     }
 

@@ -98,6 +98,7 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
         }
         map_tasks.push(Task::new(sm.shuffle_map_base(), items));
     }
+    drop((corpus, all_keys));
 
     let mut reduce_tasks = Vec::with_capacity(cfg.reducers);
     for (r, mut keys) in reducer_keys.into_iter().enumerate() {
@@ -135,7 +136,8 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     let bounds = boundaries(&all_keys, cfg.reducers);
     let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
-    let mut runs_per_reducer: Vec<Vec<Vec<u64>>> = vec![Vec::new(); cfg.reducers];
+    // Per reducer: the length of each mapper's sorted run.
+    let mut run_lens: Vec<Vec<usize>> = vec![Vec::with_capacity(ranges.len()); cfg.reducers];
     let mut reducer_bytes: Vec<u64> = vec![0; cfg.reducers];
     let mut map_tasks = Vec::with_capacity(ranges.len());
     for (p, &(lo, hi)) in ranges.iter().enumerate() {
@@ -163,26 +165,25 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
             vec![hm.codec_compress, hm.ifile_writer_append],
             seed,
         ));
-        let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
+        let mut per_r = vec![0usize; cfg.reducers];
         for (i, &k) in (lo..hi).zip(&all_keys[lo..hi]) {
             let r = range_of(k, &bounds);
-            per_r[r].push(k);
+            per_r[r] += 1;
             reducer_bytes[r] += corpus.line_len(i) as u64 + 1;
         }
-        for (r, mut run) in per_r.into_iter().enumerate() {
-            run.sort_unstable();
-            runs_per_reducer[r].push(run);
+        for (lens, len) in run_lens.iter_mut().zip(per_r) {
+            lens.push(len);
         }
         map_tasks.push(Task::new(hm.map_base(), items));
     }
+    drop((corpus, all_keys));
 
     let mut reduce_tasks = Vec::with_capacity(cfg.reducers);
-    for (r, runs) in runs_per_reducer.into_iter().enumerate() {
+    for (r, lens) in run_lens.iter().enumerate() {
         let seed = cfg.sub_seed(1000 + r as u64);
         let mut items = Vec::new();
         let merge_region = machine.alloc(reducer_bytes[r].max(64));
-        let (_merged, mut merge_items) =
-            ops::kway_merge(&runs, 16, merge_region, vec![hm.merger_merge], seed);
+        let mut merge_items = ops::merge_items(lens, merge_region, vec![hm.merger_merge], seed);
         overlap_stall(&mut merge_items, cfg.shuffle_fetch_stall(reducer_bytes[r]));
         mark_shuffle_fetch(&mut merge_items, reducer_bytes[r]);
         items.extend(merge_items);

@@ -264,10 +264,12 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     let hashes = word_hashes(&corpus);
     let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
-    // Per reducer: one sorted run of key hashes per mapper, plus the real
-    // (word, count) pairs for the reduce computation.
-    let mut runs_per_reducer: Vec<Vec<Vec<u64>>> = vec![Vec::new(); cfg.reducers];
-    let mut pairs_per_reducer: Vec<Vec<(u16, i64)>> = vec![Vec::new(); cfg.reducers];
+    // Per reducer: the length of each mapper's sorted run, and the distinct
+    // words its reduce sums (a word routes to one reducer, so a word is new
+    // to its reducer when no mapper has emitted it before).
+    let mut run_lens: Vec<Vec<usize>> = vec![Vec::with_capacity(ranges.len()); cfg.reducers];
+    let mut distinct_words = vec![0u64; cfg.reducers];
+    let mut seen = vec![false; corpus.vocabulary().len()];
 
     let mut map_tasks = Vec::with_capacity(ranges.len());
     for (p, &range) in ranges.iter().enumerate() {
@@ -322,41 +324,33 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
 
         // Route real outputs to reducers; each mapper contributes one sorted
         // run per reducer.
-        let mut per_r: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
-        for (w, c) in combined {
-            let h = hashes[usize::from(w)];
-            let r = route(h, cfg.reducers);
-            per_r[r].push(h);
-            pairs_per_reducer[r].push((w, c));
+        let mut per_r = vec![0usize; cfg.reducers];
+        for (w, _) in combined {
+            let r = route(hashes[usize::from(w)], cfg.reducers);
+            per_r[r] += 1;
+            let seen = &mut seen[usize::from(w)];
+            distinct_words[r] += u64::from(!*seen);
+            *seen = true;
         }
-        for (r, mut run) in per_r.into_iter().enumerate() {
-            run.sort_unstable();
-            runs_per_reducer[r].push(run);
+        for (lens, len) in run_lens.iter_mut().zip(per_r) {
+            lens.push(len);
         }
         map_tasks.push(Task::new(hm.map_base(), items));
     }
 
     let mut reduce_tasks = Vec::with_capacity(cfg.reducers);
-    for (r, runs) in runs_per_reducer.into_iter().enumerate() {
+    for (r, lens) in run_lens.iter().enumerate() {
         let seed = cfg.sub_seed(400 + r as u64);
         let mut items = Vec::new();
-        let total_keys: usize = runs.iter().map(Vec::len).sum();
+        let total_keys: usize = lens.iter().sum();
         let fetch_bytes = total_keys as u64 * 16;
         let merge_region = machine.alloc(fetch_bytes.max(64));
-        let (_merged, mut merge_items) =
-            ops::kway_merge(&runs, 16, merge_region, vec![hm.merger_merge], seed);
+        let mut merge_items = ops::merge_items(lens, merge_region, vec![hm.merger_merge], seed);
         overlap_stall(&mut merge_items, cfg.shuffle_fetch_stall(fetch_bytes));
         mark_shuffle_fetch(&mut merge_items, fetch_bytes);
         items.extend(merge_items);
 
-        // The real reduce: sum counts per word (sequential over sorted runs).
-        let mut sums = vec![0i64; corpus.vocabulary().len()];
-        let mut distinct = 0u64;
-        for (w, c) in std::mem::take(&mut pairs_per_reducer[r]) {
-            let sum = &mut sums[usize::from(w)];
-            distinct += u64::from(*sum == 0);
-            *sum += c;
-        }
+        // The reduce: sum counts per word (sequential over sorted runs).
         let reduce_instrs = total_keys as u64 * 14;
         items.push(WorkItem::compute(
             vec![reducer_m],
@@ -367,7 +361,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
             seed,
         ));
 
-        let out = distinct * 14;
+        let out = distinct_words[r] * 14;
         items.push(hdfs_write_item(&cfg.hdfs, machine, out, vec![hm.dfs_write], seed));
         reduce_tasks.push(Task::new(hm.reduce_base(), items));
     }

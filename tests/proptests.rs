@@ -3,6 +3,9 @@
 
 use proptest::prelude::*;
 
+#[path = "../crates/engine/tests/support/mod.rs"]
+mod merge_reference;
+
 use simprof::sim::{AccessCursor, AccessPattern, Cache, CacheConfig, Region};
 use simprof::stats::{
     kmeans, mean, optimal_allocation, srs_indices_seeded, stddev, stratified_se, KMeans, Matrix,
@@ -170,11 +173,12 @@ proptest! {
         }
     }
 
-    /// kway_merge merges arbitrary sorted runs correctly.
+    /// The reference heap merge merges arbitrary sorted runs correctly, and
+    /// `merge_items` costs the merge exactly as it does.
     #[test]
     fn kway_merge_merges(runs in proptest::collection::vec(
         proptest::collection::vec(any::<u32>(), 0..300), 0..6)) {
-        use simprof::engine::ops::kway_merge;
+        use simprof::engine::ops::merge_items;
         let runs: Vec<Vec<u32>> = runs
             .into_iter()
             .map(|mut r| {
@@ -184,7 +188,9 @@ proptest! {
             .collect();
         let total: usize = runs.iter().map(Vec::len).sum();
         let region = Region::new(0, (total as u64 * 4).max(64));
-        let (out, _items) = kway_merge(&runs, 4, region, vec![], 2);
+        let (out, items) = merge_reference::kway_merge(&runs, region, vec![], 2);
+        let lens: Vec<usize> = runs.iter().map(Vec::len).collect();
+        prop_assert_eq!(merge_items(&lens, region, vec![], 2), items);
         prop_assert_eq!(out.len(), total);
         prop_assert!(out.windows(2).all(|w| w[0] <= w[1]));
         let mut expect: Vec<u32> = runs.into_iter().flatten().collect();
