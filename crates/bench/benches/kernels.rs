@@ -39,14 +39,13 @@ fn synth_features(n: usize, d: usize, k: usize) -> (Matrix, Vec<f64>) {
     (Matrix::from_rows(&rows), y)
 }
 
-/// A 2000 × 14 matrix shaped like a projected fine-unit trace: rows drawn
-/// from 45 patterns with values in multiples of 0.1 (≈ 45 distinct rows),
-/// or with a small per-row jitter on top (every row distinct).
-fn quantized_features(jitter: bool) -> Matrix {
-    const PATTERNS: usize = 45;
-    let rows: Vec<Vec<f64>> = (0..2000)
+/// A `rows` × 14 matrix shaped like a projected fine-unit trace: rows drawn
+/// from `patterns` patterns with values in multiples of 0.1, or with a small
+/// per-row jitter on top (every row distinct).
+fn quantized_features(rows: usize, patterns: usize, jitter: bool) -> Matrix {
+    let rows: Vec<Vec<f64>> = (0..rows)
         .map(|i| {
-            let p = (i * 7 + i / 13) % PATTERNS;
+            let p = (i * 7 + i / 13) % patterns;
             (0..14)
                 .map(|j| {
                     let level = if j % 5 == p % 5 { 30 + (p * 3 + j) % 20 } else { (p * j) % 6 };
@@ -80,10 +79,17 @@ fn bench_stats(c: &mut Criterion) {
     });
 
     // The whole k-selection sweep (k ≤ 20) on duplicate-heavy and on
-    // all-distinct rows: per-row work runs once per distinct row.
+    // all-distinct rows: per-row work runs once per distinct row. With 7
+    // distinct rows (`grep_sp`'s fine shard) most sweep runs have more
+    // clusters than rows and cycle until the cycle skip jumps them to
+    // `max_iter`.
     let mut g = c.benchmark_group("stats/choose_k");
-    for (name, jitter) in [("quantized 2000x14", false), ("jittered 2000x14", true)] {
-        let m = quantized_features(jitter);
+    for (name, rows, patterns, jitter) in [
+        ("quantized 2000x14", 2000, 45, false),
+        ("jittered 2000x14", 2000, 45, true),
+        ("few-distinct 700x14", 700, 7, false),
+    ] {
+        let m = quantized_features(rows, patterns, jitter);
         g.bench_function(name, |b| b.iter(|| choose_k(black_box(&m), 20, 0.9, 0.25, 42)));
     }
     g.finish();

@@ -93,6 +93,12 @@ impl Matrix {
         self.data[i * self.cols + j] = v;
     }
 
+    /// Borrows the row-major buffer.
+    #[inline]
+    pub(crate) fn as_flat(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
         self.data.chunks_exact(self.cols.max(1)).take(self.rows)

@@ -32,18 +32,16 @@ fn corpus(cfg: &WorkloadConfig) -> Corpus {
     })
 }
 
-/// Key of every record: the FNV-1a hash of its first word (uniform-ish
+/// The key of record `i`: the FNV-1a hash of its first word (uniform-ish
 /// over u64, so range partitioning splits evenly), read from the
-/// per-vocabulary hash table.
-fn keys(corpus: &Corpus) -> Vec<u64> {
-    let hashes = word_hashes(corpus);
-    (0..corpus.len()).map(|i| hashes[usize::from(corpus.line(i)[0])]).collect()
+/// per-vocabulary hash table `hashes`. No per-record key array exists.
+fn record_key(corpus: &Corpus, hashes: &[u64], i: usize) -> u64 {
+    hashes[usize::from(corpus.line(i)[0])]
 }
 
-/// Range boundaries from a deterministic sample of keys.
-fn boundaries(keys: &[u64], reducers: usize) -> Vec<u64> {
-    let mut sample: Vec<u64> =
-        keys.iter().step_by(16.max(keys.len() / 1024 + 1)).copied().collect();
+/// Range boundaries from a deterministic sample of the `n` keys `key(i)`.
+fn boundaries(n: usize, key: impl Fn(usize) -> u64, reducers: usize) -> Vec<u64> {
+    let mut sample: Vec<u64> = (0..n).step_by(16.max(n / 1024 + 1)).map(key).collect();
     sample.sort_unstable();
     (1..reducers)
         .map(|r| sample.get(r * sample.len() / reducers).copied().unwrap_or(u64::MAX))
@@ -59,11 +57,18 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
     let sm = SparkMethods::intern(reg);
     let key_fn = reg.intern("org.bigdatabench.sort.KeyExtractFn.apply", OpClass::Map);
     let corpus = corpus(cfg);
-    let all_keys = keys(&corpus);
-    let bounds = boundaries(&all_keys, cfg.reducers);
+    let hashes = word_hashes(&corpus);
+    let key = |i| record_key(&corpus, &hashes, i);
+    let bounds = boundaries(corpus.len(), key, cfg.reducers);
     let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
-    let mut reducer_keys: Vec<Vec<u64>> = vec![Vec::new(); cfg.reducers];
+    // A counting pass sizes every reducer's key vector exactly, so the map
+    // wave never grows one.
+    let mut counts = vec![0usize; cfg.reducers];
+    for i in 0..corpus.len() {
+        counts[range_of(key(i), &bounds)] += 1;
+    }
+    let mut reducer_keys: Vec<Vec<u64>> = counts.into_iter().map(Vec::with_capacity).collect();
     let mut reducer_bytes: Vec<u64> = vec![0; cfg.reducers];
     let mut map_tasks = Vec::with_capacity(ranges.len());
     for (p, &(lo, hi)) in ranges.iter().enumerate() {
@@ -91,14 +96,15 @@ pub fn spark(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegist
             vec![sm.shuffle_writer_write, sm.serialize_object],
             seed,
         ));
-        for (i, &k) in (lo..hi).zip(&all_keys[lo..hi]) {
+        for i in lo..hi {
+            let k = key(i);
             let r = range_of(k, &bounds);
             reducer_keys[r].push(k);
             reducer_bytes[r] += corpus.line_len(i) as u64 + 1;
         }
         map_tasks.push(Task::new(sm.shuffle_map_base(), items));
     }
-    drop((corpus, all_keys));
+    drop((corpus, hashes));
 
     let mut reduce_tasks = Vec::with_capacity(cfg.reducers);
     for (r, mut keys) in reducer_keys.into_iter().enumerate() {
@@ -132,8 +138,9 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
     let hm = HadoopMethods::intern(reg);
     let mapper = reg.intern("org.bigdatabench.sort.IdentityMapper.map", OpClass::Map);
     let corpus = corpus(cfg);
-    let all_keys = keys(&corpus);
-    let bounds = boundaries(&all_keys, cfg.reducers);
+    let hashes = word_hashes(&corpus);
+    let key = |i| record_key(&corpus, &hashes, i);
+    let bounds = boundaries(corpus.len(), key, cfg.reducers);
     let ranges = partition_ranges(corpus.len(), cfg.partitions);
 
     // Per reducer: the length of each mapper's sorted run.
@@ -166,8 +173,8 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
             seed,
         ));
         let mut per_r = vec![0usize; cfg.reducers];
-        for (i, &k) in (lo..hi).zip(&all_keys[lo..hi]) {
-            let r = range_of(k, &bounds);
+        for i in lo..hi {
+            let r = range_of(key(i), &bounds);
             per_r[r] += 1;
             reducer_bytes[r] += corpus.line_len(i) as u64 + 1;
         }
@@ -176,7 +183,7 @@ pub fn hadoop(cfg: &WorkloadConfig, machine: &mut Machine, reg: &mut MethodRegis
         }
         map_tasks.push(Task::new(hm.map_base(), items));
     }
-    drop((corpus, all_keys));
+    drop((corpus, hashes));
 
     let mut reduce_tasks = Vec::with_capacity(cfg.reducers);
     for (r, lens) in run_lens.iter().enumerate() {
@@ -207,7 +214,7 @@ mod tests {
     fn boundaries_split_key_space() {
         let keys: Vec<u64> =
             (0..10_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        let b = boundaries(&keys, 4);
+        let b = boundaries(keys.len(), |i| keys[i], 4);
         assert_eq!(b.len(), 3);
         assert!(b.windows(2).all(|w| w[0] <= w[1]));
         let mut counts = [0usize; 4];
@@ -223,8 +230,9 @@ mod tests {
     fn range_partitioning_preserves_all_records() {
         let cfg = WorkloadConfig::tiny(43);
         let corpus = corpus(&cfg);
-        let keys = keys(&corpus);
-        let bounds = boundaries(&keys, cfg.reducers);
+        let hashes = word_hashes(&corpus);
+        let keys: Vec<u64> = (0..corpus.len()).map(|i| record_key(&corpus, &hashes, i)).collect();
+        let bounds = boundaries(keys.len(), |i| keys[i], cfg.reducers);
         let mut counts = vec![0usize; cfg.reducers];
         for &k in &keys {
             counts[range_of(k, &bounds)] += 1;

@@ -45,8 +45,10 @@ use std::sync::{Condvar, Mutex, OnceLock};
 /// thread count.
 pub const SUM_CHUNK: usize = 256;
 
-/// Below this many items a parallel call runs sequentially: spawning scoped
-/// worker threads costs more than the work can recoup.
+/// Below this many items a parallel call runs sequentially: waking the pool
+/// and waiting for its workers costs more than so few items can recoup.
+/// Callers whose items are cheap decide on their own work estimate before
+/// entering a region (the Lloyd assignment step, DESIGN.md §15.3).
 const PAR_THRESHOLD: usize = 4;
 
 /// Programmatic worker-count override; `0` means "no override".
