@@ -1,32 +1,45 @@
-//! Differential suite for the serde shims' direct JSON path.
+//! Golden suite for the serde shims' JSON text path.
 //!
 //! `serde_json::from_str::<T>` parses text straight into `T` through
-//! `Deserialize::from_json`; `serde_json::to_string` renders through
-//! `Serialize::write_json`. Both must be interchangeable with the value
-//! path they replaced:
+//! `Deserialize::from_json`; `serde_json::to_string` and
+//! `to_string_pretty` render through `Serialize::write_json`. The files
+//! under `tests/data/json_golden/` were written while the shims still
+//! carried a second, `Value`-based path that this suite held the direct
+//! one to, so they pin what both paths agreed on (DESIGN.md §20):
 //!
-//! * decoding: `from_str::<T>(s)` equals `from_value::<T>(&from_str::<Value>(s)?)`
-//!   — the same `Ok` value, and an `Err` exactly when the value path errs —
-//!   on valid texts of every persisted type and on seeded mutations of
-//!   them (unknown and duplicate keys, dropped fields, grown and shrunk
-//!   arrays, number spellings, escapes, whitespace, type swaps, byte
-//!   flips, truncation);
-//! * encoding: `to_string(&x)` equals, byte for byte, a reference copy of
-//!   the value-model renderer applied to `x.to_value()` (and
-//!   `to_string_pretty` its pretty form), including non-finite, negative
-//!   zero and huge floats and `HashMap` key order.
+//! * decoding (`decode_*.txt`): on valid texts of every persisted type and
+//!   on seeded mutations of them (unknown and duplicate keys, dropped
+//!   fields, grown and shrunk arrays, number spellings, escapes,
+//!   whitespace, type swaps, byte flips, truncation), whether `from_str`
+//!   errs and, when it does not, the compact re-encoding of what it
+//!   returned (in full when short, else its FNV-1a digest). Each line also
+//!   carries the input's digest, so a generator that drifts fails here
+//!   instead of quietly checking other texts;
+//! * encoding (`encode/`): the `to_string` and `to_string_pretty` bytes of
+//!   a fixed set, including non-finite, negative zero and huge floats,
+//!   control characters, `HashMap` key order and every enum variant shape;
+//! * artifacts: an event log, a run-report and a fleet timeline, a pretty
+//!   fleet report and a store index, byte for byte.
+//!
+//! A change that alters a fixture has changed bytes the workspace reads or
+//! writes; the fixtures are never rewritten to make this suite pass.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Debug;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use serde::{Deserialize, Serialize};
 use serde_json::{json, Map, Number, Value};
 
-use simprof::core::{SimProf, SimProfConfig};
-use simprof::obs::{FleetJob, FleetReport, ObsContext, RunReport};
+use simprof::engine::FaultEvent;
+use simprof::obs::{
+    Event, EventKind, EventSink, FleetJob, FleetReport, JobSlice, JsonlEventWriter, RunReport,
+    EVENT_SCHEMA_VERSION,
+};
 use simprof::profiler::SamplingUnit;
-use simprof::service::JobSpec;
+use simprof::service::{JobSpec, ShardRecord, StoreIndex};
 use simprof::trace::{TraceFooter, TraceMeta};
 use simprof::workloads::{WorkloadConfig, WorkloadId};
 
@@ -34,7 +47,101 @@ use simprof::workloads::{WorkloadConfig, WorkloadId};
 const VARIANTS: usize = 150;
 
 // ---------------------------------------------------------------------------
-// The reference renderer: the value-model writer the direct path replaced.
+// Golden files
+// ---------------------------------------------------------------------------
+
+fn golden_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/json_golden").join(name)
+}
+
+fn golden_text(name: &str) -> String {
+    std::fs::read_to_string(golden_path(name)).unwrap_or_else(|e| panic!("golden file {name}: {e}"))
+}
+
+/// Asserts that `actual` is the golden file `name`, byte for byte; on a
+/// mismatch names the first line that differs.
+fn expect_golden(name: &str, actual: &str) {
+    let want = golden_text(name);
+    if want == actual {
+        return;
+    }
+    let (mut w, mut a) = (want.split('\n'), actual.split('\n'));
+    for line in 1.. {
+        match (w.next(), a.next()) {
+            (Some(x), Some(y)) if x == y => continue,
+            (x, y) => panic!("{name} differs at line {line}:\n  golden: {x:?}\n  actual: {y:?}"),
+        }
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// One section's decode cases, checked as a whole against
+/// `decode_<section>.txt`: a `case \t input-digest \t outcome` line each.
+struct Corpus {
+    section: &'static str,
+    lines: String,
+}
+
+impl Corpus {
+    fn new(section: &'static str) -> Self {
+        Self { section, lines: String::new() }
+    }
+
+    /// Decodes `text` as `T` and records the outcome; returns whether it
+    /// decoded.
+    fn decode<T: Serialize + Deserialize>(&mut self, case: impl Display, text: &str) -> bool {
+        let (outcome, ok) = match serde_json::from_str::<T>(text) {
+            Ok(v) => {
+                let s = serde_json::to_string(&v).unwrap();
+                let shown =
+                    if s.len() <= 64 { format!("={s}") } else { format!("#{:016x}", fnv(s.as_bytes())) };
+                (format!("ok {shown}"), true)
+            }
+            Err(_) => ("err".to_owned(), false),
+        };
+        self.lines.push_str(&format!("{case}\t{:016x}\t{outcome}\n", fnv(text.as_bytes())));
+        ok
+    }
+
+    /// Records `base` and `VARIANTS` seeded mutations of it; asserts the
+    /// valid base decodes and that the mutations hit both outcomes.
+    fn mutations<T: Serialize + Deserialize>(&mut self, case: &str, base: &str, seed: u64) {
+        assert!(self.decode::<T>(format!("{case}/base"), base), "base text must decode: {base}");
+        let tree: Value = serde_json::from_str(base).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut ok, mut err) = (0, 0);
+        for i in 0..VARIANTS {
+            let text = mutate(&tree, &mut rng);
+            if self.decode::<T>(format!("{case}/{i}"), &text) {
+                ok += 1;
+            } else {
+                err += 1;
+            }
+        }
+        assert!(
+            ok > 0 && err > 0,
+            "mutations should both keep and break decoding ({ok} ok, {err} err)"
+        );
+    }
+
+    fn check(self) {
+        expect_golden(&format!("decode_{}.txt", self.section), &self.lines);
+    }
+}
+
+/// Checks `to_string(x)` and `to_string_pretty(x)` against
+/// `encode/<name>.json` and `encode/<name>.pretty.json`.
+fn check_encode<T: Serialize + ?Sized>(name: &str, x: &T) {
+    expect_golden(&format!("encode/{name}.json"), &serde_json::to_string(x).unwrap());
+    expect_golden(&format!("encode/{name}.pretty.json"), &serde_json::to_string_pretty(x).unwrap());
+}
+
+// ---------------------------------------------------------------------------
+// The mutation generator's renderer: compact or pretty, plus raw tokens.
 // ---------------------------------------------------------------------------
 
 /// Marks a string that `render` emits verbatim, so mutations can spell a
@@ -45,8 +152,7 @@ fn raw(token: impl Into<String>) -> Value {
     Value::String(format!("{RAW}{}", token.into()))
 }
 
-/// Renders `v` exactly as the value-model writer did: compact, or pretty
-/// with `indent` spaces per level.
+/// Renders `v` compact, or pretty with `indent` spaces per level.
 fn render(v: &Value, indent: Option<usize>) -> String {
     let mut out = String::new();
     render_into(&mut out, v, indent, 0);
@@ -126,65 +232,6 @@ fn render_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Checks
-// ---------------------------------------------------------------------------
-
-/// Decodes `text` both ways and demands the same outcome. Returns whether
-/// it decoded.
-fn check_decode<T>(text: &str) -> bool
-where
-    T: serde::Deserialize + PartialEq + Debug,
-{
-    let direct = serde_json::from_str::<T>(text);
-    let via_value =
-        serde_json::from_str::<Value>(text).and_then(|v| serde_json::from_value::<T>(&v));
-    match (direct, via_value) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(a, b, "paths decoded different values from {text:?}");
-            true
-        }
-        (Err(_), Err(_)) => false,
-        (a, b) => panic!(
-            "paths disagree on {text:?}:\n  direct:    {:?}\n  via value: {:?}",
-            a.map(|_| "Ok"),
-            b.map(|_| "Ok")
-        ),
-    }
-}
-
-/// Writes `x` through `to_string`/`to_string_pretty` and demands the
-/// reference renderer's bytes.
-fn check_encode<T: serde::Serialize + ?Sized>(x: &T) {
-    let value = x.to_value();
-    assert_eq!(serde_json::to_string(x).unwrap(), render(&value, None));
-    assert_eq!(serde_json::to_string_pretty(x).unwrap(), render(&value, Some(2)));
-}
-
-/// Checks `base` and `VARIANTS` seeded mutations of it; asserts the valid
-/// base decodes and that the mutations exercised both outcomes.
-fn check_type<T>(base: &str, seed: u64)
-where
-    T: serde::Deserialize + PartialEq + Debug,
-{
-    assert!(check_decode::<T>(base), "base text must decode: {base}");
-    let tree: Value = serde_json::from_str(base).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (mut ok, mut err) = (0, 0);
-    for _ in 0..VARIANTS {
-        let text = mutate(&tree, &mut rng);
-        if check_decode::<T>(&text) {
-            ok += 1;
-        } else {
-            err += 1;
-        }
-    }
-    assert!(
-        ok > 0 && err > 0,
-        "mutations should both keep and break decoding ({ok} ok, {err} err)"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -493,17 +540,44 @@ fn fleet_report() -> FleetReport {
     FleetReport::assemble(jobs, BTreeMap::from([("t9".to_owned(), 5u64)]))
 }
 
-fn run_report(trace: &simprof::profiler::ProfileTrace) -> RunReport {
-    let ctx = ObsContext::new();
-    {
-        let _installed = ctx.install();
-        SimProf::new(SimProfConfig::default()).analyze(trace).expect("tiny trace analyzes");
-    }
-    ctx.finish_report().with_section(
-        "floats",
-        json!({"nan": f64::NAN, "inf": f64::INFINITY, "neg_zero": -0.0f64, "huge": 1e300,
-               "tiny": 5e-324, "third": 1.0f64 / 3.0, "int": 2.0f64}),
-    )
+/// A compact run report from analyzing a tiny `wc_sp` trace under the
+/// default config, plus a `floats` section holding NaN, ±∞, -0.0, 1e300,
+/// 5e-324, 1/3 and 2.0. Span timings differ run to run, so the suite
+/// decodes the recorded one rather than making its own.
+fn recorded_run_report() -> String {
+    golden_text("run_report.json")
+}
+
+/// Every variant shape the derive supports.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Shape {
+    Unit,
+    Other,
+    One(u32),
+    Pair(u8, String),
+    Named {
+        a: f64,
+        #[serde(default)]
+        b: Option<u8>,
+    },
+}
+
+fn shapes() -> Vec<Shape> {
+    vec![
+        Shape::Unit,
+        Shape::One(7),
+        Shape::Pair(1, "x\"y".to_owned()),
+        Shape::Named { a: 1.5, b: None },
+        Shape::Named { a: -0.0, b: Some(3) },
+        Shape::Other,
+    ]
+}
+
+fn fault_events() -> Vec<FaultEvent> {
+    vec![
+        FaultEvent::ExecutorCrash { stage: 1, task: 2, attempt: 0, core: 3, lost_instrs: 4096 },
+        FaultEvent::RetriesExhausted { stage: 0, task: 5, attempts: 3 },
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -513,10 +587,12 @@ fn run_report(trace: &simprof::profiler::ProfileTrace) -> RunReport {
 #[test]
 fn sampling_unit_chunks_decode_identically() {
     let run = tiny_run();
+    let mut corpus = Corpus::new("units");
     for (i, chunk) in run.trace.units.chunks(32).take(3).enumerate() {
         let text = serde_json::to_string(chunk).unwrap();
-        check_type::<Vec<SamplingUnit>>(&text, 0x5EED + i as u64);
+        corpus.mutations::<Vec<SamplingUnit>>(&format!("chunk{i}"), &text, 0x5EED + i as u64);
     }
+    corpus.check();
 }
 
 #[test]
@@ -530,7 +606,8 @@ fn trace_header_and_footer_decode_identically() {
         snapshot_instrs: 1_000_000,
         core: 0,
     };
-    check_type::<TraceMeta>(&serde_json::to_string(&meta).unwrap(), 1);
+    let mut corpus = Corpus::new("header_footer");
+    corpus.mutations::<TraceMeta>("meta", &serde_json::to_string(&meta).unwrap(), 1);
     let footer = TraceFooter {
         version: 3,
         unit_count: run.trace.units.len() as u64,
@@ -541,79 +618,128 @@ fn trace_header_and_footer_decode_identically() {
         dropped_snapshots: 2,
         registry: run.registry,
     };
-    check_type::<TraceFooter>(&serde_json::to_string(&footer).unwrap(), 2);
+    corpus.mutations::<TraceFooter>("footer", &serde_json::to_string(&footer).unwrap(), 2);
+    corpus.check();
 }
 
 #[test]
 fn job_specs_decode_identically() {
     let specs = job_specs();
-    check_type::<Vec<JobSpec>>(&serde_json::to_string(&specs).unwrap(), 3);
+    let mut corpus = Corpus::new("job_specs");
+    corpus.mutations::<Vec<JobSpec>>("specs", &serde_json::to_string(&specs).unwrap(), 3);
     for (i, spec) in specs.iter().enumerate() {
-        check_type::<JobSpec>(&serde_json::to_string(spec).unwrap(), 4 + i as u64);
+        let text = serde_json::to_string(spec).unwrap();
+        corpus.mutations::<JobSpec>(&format!("spec{i}"), &text, 4 + i as u64);
     }
     // Absent `#[serde(default)]` fields default; an absent required one
-    // is an error on both paths.
-    assert!(check_decode::<JobSpec>(r#"{"workload":"wc_sp","id":"x"}"#));
-    assert!(!check_decode::<JobSpec>(r#"{"id":"x","seed":1}"#));
-    // The first of two duplicate keys wins on both paths.
+    // is an error.
+    assert!(corpus.decode::<JobSpec>("defaults", r#"{"workload":"wc_sp","id":"x"}"#));
+    assert!(!corpus.decode::<JobSpec>("required", r#"{"id":"x","seed":1}"#));
+    corpus.check();
+    // The first of two duplicate keys wins.
     let spec: JobSpec = serde_json::from_str(r#"{"id":"a","workload":"w","id":"b"}"#).unwrap();
     assert_eq!(spec.id, "a");
 }
 
 #[test]
 fn run_and_fleet_reports_decode_identically() {
-    let run = tiny_run();
-    let report = run_report(&run.trace);
-    check_type::<RunReport>(&serde_json::to_string(&report).unwrap(), 6);
-    check_type::<FleetReport>(&serde_json::to_string(&fleet_report()).unwrap(), 7);
+    let mut corpus = Corpus::new("reports");
+    corpus.mutations::<RunReport>("run", &recorded_run_report(), 6);
+    let fleet = serde_json::to_string(&fleet_report()).unwrap();
+    corpus.mutations::<FleetReport>("fleet", &fleet, 7);
+    corpus.check();
+}
+
+#[test]
+fn enum_variants_decode_identically() {
+    let mut corpus = Corpus::new("shapes");
+    corpus.mutations::<Vec<Shape>>("shapes", &serde_json::to_string(&shapes()).unwrap(), 8);
+    corpus.mutations::<Vec<FaultEvent>>("faults", &serde_json::to_string(&fault_events()).unwrap(), 9);
+    let texts = [
+        r#""Unit""#,
+        r#" "Other" "#,
+        r#"{"Unit":null}"#,
+        r#""One""#,
+        r#"{"One":1}"#,
+        r#"{ "One" : 4294967296 }"#,
+        r#"{"One":1,"One":2}"#,
+        r#"{"One":1,}"#,
+        r#"{}"#,
+        r#"{"Pair":[1,"a"]}"#,
+        r#"{"Pair":[1]}"#,
+        r#"{"Pair":[1,"a","b"]}"#,
+        r#"{"Pair":{"0":1}}"#,
+        r#"{"Named":{"a":1}}"#,
+        r#"{"Named":{"b":1}}"#,
+        r#"{"Named":{"a":1,"a":2,"b":null}}"#,
+        r#"{"Named":{"a":1,"zz":[1,{"q":2}]}}"#,
+        r#"{"Named":{"a":1,"zz":[1,{"q":}]}}"#,
+        r#"{"Named":[1]}"#,
+        r#""Nope""#,
+        r#"{"Nope":1}"#,
+        r#"["Unit"]"#,
+        "null",
+        "7",
+        r#""Unit""#,
+        r#"{"One":3}"#,
+    ];
+    for (i, text) in texts.iter().enumerate() {
+        corpus.decode::<Shape>(format!("text{i}"), text);
+    }
+    corpus.check();
 }
 
 #[test]
 fn number_spellings_convert_like_the_value_path() {
-    for text in NUMBER_FORMS {
-        check_decode::<u64>(text);
-        check_decode::<u32>(text);
-        check_decode::<i64>(text);
-        check_decode::<i8>(text);
-        check_decode::<f64>(text);
-        check_decode::<f32>(text);
-        check_decode::<Option<u64>>(text);
-        check_decode::<(u64, f64)>(&format!("[{text},{text}]"));
+    let mut corpus = Corpus::new("numbers");
+    for (i, text) in NUMBER_FORMS.iter().enumerate() {
+        corpus.decode::<u64>(format!("form{i}/u64"), text);
+        corpus.decode::<u32>(format!("form{i}/u32"), text);
+        corpus.decode::<i64>(format!("form{i}/i64"), text);
+        corpus.decode::<i8>(format!("form{i}/i8"), text);
+        corpus.decode::<f64>(format!("form{i}/f64"), text);
+        corpus.decode::<f32>(format!("form{i}/f32"), text);
+        corpus.decode::<Option<u64>>(format!("form{i}/option"), text);
+        corpus.decode::<(u64, f64)>(format!("form{i}/pair"), &format!("[{text},{text}]"));
     }
-    for text in
-        ["null", "true", " false ", "\"7\"", "[]", "{}", "", " ", "[1,]", "[,1]", "{\"a\":1,}"]
-    {
-        check_decode::<u64>(text);
-        check_decode::<bool>(text);
-        check_decode::<Option<bool>>(text);
-        check_decode::<String>(text);
-        check_decode::<Vec<u8>>(text);
-        check_decode::<(u8,)>(text);
-        check_decode::<Value>(text);
+    let others =
+        ["null", "true", " false ", "\"7\"", "[]", "{}", "", " ", "[1,]", "[,1]", "{\"a\":1,}"];
+    for (i, text) in others.iter().enumerate() {
+        corpus.decode::<u64>(format!("other{i}/u64"), text);
+        corpus.decode::<bool>(format!("other{i}/bool"), text);
+        corpus.decode::<Option<bool>>(format!("other{i}/option"), text);
+        corpus.decode::<String>(format!("other{i}/string"), text);
+        corpus.decode::<Vec<u8>>(format!("other{i}/vec"), text);
+        corpus.decode::<(u8,)>(format!("other{i}/tuple1"), text);
+        corpus.decode::<Value>(format!("other{i}/value"), text);
     }
+    assert!(corpus.decode::<(u8, u8)>("pair/ok", "[1, 2]"));
+    assert!(!corpus.decode::<(u8, u8)>("pair/short", "[1]"));
+    assert!(!corpus.decode::<(u8, u8)>("pair/long", "[1, 2, 3]"));
+    corpus.check();
     assert_eq!(serde_json::from_str::<u64>("1e3").unwrap(), 1000);
     assert_eq!(serde_json::from_str::<u64>("1.0").unwrap(), 1);
     assert_eq!(serde_json::from_str::<i64>("-0").unwrap(), 0);
     assert!(serde_json::from_str::<u64>("-1").is_err());
     // 2^64 overflows the integer parse, becomes the float 2^64, and that
-    // float converts to `u64::MAX` — a value-path quirk kept as is.
+    // float converts to `u64::MAX` — a quirk kept as is.
     assert_eq!(serde_json::from_str::<u64>("18446744073709551616").unwrap(), u64::MAX);
     assert!(serde_json::from_str::<u32>("18446744073709551616").is_err());
     assert_eq!(serde_json::from_str::<f64>("18446744073709551616").unwrap(), 1.8446744073709552e19);
-    assert!(check_decode::<(u8, u8)>("[1, 2]"));
-    assert!(!check_decode::<(u8, u8)>("[1]"));
-    assert!(!check_decode::<(u8, u8)>("[1, 2, 3]"));
     assert_eq!(serde_json::from_str::<String>(r#""aA\/\n""#).unwrap(), "aA/\n");
 }
 
 #[test]
 fn writes_match_the_value_renderer_byte_for_byte() {
     let run = tiny_run();
-    check_encode(&run.trace.units);
-    check_encode(&run.registry);
-    check_encode(&job_specs());
-    check_encode(&fleet_report());
-    check_encode(&run_report(&run.trace));
+    check_encode("units", &run.trace.units);
+    check_encode("registry", &run.registry);
+    check_encode("job_specs", &job_specs());
+    check_encode("fleet_report", &fleet_report());
+    let report: RunReport = serde_json::from_str(&recorded_run_report()).unwrap();
+    check_encode("run_report", &report);
+    check_encode("shapes", &shapes());
+    check_encode("faults", &fault_events());
 
     let floats = vec![
         f64::NAN,
@@ -630,26 +756,125 @@ fn writes_match_the_value_renderer_byte_for_byte() {
         -3.0,
         1.0 / 3.0,
     ];
-    check_encode(&floats);
-    check_encode(&[1.5f32, -0.0, f32::NAN, 3.4e38]);
-    check_encode(&(u64::MAX, i64::MIN, -1i8, 0u8, usize::MAX));
-    check_encode(&(Some(7u32), None::<u32>, Some("x"), vec![Some(true), None]));
+    check_encode("floats", &floats);
+    check_encode("floats_f32", &[1.5f32, -0.0, f32::NAN, 3.4e38]);
+    check_encode("ints", &(u64::MAX, i64::MIN, -1i8, 0u8, usize::MAX));
+    check_encode("options", &(Some(7u32), None::<u32>, Some("x"), vec![Some(true), None]));
     let all_controls: String = (0u8..0x20).map(char::from).collect();
-    check_encode(&vec![
-        all_controls,
-        "\"quoted\" back\\slash /slash \u{7f} é 🦀".to_owned(),
-        String::new(),
-    ]);
+    check_encode(
+        "strings",
+        &vec![all_controls, "\"quoted\" back\\slash /slash \u{7f} é 🦀".to_owned(), String::new()],
+    );
     let map: HashMap<String, Vec<f64>> = ["zeta", "alpha", "Mid", "", "é", "a\"b"]
         .iter()
         .map(|k| (k.to_string(), vec![f64::NAN, 1.0]))
         .collect();
-    check_encode(&map);
+    check_encode("hash_map", &map);
     let tree: BTreeMap<String, Map> =
         BTreeMap::from([("k".to_owned(), vec![("x".to_owned(), json!(1))])]);
-    check_encode(&tree);
-    check_encode(&json!({"nested": json!([json!({}), json!([]), json!(null), -0.0f64, 1e21])}));
-    check_encode(&Vec::<u8>::new());
+    check_encode("btree_map", &tree);
+    check_encode(
+        "nested",
+        &json!({"nested": json!([json!({}), json!([]), json!(null), -0.0f64, 1e21])}),
+    );
+    check_encode("empty_vec", &Vec::<u8>::new());
+}
+
+/// One event of every kind, with strings and floats that need care.
+fn events() -> Vec<EventKind> {
+    let s = |x: &str| x.to_owned();
+    vec![
+        EventKind::SpanOpen { id: 1, parent: None, name: s("core.analyze"), thread: 0 },
+        EventKind::SpanOpen { id: 2, parent: Some(1), name: s("a \"quoted\"\tname"), thread: 3 },
+        EventKind::SpanClose { id: 2, name: s("a \"quoted\"\tname"), thread: 3, elapsed_us: 17 },
+        EventKind::Counter { name: s("core.units_analyzed"), delta: 5, total: u64::MAX },
+        EventKind::Gauge { name: s("g"), value: f64::NAN },
+        EventKind::Gauge { name: s("g"), value: -0.0 },
+        EventKind::Hist { name: s("h"), value: 2.0 },
+        EventKind::Hist { name: s("h"), value: 1e300 },
+        EventKind::Fault {
+            name: s("engine.faults.crash"),
+            detail: serde_json::to_value(&fault_events()[0]),
+        },
+        EventKind::Fault { name: s("engine.faults.none"), detail: Value::Null },
+        EventKind::UnitClosed { unit: 9, instrs: 10_000, cycles: 12_345, snapshots: 10, truncated: true },
+        EventKind::Salvage {
+            path: s("traces/é.sptrc"),
+            recovered_units: 4,
+            bad_frames: 1,
+            skipped_bytes: 77,
+            resyncs: 1,
+        },
+        EventKind::SinkRetry { target: s("t"), attempt: 2, error: s("disk\nfull") },
+        EventKind::SinkDegraded { target: s("t"), retries: 3, error: s("gone") },
+        EventKind::PhaseReformed { units: 100, old_k: 2, new_k: 3, drift: 0.25 },
+        EventKind::EarlyStop { units: 50, half_width: 1.0 / 3.0, target: 0.5 },
+        EventKind::JobQueued { job: s("j0"), tenant: s("t0") },
+        EventKind::JobStarted { job: s("j0"), tenant: s("t0"), worker: 1 },
+        EventKind::JobFinished {
+            job: s("j0"),
+            tenant: s("t0"),
+            units: 7,
+            bytes: 4096,
+            peak_bytes: 1 << 20,
+            queue_us: 3,
+            run_us: 900,
+        },
+        EventKind::JobFailed { job: s("j1"), tenant: s("t\"1"), error: s("engine \"crashed\"") },
+    ]
+}
+
+#[test]
+fn artifacts_match_their_golden_bytes() {
+    let dir = std::env::temp_dir().join(format!("simprof_json_golden_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let log = dir.join("events.jsonl");
+    let mut writer = JsonlEventWriter::create(&log).unwrap();
+    for (i, kind) in events().into_iter().enumerate() {
+        let seq = i as u64 + 1;
+        writer.emit(&Event { v: EVENT_SCHEMA_VERSION, seq, ts_us: seq * 10, kind });
+    }
+    writer.flush();
+    drop(writer);
+    expect_golden("events.jsonl", &std::fs::read_to_string(&log).unwrap());
+
+    let report: RunReport = serde_json::from_str(&recorded_run_report()).unwrap();
+    let timeline = dir.join("timeline.json");
+    simprof::obs::write_chrome_trace(&report, &timeline).unwrap();
+    expect_golden("timeline.json", &std::fs::read_to_string(&timeline).unwrap());
+    expect_golden("run_report.pretty.json", &report.to_json_pretty());
+
+    let slices = [
+        JobSlice { name: "job-b".into(), worker: 1, start_us: 5, end_us: 9 },
+        JobSlice { name: "job-a".into(), worker: 0, start_us: 0, end_us: 7 },
+        JobSlice { name: "job-c".into(), worker: 0, start_us: 7, end_us: 7 },
+        JobSlice { name: "job \"d\"".into(), worker: 1, start_us: 8, end_us: 20 },
+    ];
+    let fleet_timeline = dir.join("fleet_timeline.json");
+    simprof::obs::write_fleet_timeline(&slices, &fleet_timeline).unwrap();
+    expect_golden("fleet_timeline.json", &std::fs::read_to_string(&fleet_timeline).unwrap());
+
+    expect_golden("fleet_report.json", &fleet_report().to_json_pretty());
+
+    let shard = |job: &str, tenant: &str, bytes: u64, codec: &str| ShardRecord {
+        job: job.to_owned(),
+        tenant: tenant.to_owned(),
+        file: format!("shards/{job}.sptrc"),
+        bytes,
+        units: bytes / 100,
+        layout_version: 3,
+        codec: codec.to_owned(),
+    };
+    let index = StoreIndex {
+        version: 1,
+        shards: vec![shard("a", "t0", 1234, "lz"), shard("b\"é", "t1", 99, "raw")],
+    };
+    expect_golden("index.json", &serde_json::to_string_pretty(&index).unwrap());
+    let empty = StoreIndex { version: 1, shards: Vec::new() };
+    expect_golden("index_empty.json", &serde_json::to_string_pretty(&empty).unwrap());
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
