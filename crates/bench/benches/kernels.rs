@@ -4,13 +4,15 @@
 //! machine model (4-core cache-hierarchy walks, pattern cursors), whole
 //! paper-scale engine runs, the instrumented engine kernels (quicksort
 //! trace, hash combine, merge cost items), job construction (input synthesis
-//! plus whole `Benchmark::build` calls), and the trace codec (JSON chunk
-//! decode/encode, LZ decode/encode; reported per MB of raw JSON).
+//! plus whole `Benchmark::build` calls), the trace codec (JSON chunk
+//! decode/encode, LZ decode/encode; reported per MB of raw JSON), and the
+//! JSON the service writes per fleet (event lines, the pretty report).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use simprof_engine::{ops, MethodRegistry, Scheduler};
+use simprof_obs::{Event, EventKind, FleetJob, FleetReport, EVENT_SCHEMA_VERSION};
 use simprof_profiler::{ProfilerConfig, SamplingManager, SamplingUnit};
 use simprof_sim::{AccessCursor, AccessPattern, Machine, MachineConfig, Region};
 use simprof_stats::{
@@ -311,9 +313,66 @@ fn bench_trace(c: &mut Criterion) {
     g.finish();
 }
 
+/// `obs/event_lines` renders 1 000 service lifecycle events (queued,
+/// started, finished, failed) into one reused line buffer, as the JSONL
+/// event writer does; `json/pretty fleet_report` renders a 48-job fleet
+/// report as the pretty JSON `simprof serve` writes.
+fn bench_json(c: &mut Criterion) {
+    let events: Vec<Event> = (0..1_000u64)
+        .map(|i| {
+            let (job, tenant) = (format!("job-{:03}", i / 4), format!("tenant-{}", i % 3));
+            let kind = match i % 4 {
+                0 => EventKind::JobQueued { job, tenant },
+                1 => EventKind::JobStarted { job, tenant, worker: i % 2 },
+                2 => EventKind::JobFinished {
+                    job,
+                    tenant,
+                    units: 700 + i,
+                    bytes: 40_000 + 13 * i,
+                    peak_bytes: 3 << 20,
+                    queue_us: 50 * i,
+                    run_us: 90_000 + i,
+                },
+                _ => EventKind::JobFailed { job, tenant, error: "engine \"crashed\"".to_owned() },
+            };
+            Event { v: EVENT_SCHEMA_VERSION, seq: i + 1, ts_us: 1_000 * i, kind }
+        })
+        .collect();
+    let mut line = String::new();
+    c.bench_function("obs/event_lines", |b| {
+        b.iter(|| {
+            for e in &events {
+                line.clear();
+                e.write_json_line(&mut line);
+                black_box(&line);
+            }
+        })
+    });
+
+    let jobs: Vec<FleetJob> = (0..48u64)
+        .map(|i| FleetJob {
+            id: format!("job-{i:02}"),
+            tenant: format!("tenant-{}", i % 3),
+            workload: ["wc_sp", "grep_sp", "sort_hp"][i as usize % 3].to_owned(),
+            ok: i % 11 != 0,
+            error: (i % 11 == 0).then(|| "engine crashed".to_owned()),
+            units: 700 + i,
+            trace_bytes: 40_000 + 13 * i,
+            peak_alloc_bytes: (3 << 20) + i,
+            queue_us: 50 * i,
+            run_us: 90_000 + 7 * i,
+            stored_payload_bytes: 30_000 + i,
+            raw_payload_bytes: 90_000 + i,
+            compression: 0.33,
+        })
+        .collect();
+    let report = FleetReport::assemble(jobs, Default::default());
+    c.bench_function("json/pretty fleet_report", |b| b.iter(|| black_box(report.to_json_pretty())));
+}
+
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_stats, bench_machine, bench_engine, bench_ops, bench_build, bench_trace
+    targets = bench_stats, bench_machine, bench_engine, bench_ops, bench_build, bench_trace, bench_json
 );
 criterion_main!(kernels);

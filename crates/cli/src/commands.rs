@@ -1213,9 +1213,10 @@ mod tests {
         )));
         // Profiling itself is single-threaded (job builds and the engine
         // turn loop never enter the pool); `run` adds the analysis, whose
-        // parallel regions put slices on worker rows.
+        // parallel regions put slices on worker rows. (wc_sp: grep_sp's
+        // tiny analysis is small enough to stay off the pool entirely.)
         let ran = run_workload(&opts(&format!(
-            "-w grep_sp --scale tiny --seed 5 -n 5 --timeline {} --report {}",
+            "-w wc_sp --scale tiny --seed 5 -n 5 --timeline {} --report {}",
             run_timeline.display(),
             run_report.display()
         )));

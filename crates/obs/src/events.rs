@@ -40,13 +40,14 @@
 //! independent `seq` counters. The free functions here operate on the
 //! calling thread's current context.
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use serde_json::Value;
 
 use crate::context;
@@ -152,7 +153,7 @@ pub fn uninstall() -> bool {
 }
 
 /// One event-log record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Schema version ([`EVENT_SCHEMA_VERSION`] for records this build
     /// emits).
@@ -167,7 +168,7 @@ pub struct Event {
 }
 
 /// The kind-specific payload of an [`Event`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A span opened ([`crate::SpanGuard::enter`]).
     SpanOpen {
@@ -358,109 +359,110 @@ impl EventKind {
     }
 }
 
+/// Appends `,"key":value` to a flat JSON object; `key` is a plain
+/// identifier and needs no escaping.
+fn field(out: &mut String, key: &str, value: &(impl Serialize + ?Sized)) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    value.write_json(out);
+}
+
 impl Event {
-    /// Renders the event as one flat JSON object: the four envelope keys
-    /// plus the kind's payload fields (the on-disk JSONL schema).
-    pub fn to_json_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("v".to_owned(), Value::from(self.v as u64)),
-            ("seq".to_owned(), Value::from(self.seq)),
-            ("ts_us".to_owned(), Value::from(self.ts_us)),
-            ("kind".to_owned(), Value::from(self.kind.label())),
-        ];
-        let mut push = |k: &str, v: Value| fields.push((k.to_owned(), v));
+    /// Appends the event as one flat JSON object (the on-disk JSONL
+    /// schema, without the newline): the four envelope keys, then the
+    /// kind's payload fields in declaration order.
+    pub fn write_json_line(&self, out: &mut String) {
+        let (v, seq, ts_us, kind) = (self.v, self.seq, self.ts_us, self.kind.label());
+        let _ = write!(out, "{{\"v\":{v},\"seq\":{seq},\"ts_us\":{ts_us},\"kind\":\"{kind}\"");
         match &self.kind {
             EventKind::SpanOpen { id, parent, name, thread } => {
-                push("id", Value::from(*id));
+                field(out, "id", id);
                 if let Some(p) = parent {
-                    push("parent", Value::from(*p));
+                    field(out, "parent", p);
                 }
-                push("name", Value::from(name.as_str()));
-                push("thread", Value::from(*thread as u64));
+                field(out, "name", name);
+                field(out, "thread", thread);
             }
             EventKind::SpanClose { id, name, thread, elapsed_us } => {
-                push("id", Value::from(*id));
-                push("name", Value::from(name.as_str()));
-                push("thread", Value::from(*thread as u64));
-                push("elapsed_us", Value::from(*elapsed_us));
+                field(out, "id", id);
+                field(out, "name", name);
+                field(out, "thread", thread);
+                field(out, "elapsed_us", elapsed_us);
             }
             EventKind::Counter { name, delta, total } => {
-                push("name", Value::from(name.as_str()));
-                push("delta", Value::from(*delta));
-                push("total", Value::from(*total));
+                field(out, "name", name);
+                field(out, "delta", delta);
+                field(out, "total", total);
             }
-            EventKind::Gauge { name, value } => {
-                push("name", Value::from(name.as_str()));
-                push("value", Value::from(*value));
-            }
-            EventKind::Hist { name, value } => {
-                push("name", Value::from(name.as_str()));
-                push("value", Value::from(*value));
+            EventKind::Gauge { name, value } | EventKind::Hist { name, value } => {
+                field(out, "name", name);
+                field(out, "value", value);
             }
             EventKind::Fault { name, detail } => {
-                push("name", Value::from(name.as_str()));
-                push("detail", detail.clone());
+                field(out, "name", name);
+                field(out, "detail", detail);
             }
             EventKind::UnitClosed { unit, instrs, cycles, snapshots, truncated } => {
-                push("unit", Value::from(*unit));
-                push("instrs", Value::from(*instrs));
-                push("cycles", Value::from(*cycles));
-                push("snapshots", Value::from(*snapshots));
-                push("truncated", Value::from(*truncated));
+                field(out, "unit", unit);
+                field(out, "instrs", instrs);
+                field(out, "cycles", cycles);
+                field(out, "snapshots", snapshots);
+                field(out, "truncated", truncated);
             }
             EventKind::Salvage { path, recovered_units, bad_frames, skipped_bytes, resyncs } => {
-                push("path", Value::from(path.as_str()));
-                push("recovered_units", Value::from(*recovered_units));
-                push("bad_frames", Value::from(*bad_frames));
-                push("skipped_bytes", Value::from(*skipped_bytes));
-                push("resyncs", Value::from(*resyncs));
+                field(out, "path", path);
+                field(out, "recovered_units", recovered_units);
+                field(out, "bad_frames", bad_frames);
+                field(out, "skipped_bytes", skipped_bytes);
+                field(out, "resyncs", resyncs);
             }
             EventKind::SinkRetry { target, attempt, error } => {
-                push("target", Value::from(target.as_str()));
-                push("attempt", Value::from(*attempt));
-                push("error", Value::from(error.as_str()));
+                field(out, "target", target);
+                field(out, "attempt", attempt);
+                field(out, "error", error);
             }
             EventKind::SinkDegraded { target, retries, error } => {
-                push("target", Value::from(target.as_str()));
-                push("retries", Value::from(*retries));
-                push("error", Value::from(error.as_str()));
+                field(out, "target", target);
+                field(out, "retries", retries);
+                field(out, "error", error);
             }
             EventKind::PhaseReformed { units, old_k, new_k, drift } => {
-                push("units", Value::from(*units));
-                push("old_k", Value::from(*old_k));
-                push("new_k", Value::from(*new_k));
-                push("drift", Value::from(*drift));
+                field(out, "units", units);
+                field(out, "old_k", old_k);
+                field(out, "new_k", new_k);
+                field(out, "drift", drift);
             }
             EventKind::EarlyStop { units, half_width, target } => {
-                push("units", Value::from(*units));
-                push("half_width", Value::from(*half_width));
-                push("target", Value::from(*target));
+                field(out, "units", units);
+                field(out, "half_width", half_width);
+                field(out, "target", target);
             }
             EventKind::JobQueued { job, tenant } => {
-                push("job", Value::from(job.as_str()));
-                push("tenant", Value::from(tenant.as_str()));
+                field(out, "job", job);
+                field(out, "tenant", tenant);
             }
             EventKind::JobStarted { job, tenant, worker } => {
-                push("job", Value::from(job.as_str()));
-                push("tenant", Value::from(tenant.as_str()));
-                push("worker", Value::from(*worker));
+                field(out, "job", job);
+                field(out, "tenant", tenant);
+                field(out, "worker", worker);
             }
             EventKind::JobFinished { job, tenant, units, bytes, peak_bytes, queue_us, run_us } => {
-                push("job", Value::from(job.as_str()));
-                push("tenant", Value::from(tenant.as_str()));
-                push("units", Value::from(*units));
-                push("bytes", Value::from(*bytes));
-                push("peak_bytes", Value::from(*peak_bytes));
-                push("queue_us", Value::from(*queue_us));
-                push("run_us", Value::from(*run_us));
+                field(out, "job", job);
+                field(out, "tenant", tenant);
+                field(out, "units", units);
+                field(out, "bytes", bytes);
+                field(out, "peak_bytes", peak_bytes);
+                field(out, "queue_us", queue_us);
+                field(out, "run_us", run_us);
             }
             EventKind::JobFailed { job, tenant, error } => {
-                push("job", Value::from(job.as_str()));
-                push("tenant", Value::from(tenant.as_str()));
-                push("error", Value::from(error.as_str()));
+                field(out, "job", job);
+                field(out, "tenant", tenant);
+                field(out, "error", error);
             }
         }
-        Value::Object(fields)
+        out.push('}');
     }
 }
 
@@ -469,6 +471,8 @@ impl Event {
 /// is best-effort telemetry and must never fail the run).
 pub struct JsonlEventWriter {
     out: BufWriter<File>,
+    /// The line being written, reused across events.
+    line: String,
 }
 
 impl JsonlEventWriter {
@@ -477,30 +481,21 @@ impl JsonlEventWriter {
     pub fn create(path: &Path) -> Result<Self, String> {
         let file = File::create(path)
             .map_err(|e| format!("cannot create event log {}: {e}", path.display()))?;
-        let mut writer = Self { out: BufWriter::new(file) };
-        let header = Value::Object(vec![
-            ("v".to_owned(), Value::from(EVENT_SCHEMA_VERSION as u64)),
-            ("seq".to_owned(), Value::from(0u64)),
-            ("ts_us".to_owned(), Value::from(0u64)),
-            ("kind".to_owned(), Value::from("meta")),
-            ("generator".to_owned(), Value::from("simprof-obs")),
-        ]);
-        writer.write_line(&header);
-        Ok(writer)
-    }
-
-    fn write_line(&mut self, value: &Value) {
-        if let Ok(line) = serde_json::to_string(value) {
-            let _ = self.out.write_all(line.as_bytes());
-            let _ = self.out.write_all(b"\n");
-        }
+        let mut out = BufWriter::new(file);
+        let _ = writeln!(
+            out,
+            "{{\"v\":{EVENT_SCHEMA_VERSION},\"seq\":0,\"ts_us\":0,\"kind\":\"meta\",\"generator\":\"simprof-obs\"}}"
+        );
+        Ok(Self { out, line: String::new() })
     }
 }
 
 impl EventSink for JsonlEventWriter {
     fn emit(&mut self, event: &Event) {
-        let line = event.to_json_value();
-        self.write_line(&line);
+        self.line.clear();
+        event.write_json_line(&mut self.line);
+        self.line.push('\n');
+        let _ = self.out.write_all(self.line.as_bytes());
     }
 
     fn flush(&mut self) {
@@ -643,7 +638,9 @@ mod tests {
         assert!(kinds.contains(&"span_close"));
         assert!(kinds.contains(&"counter"));
 
-        let flat = events[0].to_json_value();
+        let mut line = String::new();
+        events[0].write_json_line(&mut line);
+        let flat: Value = serde_json::from_str(&line).expect("a line is one JSON object");
         let obj = flat.as_object().expect("flat object");
         for key in ["v", "seq", "ts_us", "kind"] {
             assert!(obj.iter().any(|(k, _)| k == key), "missing envelope key {key}");

@@ -19,17 +19,56 @@
 //! `report_check` re-validates this on every CI run.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::Path;
 
-use serde_json::Value;
+use serde::json::{write_f64, write_str};
 
 use crate::report::{RunReport, SpanNode};
 
 /// The fixed `pid` for the whole (single-process) run.
 const PID: u64 = 1;
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+/// Starts the next object of the `traceEvents` array:
+/// `{"name":…[,"cat":…],"ph":…,"ts":…,"pid":1[,"tid":…]`, left open for
+/// the caller's `args` and closing brace.
+fn event(out: &mut String, name: &str, cat: Option<&str>, ph: &str, ts: u64, tid: Option<usize>) {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+    out.push_str("{\"name\":");
+    write_str(out, name);
+    if let Some(cat) = cat {
+        out.push_str(",\"cat\":");
+        write_str(out, cat);
+    }
+    let _ = write!(out, ",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{PID}");
+    if let Some(tid) = tid {
+        let _ = write!(out, ",\"tid\":{tid}");
+    }
+}
+
+/// A `ph: "M"` `thread_name` record labelling track `tid`.
+fn thread_name(out: &mut String, tid: usize, label: &str) {
+    event(out, "thread_name", None, "M", 0, Some(tid));
+    out.push_str(",\"args\":{\"name\":");
+    write_str(out, label);
+    out.push_str("}}");
+}
+
+/// Opens a Trace Event document at its `traceEvents` array.
+fn open_doc() -> String {
+    String::from("{\"traceEvents\":[")
+}
+
+/// Closes the `traceEvents` array and the document, whose `otherData`
+/// carries `generator` plus `more` (pre-rendered `,"key":value` text).
+fn close_doc(mut out: String, more: &str) -> String {
+    let _ = write!(
+        out,
+        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"generator\":\"simprof-obs\"{more}}}}}"
+    );
+    out
 }
 
 /// Emits the `B`/`E` pair for `node` and, between them, its children.
@@ -38,35 +77,24 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 /// clamped to be ≥ the previous one on the same `tid`, so clock-granularity
 /// artifacts (a child's recorded end landing a microsecond past its
 /// parent's) can never produce an out-of-order or mis-nested stream.
-fn emit_span(node: &SpanNode, cursor: &mut u64, out: &mut Vec<Value>) {
+fn emit_span(node: &SpanNode, cursor: &mut u64, out: &mut String) {
     let start = node.start_us.max(*cursor);
     *cursor = start;
-    out.push(obj(vec![
-        ("name", Value::from(node.name.as_str())),
-        ("cat", Value::from("span")),
-        ("ph", Value::from("B")),
-        ("ts", Value::from(start)),
-        ("pid", Value::from(PID)),
-        ("tid", Value::from(node.thread as u64)),
-    ]));
+    event(out, &node.name, Some("span"), "B", start, Some(node.thread));
+    out.push('}');
     for child in &node.children {
         emit_span(child, cursor, out);
     }
     let end = (node.start_us + node.elapsed_us).max(*cursor);
     *cursor = end;
-    out.push(obj(vec![
-        ("name", Value::from(node.name.as_str())),
-        ("ph", Value::from("E")),
-        ("ts", Value::from(end)),
-        ("pid", Value::from(PID)),
-        ("tid", Value::from(node.thread as u64)),
-    ]));
+    event(out, &node.name, None, "E", end, Some(node.thread));
+    out.push('}');
 }
 
-/// Converts a run report into a Trace Event JSON document
+/// Renders a run report as a Trace Event JSON document
 /// (`{"traceEvents": [...]}`).
-pub fn chrome_trace(report: &RunReport) -> Value {
-    let mut events: Vec<Value> = Vec::new();
+pub fn chrome_trace(report: &RunReport) -> String {
+    let mut out = open_doc();
 
     // Group root spans by thread, preserving entry order within each.
     let mut roots_by_thread: BTreeMap<usize, Vec<&SpanNode>> = BTreeMap::new();
@@ -77,14 +105,7 @@ pub fn chrome_trace(report: &RunReport) -> Value {
     // Thread-name metadata first, one per track.
     for &thread in roots_by_thread.keys() {
         let label = if thread == 0 { "main".to_owned() } else { format!("worker-{thread}") };
-        events.push(obj(vec![
-            ("name", Value::from("thread_name")),
-            ("ph", Value::from("M")),
-            ("ts", Value::from(0u64)),
-            ("pid", Value::from(PID)),
-            ("tid", Value::from(thread as u64)),
-            ("args", obj(vec![("name", Value::from(label))])),
-        ]));
+        thread_name(&mut out, thread, &label);
     }
 
     // Slices: per thread, roots in entry order. Sibling roots are emitted
@@ -92,39 +113,26 @@ pub fn chrome_trace(report: &RunReport) -> Value {
     for roots in roots_by_thread.values() {
         let mut cursor = 0u64;
         for root in roots {
-            emit_span(root, &mut cursor, &mut events);
+            emit_span(root, &mut cursor, &mut out);
         }
     }
 
     // Counter tracks from the time-series snapshot.
     for (name, series) in &report.metrics.timeseries {
         for sample in &series.samples {
-            events.push(obj(vec![
-                ("name", Value::from(name.as_str())),
-                ("ph", Value::from("C")),
-                ("ts", Value::from(sample.ts_us)),
-                ("pid", Value::from(PID)),
-                ("args", obj(vec![("value", Value::from(sample.value))])),
-            ]));
+            event(&mut out, name, None, "C", sample.ts_us, None);
+            out.push_str(",\"args\":{\"value\":");
+            write_f64(&mut out, sample.value);
+            out.push_str("}}");
         }
     }
 
-    obj(vec![
-        ("traceEvents", Value::Array(events)),
-        ("displayTimeUnit", Value::from("ms")),
-        (
-            "otherData",
-            obj(vec![
-                ("generator", Value::from("simprof-obs")),
-                ("report_version", Value::from(report.version as u64)),
-            ]),
-        ),
-    ])
+    close_doc(out, &format!(",\"report_version\":{}", report.version))
 }
 
-/// Renders [`chrome_trace`] to a file.
+/// Writes [`chrome_trace`] to a file.
 pub fn write_chrome_trace(report: &RunReport, path: &Path) -> Result<(), String> {
-    write_timeline_doc(&chrome_trace(report), path)
+    write_timeline_doc(chrome_trace(report), path)
 }
 
 /// One job laid out on a worker's track of a fleet timeline.
@@ -141,72 +149,51 @@ pub struct JobSlice {
     pub end_us: u64,
 }
 
-/// Converts a fleet's job slices into a Trace Event JSON document: one
+/// Renders a fleet's job slices as a Trace Event JSON document: one
 /// track per worker thread, one `B`/`E` slice pair per job. Jobs on the
 /// same worker ran sequentially, so sorting each track by start time
 /// yields balanced, non-overlapping slices; the same cursor clamp as
 /// [`chrome_trace`] absorbs any clock-granularity overlap.
-pub fn fleet_chrome_trace(slices: &[JobSlice]) -> Value {
+pub fn fleet_chrome_trace(slices: &[JobSlice]) -> String {
     let mut by_worker: BTreeMap<usize, Vec<&JobSlice>> = BTreeMap::new();
     for slice in slices {
         by_worker.entry(slice.worker).or_default().push(slice);
     }
-    let mut events: Vec<Value> = Vec::new();
+    let mut out = open_doc();
     for &worker in by_worker.keys() {
-        events.push(obj(vec![
-            ("name", Value::from("thread_name")),
-            ("ph", Value::from("M")),
-            ("ts", Value::from(0u64)),
-            ("pid", Value::from(PID)),
-            ("tid", Value::from(worker as u64)),
-            ("args", obj(vec![("name", Value::from(format!("worker-{worker}")))])),
-        ]));
+        thread_name(&mut out, worker, &format!("worker-{worker}"));
     }
     for track in by_worker.values_mut() {
         track.sort_by_key(|s| s.start_us);
         let mut cursor = 0u64;
-        for slice in track.iter() {
-            let start = slice.start_us.max(cursor);
-            let end = slice.end_us.max(start);
+        for job in track.iter() {
+            let start = job.start_us.max(cursor);
+            let end = job.end_us.max(start);
             cursor = end;
-            events.push(obj(vec![
-                ("name", Value::from(slice.name.as_str())),
-                ("cat", Value::from("job")),
-                ("ph", Value::from("B")),
-                ("ts", Value::from(start)),
-                ("pid", Value::from(PID)),
-                ("tid", Value::from(slice.worker as u64)),
-            ]));
-            events.push(obj(vec![
-                ("name", Value::from(slice.name.as_str())),
-                ("ph", Value::from("E")),
-                ("ts", Value::from(end)),
-                ("pid", Value::from(PID)),
-                ("tid", Value::from(slice.worker as u64)),
-            ]));
+            event(&mut out, &job.name, Some("job"), "B", start, Some(job.worker));
+            out.push('}');
+            event(&mut out, &job.name, None, "E", end, Some(job.worker));
+            out.push('}');
         }
     }
-    obj(vec![
-        ("traceEvents", Value::Array(events)),
-        ("displayTimeUnit", Value::from("ms")),
-        ("otherData", obj(vec![("generator", Value::from("simprof-obs"))])),
-    ])
+    close_doc(out, "")
 }
 
-/// Renders [`fleet_chrome_trace`] to a file.
+/// Writes [`fleet_chrome_trace`] to a file.
 pub fn write_fleet_timeline(slices: &[JobSlice], path: &Path) -> Result<(), String> {
-    write_timeline_doc(&fleet_chrome_trace(slices), path)
+    write_timeline_doc(fleet_chrome_trace(slices), path)
 }
 
-fn write_timeline_doc(doc: &Value, path: &Path) -> Result<(), String> {
-    let text = serde_json::to_string(doc).map_err(|e| format!("cannot serialize timeline: {e}"))?;
-    std::fs::write(path, text + "\n")
+fn write_timeline_doc(doc: String, path: &Path) -> Result<(), String> {
+    std::fs::write(path, doc + "\n")
         .map_err(|e| format!("cannot write timeline {}: {e}", path.display()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
+
     use crate::metrics::{MetricsSnapshot, TimePoint, TimeSeries};
     use crate::span::SpanRecord;
 
@@ -243,7 +230,7 @@ mod tests {
             },
         );
         let report = RunReport::assemble(records, metrics);
-        let doc = chrome_trace(&report);
+        let doc: Value = serde_json::from_str(&chrome_trace(&report)).unwrap();
         let events = doc.get("traceEvents").and_then(Value::as_array).expect("traceEvents");
 
         // Per-tid B/E balance with LIFO nesting.
@@ -288,7 +275,7 @@ mod tests {
             // Scripted clocks can collapse start == end; still balanced.
             JobSlice { name: "job-c".into(), worker: 0, start_us: 7, end_us: 7 },
         ];
-        let doc = fleet_chrome_trace(&slices);
+        let doc: Value = serde_json::from_str(&fleet_chrome_trace(&slices)).unwrap();
         let events = doc.get("traceEvents").and_then(Value::as_array).expect("traceEvents");
         let mut stacks: BTreeMap<u64, Vec<String>> = BTreeMap::new();
         let mut metas = 0usize;
@@ -320,7 +307,7 @@ mod tests {
         let mut child = record(2, Some(1), "c", 0, 2);
         child.elapsed_us = 9; // ends at 11 > parent's own 5
         let report = RunReport::assemble(vec![parent, child], MetricsSnapshot::default());
-        let doc = chrome_trace(&report);
+        let doc: Value = serde_json::from_str(&chrome_trace(&report)).unwrap();
         let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
         let ends: Vec<(String, u64)> = events
             .iter()

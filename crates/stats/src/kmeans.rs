@@ -49,6 +49,7 @@
 
 use rand::RngExt;
 use rayon::prelude::*;
+use rayon::SUM_CHUNK;
 use serde::{Deserialize, Serialize};
 
 use crate::groups::RowGroups;
@@ -449,8 +450,7 @@ fn lloyd_impl(
         }
         iter += 1;
     }
-    // The saved state is dead; free it before the final sum's pool region,
-    // which sets the sweep's heap peak.
+    // The saved state is dead; free it before the final pass allocates.
     drop(cycle);
     if skipped > 0 {
         simprof_obs::counter_add("stats.kmeans.skipped_iterations", skipped as u64);
@@ -461,14 +461,20 @@ fn lloyd_impl(
     // same sums as the previous one and the centers are bitwise the ones the
     // last assignment step measured against — the assignment-step distances
     // *are* the final distances, no second pass needed (when the whole final
-    // step ran exactly). Either way the per-point sum uses the identical
-    // parallel-sum chunking, so both paths produce the same bits.
+    // step ran exactly). Either way the same per-point sum follows, so both
+    // paths produce the same bits.
     if !(converged && !reseed_in_last && all_exact_last) {
         last_sq = (0..u)
             .map(|g| Matrix::sq_dist(data.row(rows.reps[g]), centers.row(owner[g])))
             .collect();
     }
-    let inertia = (0..n).into_par_iter().map(|i| last_sq[rows.group[i]]).sum();
+    // One lookup per point is too little work for a pool region, so the sum
+    // runs here with the pool's association: `SUM_CHUNK`-point partials,
+    // folded in order.
+    let inertia = (0..n)
+        .step_by(SUM_CHUNK)
+        .map(|s| (s..n.min(s + SUM_CHUNK)).map(|i| last_sq[rows.group[i]]).sum::<f64>())
+        .sum();
 
     KMeansResult { centers, assignments, inertia, iterations }
 }

@@ -914,17 +914,37 @@ mod tests {
     #[test]
     fn deeply_nested_chunk_with_a_valid_crc_is_an_error_not_a_crash() {
         // A hostile chunk whose checksum is recomputed passes the CRC; the
-        // JSON parser's depth cap must stop it, under both codecs.
-        let hostile = "[".repeat(100_000);
+        // JSON parser's depth cap must stop it, under both codecs. Bare
+        // brackets fail at the second one (a unit is an object); under an
+        // unknown key they reach the cap.
+        let bare = "[".repeat(100_000);
+        let in_unit = format!("[{{\"zz\":{bare}");
+        for codec in [Codec::Raw, Codec::Lz] {
+            for (hostile, too_deep) in [(&bare, false), (&in_unit, true)] {
+                let mut w =
+                    TraceWriter::from_writer(Cursor::new(Vec::new()), "<memory>", &meta(), codec)
+                        .unwrap();
+                w.write_frame(FRAME_UNITS, hostile.as_bytes()).unwrap();
+                w.finish(&MethodRegistry::new()).unwrap();
+                let mut r =
+                    TraceReader::from_reader(Cursor::new(w.into_bytes()), "hostile").unwrap();
+                let err = r.next_unit().unwrap_err();
+                assert_eq!(err.contains("nesting deeper than"), too_deep, "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_chunk_with_a_valid_crc_is_an_error_not_a_crash() {
         for codec in [Codec::Raw, Codec::Lz] {
             let mut w =
                 TraceWriter::from_writer(Cursor::new(Vec::new()), "<memory>", &meta(), codec)
                     .unwrap();
-            w.write_frame(FRAME_UNITS, hostile.as_bytes()).unwrap();
+            w.write_frame(FRAME_UNITS, b"[{\"id\":1,\"label\":\"\xff\xfe\"}]").unwrap();
             w.finish(&MethodRegistry::new()).unwrap();
             let mut r = TraceReader::from_reader(Cursor::new(w.into_bytes()), "hostile").unwrap();
             let err = r.next_unit().unwrap_err();
-            assert!(err.contains("nesting deeper than"), "{err}");
+            assert!(err.contains("not UTF-8"), "{err}");
         }
     }
 

@@ -3,9 +3,11 @@
 //! Implements the small surface the workspace's benches use — `Criterion`,
 //! `Bencher::iter`, benchmark groups, `BenchmarkId`, `Throughput`, and the
 //! `criterion_group!` / `criterion_main!` macros — over a plain wall-clock
-//! loop. No statistics, plots, or baselines: each benchmark runs a bounded
-//! number of timed iterations and reports the mean time per iteration
-//! (plus time per MB when its group declares a byte throughput).
+//! loop. No plots or baselines: each benchmark runs a bounded number of
+//! iterations, timing each one, and reports the mean time per iteration
+//! (plus time per MB when its group declares a byte throughput), then the
+//! median and interquartile range of the per-iteration times, which a
+//! slow outlier iteration does not move.
 
 use std::time::{Duration, Instant};
 
@@ -42,7 +44,7 @@ impl Criterion {
         let mut b = Bencher::new(self.sample_size, self.measurement_time);
         let start = Instant::now();
         f(&mut b);
-        report(id, b.total_time, b.total_iters, start.elapsed(), None);
+        report(id, &mut b, start.elapsed(), None);
         self
     }
 
@@ -56,30 +58,28 @@ impl Criterion {
 pub struct Bencher {
     samples: usize,
     budget: Duration,
-    total_time: Duration,
-    total_iters: u64,
+    /// Every timed iteration's duration, in run order.
+    times: Vec<Duration>,
 }
 
 impl Bencher {
     /// Times `routine` over a bounded number of iterations.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
         let start = Instant::now();
-        let mut iters = 0u64;
         for _ in 0..self.samples {
+            let t = Instant::now();
             black_box(routine());
-            iters += 1;
+            self.times.push(t.elapsed());
             if start.elapsed() >= self.budget {
                 break;
             }
         }
-        self.total_time += start.elapsed();
-        self.total_iters += iters;
     }
 }
 
 impl Bencher {
     fn new(samples: usize, budget: Duration) -> Self {
-        Self { samples, budget, total_time: Duration::ZERO, total_iters: 0 }
+        Self { samples, budget, times: Vec::new() }
     }
 }
 
@@ -115,7 +115,7 @@ impl BenchmarkGroup<'_> {
         let mut b = Bencher::new(self.parent.sample_size, self.parent.measurement_time);
         let start = Instant::now();
         f(&mut b);
-        report(&full, b.total_time, b.total_iters, start.elapsed(), self.throughput);
+        report(&full, &mut b, start.elapsed(), self.throughput);
         self
     }
 
@@ -155,21 +155,27 @@ impl std::fmt::Display for BenchmarkId {
     }
 }
 
-fn report(id: &str, timed: Duration, iters: u64, wall: Duration, tp: Option<Throughput>) {
+fn report(id: &str, b: &mut Bencher, wall: Duration, tp: Option<Throughput>) {
+    let iters = b.times.len();
     if iters == 0 {
         println!("{id:<48} (no iterations)");
         return;
     }
-    let per_iter = timed.as_nanos() / iters as u128;
+    let per_iter = b.times.iter().sum::<Duration>().as_nanos() / iters as u128;
     let per_mb = match tp {
         Some(Throughput::Bytes(n)) if n > 0 => {
             format!(", {:.1} us/MB", per_iter as f64 / 1e3 / (n as f64 / 1e6))
         }
         _ => String::new(),
     };
+    // Nearest-rank quartiles of the per-iteration times.
+    b.times.sort_unstable();
+    let q = |p: f64| b.times[((iters - 1) as f64 * p).round() as usize].as_nanos();
     println!(
-        "{id:<48} {per_iter:>12} ns/iter ({iters} iters, {:.2}s wall{per_mb})",
-        wall.as_secs_f64()
+        "{id:<48} {per_iter:>12} ns/iter ({iters} iters, {:.2}s wall{per_mb}; median {} ns, IQR {} ns)",
+        wall.as_secs_f64(),
+        q(0.5),
+        q(0.75) - q(0.25)
     );
 }
 

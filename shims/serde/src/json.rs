@@ -1,7 +1,7 @@
 //! JSON text on both sides of the traits: [`JsonReader`], the
 //! recursive-descent parser that typed `from_json` impls pull tokens from,
-//! and the compact/pretty writers that `write_json` and
-//! `serde_json::to_string_pretty` append to.
+//! the compact writers that `write_json` impls append to, and [`indent`],
+//! which re-indents compact text for `serde_json::to_string_pretty`.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -111,8 +111,26 @@ impl<'a> JsonReader<'a> {
         self.peek() == Some(b'n') && self.literal("null")
     }
 
+    /// Parses a `true` or `false` token.
+    #[inline]
+    pub fn boolean(&mut self) -> Result<bool, DeError> {
+        match self.peek() {
+            Some(b't') if self.literal("true") => Ok(true),
+            Some(b'f') if self.literal("false") => Ok(false),
+            _ => Err(self.unexpected("a bool")),
+        }
+    }
+
+    /// The error for a next value that is not the kind `want` names (e.g.
+    /// `"number"`).
+    #[cold]
+    pub fn expected(&mut self, want: &str) -> DeError {
+        self.peek();
+        self.unexpected(want)
+    }
+
     /// Parses the next value and drops it: unknown and repeated keys are
-    /// syntax-checked exactly as the [`Value`] path checks them.
+    /// syntax-checked like any other value.
     pub fn skip_value(&mut self) -> Result<(), DeError> {
         self.value().map(drop)
     }
@@ -191,16 +209,26 @@ impl<'a> JsonReader<'a> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .text
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| DeError::msg("truncated or bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| DeError::msg("bad \\u escape"))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = hex4(bytes, self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate escape followed by a low one
+                            // is one char (how writers that escape non-BMP
+                            // text spell it); a lone surrogate is U+FFFD.
+                            let c = match code {
+                                0xD800..=0xDBFF if bytes[self.pos + 1..].starts_with(b"\\u") => {
+                                    match hex4(bytes, self.pos + 3)? {
+                                        low @ 0xDC00..=0xDFFF => {
+                                            self.pos += 6;
+                                            char::from_u32(
+                                                0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
+                                            )
+                                        }
+                                        _ => None,
+                                    }
+                                }
+                                _ => char::from_u32(code),
+                            };
+                            s.push(c.unwrap_or('\u{fffd}'));
                         }
                         other => {
                             return Err(DeError::msg(format!(
@@ -344,6 +372,16 @@ impl<'a> JsonReader<'a> {
     }
 }
 
+/// The value of the four hex digits of a `\u` escape starting at `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, DeError> {
+    bytes
+        .get(at..at + 4)
+        .and_then(|hex| {
+            hex.iter().try_fold(0, |acc, &b| Some(acc * 16 + (b as char).to_digit(16)?))
+        })
+        .ok_or_else(|| DeError::msg(format!("bad \\u escape at byte {at}")))
+}
+
 /// End of the run of bytes from `at` that are neither `"` nor `\`.
 #[inline]
 fn plain_run(bytes: &[u8], at: usize) -> usize {
@@ -354,9 +392,8 @@ fn plain_run(bytes: &[u8], at: usize) -> usize {
 // Rendering
 // ---------------------------------------------------------------------------
 
-/// Renders `v` as JSON: compact when `indent` is `None`, else pretty with
-/// `indent` spaces per level starting at nesting `depth`.
-pub fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
+/// Appends `v` as compact JSON.
+pub fn write_value(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -366,52 +403,85 @@ pub fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: us
         Value::Number(Number::F64(f)) => write_f64(out, *f),
         Value::String(s) => write_str(out, s),
         Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
+                write_value(out, item);
             }
-            newline_indent(out, indent, depth);
             out.push(']');
         }
         Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
             out.push('{');
             for (i, (k, item)) in entries.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, depth + 1);
                 write_str(out, k);
                 out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
+                write_value(out, item);
             }
-            newline_indent(out, indent, depth);
             out.push('}');
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(n) = indent {
+/// Re-indents compact JSON text (as the writers produce it: no whitespace
+/// outside strings) with `width` spaces per level: one element or entry
+/// per line, `": "` after each key, and empty `[]` / `{}` kept inline.
+pub fn indent(compact: &str, width: usize) -> String {
+    let bytes = compact.as_bytes();
+    let mut out = String::with_capacity(compact.len() * 2);
+    let mut depth = 0;
+    // `compact[copied..i]` is pending verbatim text; every split point is
+    // an ASCII byte, so each slice is on char boundaries.
+    let (mut copied, mut i) = (0, 0);
+    let newline = |out: &mut String, depth: usize| {
         out.push('\n');
-        for _ in 0..n * depth {
-            out.push(' ');
+        out.extend(std::iter::repeat_n(' ', width * depth));
+    };
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => {
+                i += 1;
+                while bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+                i += 1;
+            }
+            b'[' | b'{' if matches!(bytes.get(i + 1), Some(b']' | b'}')) => i += 2,
+            b'[' | b'{' => {
+                i += 1;
+                depth += 1;
+                out.push_str(&compact[copied..i]);
+                newline(&mut out, depth);
+                copied = i;
+            }
+            b']' | b'}' => {
+                depth -= 1;
+                out.push_str(&compact[copied..i]);
+                newline(&mut out, depth);
+                copied = i;
+                i += 1;
+            }
+            b',' => {
+                i += 1;
+                out.push_str(&compact[copied..i]);
+                newline(&mut out, depth);
+                copied = i;
+            }
+            b':' => {
+                i += 1;
+                out.push_str(&compact[copied..i]);
+                out.push(' ');
+                copied = i;
+            }
+            _ => i += 1,
         }
     }
+    out.push_str(&compact[copied..]);
+    out
 }
 
 /// Appends `n` in decimal.

@@ -88,18 +88,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// A short name for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
     /// The value as a `u64`, if it is a number losslessly representable
     /// as one.
     pub fn as_u64(&self) -> Option<u64> {

@@ -2,13 +2,15 @@
 //!
 //! Hand-rolled `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
 //! shapes the SimProf workspace uses — no `syn`/`quote` available in the
-//! hermetic build, so the item token stream is parsed directly:
+//! hermetic build, so the item token stream is parsed directly. The
+//! generated `write_json` / `from_json` stream straight to and from JSON
+//! text:
 //!
-//! * named-field structs (externally a JSON object, fields in declaration
-//!   order; `#[serde(default)]` honoured on deserialize),
-//! * tuple structs (newtypes transparent, wider tuples as arrays) — structs
-//!   of both kinds also get direct `write_json` / `from_json` impls that
-//!   stream to and from JSON text without a `Value`,
+//! * named-field structs (a JSON object, fields in declaration order; on
+//!   decode the first occurrence of a key wins, unknown and repeated keys
+//!   are syntax-checked and dropped, and `#[serde(default)]` fills an
+//!   absent field),
+//! * tuple structs (newtypes transparent, wider tuples as arrays),
 //! * enums with unit / tuple / struct variants (externally tagged exactly
 //!   like real serde: `"Variant"`, `{"Variant": value}`,
 //!   `{"Variant": {..fields..}}`).
@@ -18,7 +20,7 @@
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derives the value-model `Serialize` impl.
+/// Derives `Serialize` (`write_json`).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match Item::parse(input) {
@@ -27,7 +29,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     }
 }
 
-/// Derives the value-model `Deserialize` impl.
+/// Derives `Deserialize` (`from_json`).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match Item::parse(input) {
@@ -110,305 +112,198 @@ impl Item {
         let name = &self.name;
         let body = match &self.body {
             Body::Struct(fields) => {
-                let mut s = String::from("let mut __m = ::std::vec::Vec::new();\n");
-                for f in fields {
-                    s.push_str(&format!(
-                        "__m.push(({:?}.to_string(), ::serde::Serialize::to_value(&self.{})));\n",
-                        f.name, f.name
-                    ));
-                }
-                s.push_str("::serde::Value::Object(__m)");
-                s
+                let binds: Vec<String> =
+                    fields.iter().map(|f| format!("&self.{}", f.name)).collect();
+                write_fields(fields, &binds)
             }
-            Body::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+            Body::Tuple(1) => "::serde::Serialize::write_json(&self.0, __out);".to_string(),
             Body::Tuple(n) => {
-                let items: Vec<String> =
-                    (0..*n).map(|i| format!("::serde::Serialize::to_value(&self.{i})")).collect();
-                format!("::serde::Value::Array(vec![{}])", items.join(", "))
+                write_elements(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>())
             }
             Body::Enum(variants) => {
                 let mut arms = String::new();
                 for (v, data) in variants {
-                    match data {
-                        VariantData::Unit => arms.push_str(&format!(
-                            "{name}::{v} => ::serde::Value::String({v:?}.to_string()),\n"
-                        )),
+                    let (pattern, inner) = match data {
+                        VariantData::Unit => {
+                            arms.push_str(&format!(
+                                "{name}::{v} => __out.push_str({:?}),\n",
+                                format!("\"{v}\"")
+                            ));
+                            continue;
+                        }
                         VariantData::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
                             let inner = if *n == 1 {
-                                "::serde::Serialize::to_value(__f0)".to_string()
+                                "::serde::Serialize::write_json(__f0, __out);".to_string()
                             } else {
-                                let items: Vec<String> = binds
-                                    .iter()
-                                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                    .collect();
-                                format!("::serde::Value::Array(vec![{}])", items.join(", "))
+                                write_elements(&binds)
                             };
-                            arms.push_str(&format!(
-                                "{name}::{v}({}) => ::serde::Value::Object(vec![({v:?}.to_string(), {inner})]),\n",
-                                binds.join(", ")
-                            ));
+                            (format!("{name}::{v}({})", binds.join(", ")), inner)
                         }
                         VariantData::Struct(fields) => {
                             let binds: Vec<String> =
                                 fields.iter().map(|f| f.name.clone()).collect();
-                            let pushes: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "({:?}.to_string(), ::serde::Serialize::to_value({}))",
-                                        f.name, f.name
-                                    )
-                                })
-                                .collect();
-                            arms.push_str(&format!(
-                                "{name}::{v} {{ {} }} => ::serde::Value::Object(vec![({v:?}.to_string(), ::serde::Value::Object(vec![{}]))]),\n",
-                                binds.join(", "),
-                                pushes.join(", ")
-                            ));
+                            (
+                                format!("{name}::{v} {{ {} }}", binds.join(", ")),
+                                write_fields(fields, &binds),
+                            )
                         }
-                    }
+                    };
+                    arms.push_str(&format!(
+                        "{pattern} => {{\n__out.push_str({:?});\n{inner}\n__out.push('}}');\n}}\n",
+                        format!("{{\"{v}\":")
+                    ));
                 }
                 format!("match self {{\n{arms}}}")
             }
         };
+        let inline = if matches!(self.body, Body::Tuple(1)) { "#[inline]\n" } else { "" };
         format!(
             "impl ::serde::Serialize for {name} {{\n\
-               fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
-               {}\
-             }}\n",
-            self.direct_write_json()
+               {inline}fn write_json(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n\
+             }}\n"
         )
-    }
-
-    /// The direct `write_json` override for structs; enums keep the
-    /// trait's `to_value` fallback. Writes the bytes `to_value` renders to.
-    fn direct_write_json(&self) -> String {
-        let body = match &self.body {
-            Body::Struct(fields) => {
-                let mut s = String::new();
-                for (i, f) in fields.iter().enumerate() {
-                    let sep = if i == 0 { "{" } else { "," };
-                    s.push_str(&format!(
-                        "__out.push_str({:?});\n\
-                         ::serde::Serialize::write_json(&self.{}, __out);\n",
-                        format!("{sep}\"{}\":", f.name),
-                        f.name
-                    ));
-                }
-                s.push_str(if fields.is_empty() {
-                    "__out.push_str(\"{}\");"
-                } else {
-                    "__out.push('}');"
-                });
-                s
-            }
-            Body::Tuple(1) => "::serde::Serialize::write_json(&self.0, __out);".to_string(),
-            Body::Tuple(n) => {
-                let mut s = String::from("__out.push('[');\n");
-                for i in 0..*n {
-                    if i > 0 {
-                        s.push_str("__out.push(',');\n");
-                    }
-                    s.push_str(&format!("::serde::Serialize::write_json(&self.{i}, __out);\n"));
-                }
-                s.push_str("__out.push(']');");
-                s
-            }
-            Body::Enum(_) => return String::new(),
-        };
-        let inline = if matches!(self.body, Body::Tuple(1)) { "#[inline]\n" } else { "" };
-        format!("{inline}fn write_json(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n")
     }
 
     fn deserialize_impl(&self) -> String {
         let name = &self.name;
         let body = match &self.body {
-            Body::Struct(fields) => {
-                let mut s = format!(
-                    "let __obj = __v.as_object().ok_or_else(|| ::serde::DeError::msg(\
-                       format!(\"{name}: expected object, got {{}}\", __v.kind())))?;\n\
-                     Ok(Self {{\n"
-                );
-                for f in fields {
-                    let missing = missing_field(name, f);
-                    s.push_str(&format!(
-                        "{}: match ::serde::value_get(__obj, {:?}) {{\n\
-                            Some(__fv) => ::serde::Deserialize::from_value(__fv)?,\n\
-                            None => {missing},\n\
-                         }},\n",
-                        f.name, f.name
-                    ));
-                }
-                s.push_str("})");
-                s
-            }
-            Body::Tuple(1) => "Ok(Self(::serde::Deserialize::from_value(__v)?))".to_string(),
-            Body::Tuple(n) => {
-                let mut s = format!(
-                    "let __arr = __v.as_array().ok_or_else(|| ::serde::DeError::msg(\
-                       format!(\"{name}: expected array, got {{}}\", __v.kind())))?;\n\
-                     if __arr.len() != {n} {{\n\
-                       return Err(::serde::DeError::msg(format!(\"{name}: expected {n} elements, got {{}}\", __arr.len())));\n\
-                     }}\n\
-                     Ok(Self("
-                );
-                for i in 0..*n {
-                    s.push_str(&format!("::serde::Deserialize::from_value(&__arr[{i}])?, "));
-                }
-                s.push_str("))");
-                s
-            }
+            Body::Struct(fields) => read_fields(name, "Self", fields),
+            Body::Tuple(1) => "Ok(Self(::serde::Deserialize::from_json(__r)?))".to_string(),
+            Body::Tuple(n) => format!("Ok({})", read_elements("Self", *n)),
             Body::Enum(variants) => {
-                // Externally tagged: a bare string names a unit variant; an
-                // object with one entry names a data variant.
+                // Externally tagged: a string names a unit variant; an
+                // object with exactly one entry names a data variant.
                 let mut unit_arms = String::new();
                 let mut data_arms = String::new();
                 for (v, data) in variants {
+                    let path = format!("{name}::{v}");
                     match data {
-                        VariantData::Unit => {
-                            unit_arms.push_str(&format!("{v:?} => return Ok({name}::{v}),\n"));
-                        }
+                        VariantData::Unit => unit_arms.push_str(&format!("{v:?} => Ok({path}),\n")),
                         VariantData::Tuple(1) => data_arms.push_str(&format!(
-                            "{v:?} => return Ok({name}::{v}(::serde::Deserialize::from_value(__inner)?)),\n"
+                            "{v:?} => {path}(::serde::Deserialize::from_json(__r)?),\n"
                         )),
                         VariantData::Tuple(n) => {
-                            let mut arm = format!(
-                                "{v:?} => {{\n\
-                                   let __arr = __inner.as_array().ok_or_else(|| ::serde::DeError::msg(\"{name}::{v}: expected array\"))?;\n\
-                                   if __arr.len() != {n} {{ return Err(::serde::DeError::msg(\"{name}::{v}: wrong arity\")); }}\n\
-                                   return Ok({name}::{v}("
-                            );
-                            for i in 0..*n {
-                                arm.push_str(&format!(
-                                    "::serde::Deserialize::from_value(&__arr[{i}])?, "
-                                ));
-                            }
-                            arm.push_str("));\n}\n");
-                            data_arms.push_str(&arm);
+                            data_arms.push_str(&format!("{v:?} => {},\n", read_elements(&path, *n)))
                         }
-                        VariantData::Struct(fields) => {
-                            let mut arm = format!(
-                                "{v:?} => {{\n\
-                                   let __obj = __inner.as_object().ok_or_else(|| ::serde::DeError::msg(\"{name}::{v}: expected object\"))?;\n\
-                                   return Ok({name}::{v} {{\n"
-                            );
-                            for f in fields {
-                                let missing = missing_field(&format!("{name}::{v}"), f);
-                                arm.push_str(&format!(
-                                    "{}: match ::serde::value_get(__obj, {:?}) {{\n\
-                                        Some(__fv) => ::serde::Deserialize::from_value(__fv)?,\n\
-                                        None => {missing},\n\
-                                     }},\n",
-                                    f.name, f.name
-                                ));
-                            }
-                            arm.push_str("});\n}\n");
-                            data_arms.push_str(&arm);
-                        }
+                        VariantData::Struct(fields) => data_arms.push_str(&format!(
+                            "{v:?} => ({})?,\n",
+                            read_fields(&path, &path, fields)
+                        )),
                     }
                 }
+                let unknown = format!(
+                    "__other => return Err(::serde::DeError::msg(format!(\"{name}: unknown variant `{{__other}}`\"))),"
+                );
+                let object_arm = if data_arms.is_empty() {
+                    String::new()
+                } else {
+                    format!(
+                        "::std::option::Option::Some(b'{{') if __r.begin_object()? => {{\n\
+                           let __v = match &*__r.key()? {{\n{data_arms}{unknown}\n}};\n\
+                           if __r.object_next()? {{\n\
+                             return Err(::serde::DeError::msg(\"{name}: expected one variant, got more entries\"));\n\
+                           }}\n\
+                           Ok(__v)\n\
+                         }}\n"
+                    )
+                };
                 format!(
-                    "if let Some(__s) = __v.as_str() {{\n\
-                       match __s {{\n{unit_arms}\
-                         __other => return Err(::serde::DeError::msg(format!(\"{name}: unknown variant `{{__other}}`\"))),\n\
-                       }}\n\
-                     }}\n\
-                     if let Some(__obj) = __v.as_object() {{\n\
-                       if __obj.len() == 1 {{\n\
-                         let (__tag, __inner) = &__obj[0];\n\
-                         match __tag.as_str() {{\n{data_arms}\
-                           __other => return Err(::serde::DeError::msg(format!(\"{name}: unknown variant `{{__other}}`\"))),\n\
-                         }}\n\
-                       }}\n\
-                     }}\n\
-                     Err(::serde::DeError::msg(format!(\"{name}: expected variant, got {{}}\", __v.kind())))"
+                    "match __r.peek() {{\n\
+                       ::std::option::Option::Some(b'\"') => match &*__r.string()? {{\n{unit_arms}{unknown}\n}},\n\
+                       {object_arm}\
+                       _ => Err(__r.expected(\"a {name} variant\")),\n\
+                     }}"
                 )
             }
-        };
-        format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-               fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n\
-               {}\
-             }}\n",
-            self.direct_from_json()
-        )
-    }
-
-    /// The direct `from_json` override for structs; enums keep the trait's
-    /// `from_value` fallback. Input whose first token cannot start the
-    /// struct's shape goes through `from_value` too, so its error is the
-    /// value path's. Accepts exactly what `from_value` accepts: the first
-    /// occurrence of a key wins, later duplicates and unknown keys are
-    /// parsed (syntax-checked) and dropped, and a missing field without
-    /// `#[serde(default)]` is an error.
-    fn direct_from_json(&self) -> String {
-        let name = &self.name;
-        let body = match &self.body {
-            Body::Struct(fields) => {
-                let mut s = String::from(
-                    "if __r.peek() != ::std::option::Option::Some(b'{') {\n\
-                       return Self::from_value(&__r.value()?);\n\
-                     }\n",
-                );
-                for i in 0..fields.len() {
-                    s.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
-                }
-                s.push_str(
-                    "let mut __more = __r.begin_object()?;\n\
-                     while __more {\n\
-                       let __key = __r.key()?;\n\
-                       match &*__key {\n",
-                );
-                for (i, f) in fields.iter().enumerate() {
-                    s.push_str(&format!(
-                        "{:?} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(::serde::Deserialize::from_json(__r)?),\n",
-                        f.name
-                    ));
-                }
-                s.push_str(
-                    "_ => __r.skip_value()?,\n\
-                       }\n\
-                       __more = __r.object_next()?;\n\
-                     }\n\
-                     Ok(Self {\n",
-                );
-                for (i, f) in fields.iter().enumerate() {
-                    let missing = missing_field(name, f);
-                    s.push_str(&format!(
-                        "{}: match __f{i} {{\n\
-                            ::std::option::Option::Some(__fv) => __fv,\n\
-                            ::std::option::Option::None => {missing},\n\
-                         }},\n",
-                        f.name
-                    ));
-                }
-                s.push_str("})");
-                s
-            }
-            Body::Tuple(1) => "Ok(Self(::serde::Deserialize::from_json(__r)?))".to_string(),
-            Body::Tuple(n) => {
-                let mut s = String::from(
-                    "if __r.peek() != ::std::option::Option::Some(b'[') {\n\
-                       return Self::from_value(&__r.value()?);\n\
-                     }\n\
-                     let mut __more = __r.begin_array()?;\n\
-                     let __t = Self(",
-                );
-                for _ in 0..*n {
-                    s.push_str(&format!("::serde::tuple_element(__r, &mut __more, {n})?, "));
-                }
-                s.push_str(&format!(");\n::serde::end_tuple(__more, {n})?;\nOk(__t)"));
-                s
-            }
-            Body::Enum(_) => return String::new(),
         };
         // Newtypes are one call deep; let them inline into their callers.
         let inline = if matches!(self.body, Body::Tuple(1)) { "#[inline]\n" } else { "" };
         format!(
-            "{inline}fn from_json(__r: &mut ::serde::JsonReader<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n"
+            "impl ::serde::Deserialize for {name} {{\n\
+               {inline}fn from_json(__r: &mut ::serde::JsonReader<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n\
+             }}\n"
         )
     }
+}
+
+/// Statements writing `fields` (whose values the expressions `binds`
+/// reference) as a JSON object.
+fn write_fields(fields: &[Field], binds: &[String]) -> String {
+    let mut s = String::new();
+    for (i, (f, b)) in fields.iter().zip(binds).enumerate() {
+        let sep = if i == 0 { "{" } else { "," };
+        s.push_str(&format!(
+            "__out.push_str({:?});\n::serde::Serialize::write_json({b}, __out);\n",
+            format!("{sep}\"{}\":", f.name)
+        ));
+    }
+    s.push_str(if fields.is_empty() { "__out.push_str(\"{}\");" } else { "__out.push('}');" });
+    s
+}
+
+/// Statements writing the expressions `binds` as a JSON array.
+fn write_elements(binds: &[String]) -> String {
+    let mut s = String::from("__out.push('[');\n");
+    for (i, b) in binds.iter().enumerate() {
+        if i > 0 {
+            s.push_str("__out.push(',');\n");
+        }
+        s.push_str(&format!("::serde::Serialize::write_json({b}, __out);\n"));
+    }
+    s.push_str("__out.push(']');");
+    s
+}
+
+/// An expression (a `Result`) parsing a JSON object into the named-field
+/// constructor `ctor`, with `owner` naming it in errors.
+fn read_fields(owner: &str, ctor: &str, fields: &[Field]) -> String {
+    let mut s = String::from("{\n");
+    for i in 0..fields.len() {
+        s.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+    }
+    s.push_str(
+        "let mut __more = __r.begin_object()?;\n\
+         while __more {\n\
+           match &*__r.key()? {\n",
+    );
+    for (i, f) in fields.iter().enumerate() {
+        s.push_str(&format!(
+            "{:?} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(::serde::Deserialize::from_json(__r)?),\n",
+            f.name
+        ));
+    }
+    s.push_str(&format!(
+        "_ => __r.skip_value()?,\n\
+           }}\n\
+           __more = __r.object_next()?;\n\
+         }}\n\
+         Ok({ctor} {{\n"
+    ));
+    for (i, f) in fields.iter().enumerate() {
+        let missing = missing_field(owner, f);
+        s.push_str(&format!(
+            "{}: match __f{i} {{\n\
+                ::std::option::Option::Some(__fv) => __fv,\n\
+                ::std::option::Option::None => {missing},\n\
+             }},\n",
+            f.name
+        ));
+    }
+    s.push_str("})\n}");
+    s
+}
+
+/// An expression parsing a JSON array of exactly `n` elements into the
+/// tuple constructor `ctor` (`?` applied).
+fn read_elements(ctor: &str, n: usize) -> String {
+    let mut s = String::from("{\nlet mut __more = __r.begin_array()?;\n");
+    s.push_str(&format!("let __t = {ctor}("));
+    for _ in 0..n {
+        s.push_str(&format!("::serde::tuple_element(__r, &mut __more, {n})?, "));
+    }
+    s.push_str(&format!(");\n::serde::end_tuple(__more, {n})?;\n__t\n}}"));
+    s
 }
 
 /// The expression a deserializer evaluates for an absent field `f` of

@@ -2,10 +2,10 @@
 //!
 //! Thin entry points over the shim-`serde` JSON layer: [`to_string`] and
 //! [`from_str`] stream between typed values and text through
-//! `Serialize::write_json` / `Deserialize::from_json` (no intermediate
-//! [`Value`]); [`to_string_pretty`] (2-space indent, like real
-//! serde_json), [`to_value`], [`from_value`] and the [`json!`] macro work
-//! on the [`Value`] model.
+//! `Serialize::write_json` / `Deserialize::from_json`;
+//! [`to_string_pretty`] re-indents that text (2-space indent, like real
+//! serde_json). [`to_value`] and the [`json!`] macro build the dynamic
+//! [`Value`] document by parsing a value's text.
 
 pub use serde::{Map, Number, Value};
 
@@ -35,14 +35,11 @@ impl From<serde::DeError> for Error {
     }
 }
 
-/// Converts any serializable value into a [`Value`].
+/// Converts any serializable value into a [`Value`] by parsing its JSON
+/// text. Non-finite floats become `null`, as they do in text.
 pub fn to_value<T: serde::Serialize + ?Sized>(v: &T) -> Value {
-    v.to_value()
-}
-
-/// Rebuilds a deserializable type from a [`Value`].
-pub fn from_value<T: serde::Deserialize>(v: &Value) -> Result<T, Error> {
-    T::from_value(v).map_err(Error::from)
+    let text = to_string(v).expect("rendering to a String cannot fail");
+    from_str(&text).expect("the JSON writers produce text that parses")
 }
 
 /// Serializes a value to compact JSON text.
@@ -54,9 +51,7 @@ pub fn to_string<T: serde::Serialize + ?Sized>(v: &T) -> Result<String, Error> {
 
 /// Serializes a value to pretty JSON text (2-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(v: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    serde::json::write_value(&mut out, &v.to_value(), Some(2), 0);
-    Ok(out)
+    Ok(serde::json::indent(&to_string(v)?, 2))
 }
 
 /// Parses JSON text into a deserializable type.
@@ -102,6 +97,39 @@ mod tests {
         let pretty = to_string_pretty(&v).unwrap();
         let back2: Value = from_str(&pretty).unwrap();
         assert_eq!(v, back2);
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_char() {
+        // How Python's `json.dumps` writes a non-BMP id by default.
+        assert_eq!(from_str::<String>(r#""\ud83d\ude00""#).unwrap(), "\u{1f600}");
+        assert_eq!(from_str::<String>(r#""a\uD83D\uDE00b""#).unwrap(), "a\u{1f600}b");
+        // A lone surrogate, either half, stays U+FFFD.
+        assert_eq!(from_str::<String>(r#""\ud83d""#).unwrap(), "\u{fffd}");
+        assert_eq!(from_str::<String>(r#""\ude00x""#).unwrap(), "\u{fffd}x");
+        assert_eq!(from_str::<String>(r#""\ud83d\u0041""#).unwrap(), "\u{fffd}A");
+        assert_eq!(from_str::<String>(r#""\ude00\ud83d""#).unwrap(), "\u{fffd}\u{fffd}");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(from_str::<String>(r#""\u0041""#).unwrap(), "A");
+        assert!(from_str::<String>(r#""\u+041""#).is_err());
+        assert!(from_str::<String>(r#""\u-041""#).is_err());
+        assert!(from_str::<String>(r#""\u12""#).is_err());
+        assert!(from_str::<String>(r#""\u00é""#).is_err());
+        assert!(from_str::<String>(r#""\ud83d\u+e00""#).is_err());
+    }
+
+    #[test]
+    fn pretty_text_is_the_compact_text_reindented() {
+        let v = json!({"a": json!([]), "b": json!({}), "c": json!([1, json!({"d": "x,y:[z]"})])});
+        let pretty = to_string_pretty(&v).unwrap();
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    1,\n    {\n      \"d\": \"x,y:[z]\"\n    }\n  ]\n}"
+        );
+        assert_eq!(to_string_pretty(&7u8).unwrap(), "7");
     }
 
     #[test]

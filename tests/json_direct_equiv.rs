@@ -76,7 +76,9 @@ fn expect_golden(name: &str, actual: &str) {
 
 /// 64-bit FNV-1a.
 fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// One section's decode cases, checked as a whole against
@@ -97,8 +99,11 @@ impl Corpus {
         let (outcome, ok) = match serde_json::from_str::<T>(text) {
             Ok(v) => {
                 let s = serde_json::to_string(&v).unwrap();
-                let shown =
-                    if s.len() <= 64 { format!("={s}") } else { format!("#{:016x}", fnv(s.as_bytes())) };
+                let shown = if s.len() <= 64 {
+                    format!("={s}")
+                } else {
+                    format!("#{:016x}", fnv(s.as_bytes()))
+                };
                 (format!("ok {shown}"), true)
             }
             Err(_) => ("err".to_owned(), false),
@@ -654,7 +659,11 @@ fn run_and_fleet_reports_decode_identically() {
 fn enum_variants_decode_identically() {
     let mut corpus = Corpus::new("shapes");
     corpus.mutations::<Vec<Shape>>("shapes", &serde_json::to_string(&shapes()).unwrap(), 8);
-    corpus.mutations::<Vec<FaultEvent>>("faults", &serde_json::to_string(&fault_events()).unwrap(), 9);
+    corpus.mutations::<Vec<FaultEvent>>(
+        "faults",
+        &serde_json::to_string(&fault_events()).unwrap(),
+        9,
+    );
     let texts = [
         r#""Unit""#,
         r#" "Other" "#,
@@ -797,7 +806,13 @@ fn events() -> Vec<EventKind> {
             detail: serde_json::to_value(&fault_events()[0]),
         },
         EventKind::Fault { name: s("engine.faults.none"), detail: Value::Null },
-        EventKind::UnitClosed { unit: 9, instrs: 10_000, cycles: 12_345, snapshots: 10, truncated: true },
+        EventKind::UnitClosed {
+            unit: 9,
+            instrs: 10_000,
+            cycles: 12_345,
+            snapshots: 10,
+            truncated: true,
+        },
         EventKind::Salvage {
             path: s("traces/é.sptrc"),
             recovered_units: 4,

@@ -3,6 +3,7 @@
 //! with observability disabled, and the context's report still covers every
 //! pipeline stage.
 
+use rayon::prelude::*;
 use simprof::core::{SimProf, SimProfConfig};
 use simprof::obs;
 use simprof::workloads::{Benchmark, Framework, WorkloadConfig};
@@ -22,8 +23,12 @@ fn run_pipeline() -> String {
         .expect("valid trace");
     let points = analysis.select_points(8, 21);
     let est = analysis.estimate(&points, 3.0);
+    // A pool region entered on purpose, so an observed run records
+    // `parallel.worker` spans however much the analysis itself spends on
+    // the pool.
+    let snapshots: u64 = trace.units.par_iter().map(|u| u64::from(u.snapshots)).sum();
     format!(
-        "{}\n{}\n{}\n{}",
+        "{snapshots}\n{}\n{}\n{}\n{}",
         serde_json::to_string(&trace).unwrap(),
         serde_json::to_string(&points).unwrap(),
         serde_json::to_string(&est).unwrap(),
