@@ -5,21 +5,27 @@
 //! paper-scale engine runs, the instrumented engine kernels (quicksort
 //! trace, hash combine, merge cost items), job construction (input synthesis
 //! plus whole `Benchmark::build` calls), the trace codec (JSON chunk
-//! decode/encode, LZ decode/encode; reported per MB of raw JSON), and the
-//! JSON the service writes per fleet (event lines, the pretty report).
+//! decode/encode, LZ decode/encode; reported per MB of raw JSON), streamed
+//! analysis of stored traces, and the JSON the service writes per fleet
+//! (event lines, the pretty report).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use simprof_engine::{ops, MethodRegistry, Scheduler};
+use std::io::Cursor;
+
+use simprof_core::SimProf;
+use simprof_engine::{ops, MethodId, MethodRegistry, Scheduler};
 use simprof_obs::{Event, EventKind, FleetJob, FleetReport, EVENT_SCHEMA_VERSION};
-use simprof_profiler::{ProfilerConfig, SamplingManager, SamplingUnit};
-use simprof_sim::{AccessCursor, AccessPattern, Machine, MachineConfig, Region};
+use simprof_profiler::{ProfileTrace, ProfilerConfig, SamplingManager, SamplingUnit};
+use simprof_sim::{AccessCursor, AccessPattern, Counters, Machine, MachineConfig, Region};
 use simprof_stats::{
     choose_k, f_regression, kmeans, optimal_allocation, silhouette_score, srs_indices_seeded,
     KMeans, Matrix, StratumStats,
 };
-use simprof_trace::{codec, Codec, DEFAULT_CHUNK_UNITS, MAX_FRAME_LEN};
+use simprof_trace::{
+    codec, Codec, TraceMeta, TraceReader, TraceWriter, DEFAULT_CHUNK_UNITS, MAX_FRAME_LEN,
+};
 use simprof_workloads::{GraphInput, Kronecker, TextSynth, WorkloadConfig, WorkloadId};
 
 /// A deterministic feature matrix shaped like a profiled trace: `n` units,
@@ -254,13 +260,7 @@ fn bench_build(c: &mut Criterion) {
 /// scratch. One iteration covers the whole trace; the per-MB figure is per
 /// MB of raw chunk JSON.
 fn bench_trace(c: &mut Criterion) {
-    let w = WorkloadId::all()
-        .into_iter()
-        .find(|w| w.label() == "wc_sp")
-        .expect("wc_sp is in the catalog");
-    let mut cfg = WorkloadConfig::paper(1);
-    cfg.profiler = ProfilerConfig::with_unit(10_000);
-    let units = w.run_full(&cfg).trace.units;
+    let units = fine_wc_sp().units;
     let chunks: Vec<&[SamplingUnit]> = units.chunks(DEFAULT_CHUNK_UNITS).collect();
     let texts: Vec<String> =
         chunks.iter().map(|c| serde_json::to_string(c).expect("units encode")).collect();
@@ -310,6 +310,86 @@ fn bench_trace(c: &mut Criterion) {
             }
         })
     });
+    g.finish();
+}
+
+/// The paper-scale `wc_sp` profile at 10 000-instruction units.
+fn fine_wc_sp() -> ProfileTrace {
+    let w = WorkloadId::all()
+        .into_iter()
+        .find(|w| w.label() == "wc_sp")
+        .expect("wc_sp is in the catalog");
+    let mut cfg = WorkloadConfig::paper(1);
+    cfg.profiler = ProfilerConfig::with_unit(10_000);
+    w.run_full(&cfg).trace
+}
+
+/// `trace`'s units sealed into in-memory `Codec::Lz` trace bytes.
+fn stored_lz(trace: &ProfileTrace) -> Vec<u8> {
+    let meta = TraceMeta {
+        label: "kernel".to_owned(),
+        seed: 1,
+        scale: "paper".to_owned(),
+        unit_instrs: trace.unit_instrs,
+        snapshot_instrs: trace.snapshot_instrs,
+        core: trace.core,
+    };
+    let mut w = TraceWriter::from_writer(Cursor::new(Vec::new()), "<memory>", &meta, Codec::Lz)
+        .expect("in-memory writer");
+    for u in &trace.units {
+        w.push(u);
+    }
+    w.finish(&MethodRegistry::new()).expect("seals");
+    w.into_bytes()
+}
+
+/// `core/analyze_stream` opens a stored LZ trace from memory with
+/// `TraceReader::from_reader` and analyzes it with `SimProf::analyze_stream`
+/// at the default `top_k = 100`. `fine_lz` is the `wc_sp` trace of
+/// `trace/*`, whose histograms fit the analysis's sparse record, so it is
+/// read once; `over_budget` is 200 units of 300 histogram entries each,
+/// more than `top_k`, so its stream is rewound and read a second time.
+fn bench_analyze_stream(c: &mut Criterion) {
+    let fine = stored_lz(&fine_wc_sp());
+    let heavy_units = (0..200u64)
+        .map(|i| {
+            let mut histogram: Vec<(MethodId, u32)> = (0..300u32)
+                .map(|j| (MethodId((j * 7 + i as u32 * 13) % 1_000), 1 + (j + i as u32) % 40))
+                .collect();
+            histogram.sort_unstable_by_key(|&(m, _)| m);
+            SamplingUnit {
+                id: i,
+                histogram,
+                snapshots: 40,
+                counters: Counters {
+                    instructions: 10_000,
+                    cycles: 9_000 + 7_000 * ((i / 25) % 3) + 37 * (i % 11),
+                    ..Default::default()
+                },
+                slices: Vec::new(),
+                truncated: false,
+                dropped_snapshots: 0,
+            }
+        })
+        .collect();
+    let heavy = stored_lz(&ProfileTrace {
+        unit_instrs: 10_000,
+        snapshot_instrs: 250,
+        core: 0,
+        units: heavy_units,
+    });
+
+    let pipeline = SimProf::default();
+    let mut g = c.benchmark_group("core/analyze_stream");
+    for (name, bytes) in [("fine_lz", &fine), ("over_budget", &heavy)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut reader =
+                    TraceReader::from_reader(Cursor::new(bytes.as_slice()), name).expect("opens");
+                black_box(pipeline.analyze_stream(&mut reader).expect("analyzes"))
+            })
+        });
+    }
     g.finish();
 }
 
@@ -373,6 +453,7 @@ fn bench_json(c: &mut Criterion) {
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_stats, bench_machine, bench_engine, bench_ops, bench_build, bench_trace, bench_json
+    targets = bench_stats, bench_machine, bench_engine, bench_ops, bench_build, bench_trace,
+        bench_analyze_stream, bench_json
 );
 criterion_main!(kernels);

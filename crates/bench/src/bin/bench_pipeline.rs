@@ -276,8 +276,8 @@ fn trace_stream_bench(
         let batch_peak = simprof_obs::peak_alloc_bytes().saturating_sub(batch_base);
         drop(materialized);
 
-        // Streamed: two passes over the chunked file, one chunk in memory
-        // at a time.
+        // Streamed: the chunked file read one chunk at a time. Its
+        // histograms outgrow the top-K budget, so it is read twice.
         let stream_base = simprof_obs::current_alloc_bytes();
         simprof_obs::reset_peak();
         let t1 = Instant::now();
@@ -326,7 +326,7 @@ fn trace_stream_bench(
             peak_alloc_bytes_batch: batch_peak,
             peak_alloc_bytes_streamed: streamed_peak,
             stream_to_batch_peak_ratio: streamed_peak as f64 / batch_peak.max(1) as f64,
-            // What pass 2 would cost without top-K selection: n × universe
+            // What projection would cost without top-K selection: n × universe
             // doubles. Computed, never allocated.
             dense_matrix_bytes: n * universe * 8,
             bit_identical: true,

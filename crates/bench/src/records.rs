@@ -104,7 +104,8 @@ pub struct TraceStreamRecord {
     pub trace_file_bytes: u64,
     /// Read-then-analyze wall clock: the in-run normalizer.
     pub batch_secs: f64,
-    /// Streamed two-pass analysis wall clock.
+    /// Streamed analysis wall clock (one scan, plus a second read when the
+    /// histograms outgrow the top-K budget, as this heavy trace's do).
     pub streamed_secs: f64,
     /// Peak heap growth of the batch path.
     pub peak_alloc_bytes_batch: usize,

@@ -6,7 +6,7 @@
 //! The two formats are interchangeable by contract: analysis routed through
 //! [`TraceInput::analyze`] is **bit-identical** whichever format the trace
 //! came from (and identical to analyzing the in-memory [`ProfileTrace`]
-//! directly), because both run the same two-pass streaming pipeline — a
+//! directly), because both run the same one-scan streaming pipeline — a
 //! legacy bundle just streams from memory while a chunked file streams from
 //! disk, one chunk at a time.
 

@@ -13,6 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use simprof_engine::MethodId;
 use simprof_profiler::{ProfileTrace, SamplingUnit};
 use simprof_stats::{f_score_from_moments, top_k_features, ColumnMoments, Matrix};
 
@@ -45,8 +46,8 @@ pub fn vectorize_with_dim(trace: &ProfileTrace, dim: usize) -> Matrix {
     m
 }
 
-/// Streaming sufficient statistics for feature selection (pass 1 of the
-/// two-pass sparse pipeline).
+/// Streaming sufficient statistics for feature selection (the scan of the
+/// sparse streaming pipeline).
 ///
 /// Folding a unit updates only the columns present in its histogram (plus
 /// the global response moments), so memory is `O(method_universe)` — one
@@ -148,7 +149,7 @@ impl FeatureSpace {
     /// Projects a trace into this space (handles traces whose method
     /// universe differs from the training run's) by building the reduced
     /// `units × dim()` matrix directly — the full-universe matrix is never
-    /// materialized (pass 2 of the two-pass pipeline).
+    /// materialized (the projection step of the streaming pipeline).
     pub fn project(&self, trace: &ProfileTrace) -> Matrix {
         let mut m = Matrix::zeros(trace.units.len(), self.columns.len());
         for (i, unit) in trace.units.iter().enumerate() {
@@ -165,13 +166,26 @@ impl FeatureSpace {
     ///
     /// Panics if `row.len() != self.dim()`.
     pub fn project_unit_into(&self, unit: &SamplingUnit, row: &mut [f64]) {
+        self.project_into(unit.snapshots, &unit.histogram, row);
+    }
+
+    /// Writes the reduced feature vector of a unit with `snapshots`
+    /// call-stack snapshots and `histogram` `(method, count)` pairs into
+    /// `row`. Every projection — from a [`SamplingUnit`], from the analysis
+    /// scan's sparse record, or from a rewound stream — goes through this
+    /// one function, so the same integers always give the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.dim()`.
+    pub fn project_into(&self, snapshots: u32, histogram: &[(MethodId, u32)], row: &mut [f64]) {
         assert_eq!(row.len(), self.columns.len(), "row length must match selected dim");
         row.fill(0.0);
-        if unit.snapshots == 0 {
+        if snapshots == 0 {
             return;
         }
-        let inv = 1.0 / unit.snapshots as f64;
-        for &(method, count) in &unit.histogram {
+        let inv = 1.0 / snapshots as f64;
+        for &(method, count) in histogram {
             if method.index() >= self.full_dim {
                 continue;
             }
@@ -192,8 +206,6 @@ impl FeatureSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simprof_engine::MethodId;
-    use simprof_profiler::SamplingUnit;
     use simprof_sim::Counters;
 
     fn unit(id: u64, hist: Vec<(u32, u32)>, snapshots: u32, cycles: u64) -> SamplingUnit {

@@ -251,7 +251,7 @@ impl LiveAnalyzer {
     }
 
     /// Finalizes: replays the buffered units through the canonical offline
-    /// pipeline ([`SimProf::analyze`], i.e. the same two-pass
+    /// pipeline ([`SimProf::analyze`], i.e. the same one-scan
     /// `analyze_stream` route every other entry point uses) and returns the
     /// analysis with the live report. With stopping disabled the result is
     /// bit-identical to analyzing the full trace offline.

@@ -100,8 +100,8 @@ pub fn form_phases(trace: &ProfileTrace, config: &SimProfConfig) -> PhaseModel {
 /// Forms phases on an already-fitted feature space and its projected unit
 /// matrix — the k-means sweep half of [`form_phases`].
 ///
-/// The streaming pipeline calls this after its two passes produce `space`
-/// and `projected` without a dense matrix; [`form_phases`] calls it after a
+/// The streaming pipeline calls this after its scan and projection produce
+/// `space` and `projected` without a dense matrix; [`form_phases`] calls it after a
 /// batch fit. Opens no spans of its own (callers own the `core.form_phases`
 /// / `core.feature_fit` structure; `choose_k` reports its own).
 pub fn form_phases_in_space(

@@ -2,10 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use simprof_profiler::{MemStream, ProfileTrace, UnitStream};
+use simprof_engine::MethodId;
+use simprof_profiler::{MemStream, ProfileTrace, SamplingUnit, UnitStream};
 use simprof_stats::{seeded, CovTriple, Matrix, Summary};
 
-use crate::features::FeatureStats;
+use crate::features::{FeatureSpace, FeatureStats};
 use crate::live::LiveConfig;
 use crate::phases::{form_phases_in_space, homogeneity, phase_stats, phase_weights, PhaseModel};
 use crate::sampling::{
@@ -151,19 +152,43 @@ impl SimProf {
     /// self-contained [`Analysis`], or a [`TraceError`] if the trace is
     /// degenerate (empty, zero unit size, or a zero-instruction unit).
     ///
-    /// Routes through the same two-pass streaming pipeline as
-    /// [`analyze_stream`] (over a [`MemStream`]), so a trace analyzed in
-    /// memory and the same trace streamed from disk produce bit-identical
-    /// results.
+    /// Routes through the same one-scan streaming pipeline as
+    /// [`analyze_stream`](Self::analyze_stream) (over a [`MemStream`]), so a
+    /// trace analyzed in memory and the same trace streamed from disk
+    /// produce bit-identical results.
     pub fn analyze(&self, trace: &ProfileTrace) -> Result<Analysis, TraceError> {
         self.analyze_stream(&mut MemStream::new(trace))
     }
 
     /// Runs the full analysis over a rewindable unit stream without ever
-    /// materializing the trace: pass 1 accumulates per-method sufficient
-    /// statistics for feature selection (plus per-unit CPIs), pass 2 builds
-    /// only the reduced `units × K` matrix the k-means sweep needs.
+    /// materializing the trace. One scan accumulates per-method sufficient
+    /// statistics for feature selection, the per-unit CPIs and a sparse
+    /// record of every unit's histogram; the reduced `units × K` matrix the
+    /// k-means sweep needs is then projected from that record. A record
+    /// that would outgrow the reduced matrix (more than `top_k` histogram
+    /// entries per unit so far) is dropped, and the rows are projected
+    /// from a second read of the rewound stream instead.
     pub fn analyze_stream(&self, stream: &mut dyn UnitStream) -> Result<Analysis, TraceError> {
+        self.analyze_stream_with(stream, true)
+    }
+
+    /// [`analyze_stream`](Self::analyze_stream) that never keeps the sparse
+    /// record, so every row is projected from a rewound stream. The analysis
+    /// is bit-identical to `analyze_stream`'s; this entry point exists for
+    /// the tests that pin that.
+    #[doc(hidden)]
+    pub fn analyze_stream_rescanning(
+        &self,
+        stream: &mut dyn UnitStream,
+    ) -> Result<Analysis, TraceError> {
+        self.analyze_stream_with(stream, false)
+    }
+
+    fn analyze_stream_with(
+        &self,
+        stream: &mut dyn UnitStream,
+        keep_record: bool,
+    ) -> Result<Analysis, TraceError> {
         let _span = simprof_obs::span!("core.analyze");
         if stream.unit_instrs() == 0 {
             return Err(TraceError::ZeroUnitSize);
@@ -172,11 +197,14 @@ impl SimProf {
         let (space, projected, cpis) = {
             let _span = simprof_obs::span!("core.feature_fit");
 
-            // Pass 1: sufficient statistics (Σx, Σx², Σxy per method) and
-            // CPIs; the dense units × universe matrix is never built.
+            // The scan: sufficient statistics (Σx, Σx², Σxy per method),
+            // CPIs and the sparse record; the dense units × universe matrix
+            // is never built.
+            let scan_span = simprof_obs::span!("core.scan");
             stream.rewind().map_err(|message| TraceError::Stream { message })?;
             let mut stats = FeatureStats::new();
             let mut cpis = Vec::new();
+            let mut record = keep_record.then(HistogramRecord::default);
             loop {
                 let unit = match stream.next_unit() {
                     Ok(Some(u)) => u,
@@ -188,40 +216,24 @@ impl SimProf {
                 }
                 stats.push(unit);
                 cpis.push(unit.cpi());
+                if record.as_mut().is_some_and(|r| !r.push(unit, self.config.top_k)) {
+                    record = None;
+                }
             }
             if cpis.is_empty() {
                 return Err(TraceError::EmptyTrace);
             }
             let space = stats.into_space(self.config.top_k);
+            drop(scan_span);
 
-            // Pass 2: project each unit straight into the reduced matrix.
-            stream.rewind().map_err(|message| TraceError::Stream { message })?;
+            let _span = simprof_obs::span!("core.project");
             let mut projected = Matrix::zeros(cpis.len(), space.dim());
-            let mut i = 0;
-            loop {
-                let unit = match stream.next_unit() {
-                    Ok(Some(u)) => u,
-                    Ok(None) => break,
-                    Err(message) => return Err(TraceError::Stream { message }),
-                };
-                if i >= cpis.len() {
-                    return Err(TraceError::Stream {
-                        message: format!(
-                            "stream yielded more units on pass 2 than pass 1 ({})",
-                            cpis.len()
-                        ),
-                    });
+            match record {
+                Some(record) => record.project(&space, &mut projected),
+                None => {
+                    simprof_obs::counter_add("core.stream_rescans", 1);
+                    project_rescan(stream, &space, &mut projected)?;
                 }
-                space.project_unit_into(unit, projected.row_mut(i));
-                i += 1;
-            }
-            if i != cpis.len() {
-                return Err(TraceError::Stream {
-                    message: format!(
-                        "stream yielded {i} units on pass 2, {} on pass 1",
-                        cpis.len()
-                    ),
-                });
             }
             (space, projected, cpis)
         };
@@ -235,6 +247,80 @@ impl SimProf {
         simprof_obs::counter_add("core.units_analyzed", cpis.len() as u64);
         Ok(Analysis { config: self.config, model, cpis, stats, weights, cov })
     }
+}
+
+/// The scan's copy of every unit's `snapshots` and `histogram`: one flat
+/// entry list, each unit's end offset into it, and its snapshot count.
+///
+/// Its entries are kept to at most `units × top_k` — the cell count of the
+/// reduced matrix when `top_k` columns survive — so holding it next to the
+/// matrix at most doubles what projection holds, whatever the method
+/// universe.
+#[derive(Debug, Default)]
+struct HistogramRecord {
+    entries: Vec<(MethodId, u32)>,
+    ends: Vec<u32>,
+    snapshots: Vec<u32>,
+}
+
+impl HistogramRecord {
+    /// Records `unit`, or returns `false` (recording nothing) when its
+    /// entries would take the record past `units × top_k`, counting this
+    /// unit, or past `u32` offsets.
+    fn push(&mut self, unit: &SamplingUnit, top_k: usize) -> bool {
+        let len = self.entries.len() + unit.histogram.len();
+        let budget = (self.ends.len() + 1).saturating_mul(top_k);
+        let Ok(end) = u32::try_from(len) else { return false };
+        if len > budget {
+            return false;
+        }
+        self.entries.extend_from_slice(&unit.histogram);
+        self.ends.push(end);
+        self.snapshots.push(unit.snapshots);
+        true
+    }
+
+    /// Projects every recorded unit into its row of `projected`.
+    fn project(&self, space: &FeatureSpace, projected: &mut Matrix) {
+        let mut start = 0;
+        for (i, (&end, &snapshots)) in self.ends.iter().zip(&self.snapshots).enumerate() {
+            let end = end as usize;
+            space.project_into(snapshots, &self.entries[start..end], projected.row_mut(i));
+            start = end;
+        }
+    }
+}
+
+/// Rewinds `stream` and projects each unit into its row of `projected`,
+/// which has one row per unit the scan counted.
+fn project_rescan(
+    stream: &mut dyn UnitStream,
+    space: &FeatureSpace,
+    projected: &mut Matrix,
+) -> Result<(), TraceError> {
+    let units = projected.rows();
+    stream.rewind().map_err(|message| TraceError::Stream { message })?;
+    let mut i = 0;
+    loop {
+        let unit = match stream.next_unit() {
+            Ok(Some(u)) => u,
+            Ok(None) => break,
+            Err(message) => return Err(TraceError::Stream { message }),
+        };
+        if i >= units {
+            return Err(TraceError::Stream {
+                message: format!("stream yielded more units on pass 2 than pass 1 ({units})"),
+            });
+        }
+        space.project_unit_into(unit, projected.row_mut(i));
+        i += 1;
+    }
+    if i != units {
+        return Err(TraceError::Stream {
+            message: format!("stream yielded {i} units on pass 2, {units} on pass 1"),
+        });
+    }
+    Ok(())
 }
 
 /// The result of phase formation on one trace, with everything needed to
@@ -320,8 +406,6 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simprof_engine::MethodId;
-    use simprof_profiler::SamplingUnit;
     use simprof_sim::Counters;
 
     fn trace() -> ProfileTrace {

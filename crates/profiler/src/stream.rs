@@ -2,9 +2,11 @@
 //!
 //! A [`UnitStream`] yields sampling units in id order without promising that
 //! the whole trace is in memory. The analysis pipeline's streaming path
-//! (`simprof-core`) makes exactly two passes over a stream — one to
-//! accumulate feature sufficient statistics, one to build the reduced
-//! matrix — so a stream must be rewindable. [`MemStream`] adapts an
+//! (`simprof-core`) scans a stream once, accumulating feature sufficient
+//! statistics and a sparse copy of the histograms it builds the reduced
+//! matrix from. When that copy would outgrow the matrix it rewinds and
+//! reads the stream a second time instead, so a stream must be
+//! rewindable. [`MemStream`] adapts an
 //! in-memory [`ProfileTrace`]; the `simprof-trace` crate provides the
 //! on-disk chunked-file implementation.
 

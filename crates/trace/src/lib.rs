@@ -8,9 +8,10 @@
 //! * [`TraceWriter`] is a [`UnitSink`]: attach it to a `SamplingManager`
 //!   and units are framed to disk in fixed-size chunks while the engine is
 //!   still running. Peak memory is one chunk, not one trace.
-//! * [`TraceReader`] is a [`UnitStream`]: the two-pass analysis pipeline in
-//!   `simprof-core` reads units chunk by chunk, twice, without ever
-//!   materializing the trace.
+//! * [`TraceReader`] is a [`UnitStream`]: the analysis pipeline in
+//!   `simprof-core` reads units chunk by chunk, once (twice only for
+//!   histograms wider than its top-K budget), without ever materializing
+//!   the trace.
 //! * [`TraceFooter`] carries the summary a consumer wants *before* (or
 //!   without) scanning units — unit count, method universe, totals, the
 //!   method registry — and is reachable by seeking to the file's tail.

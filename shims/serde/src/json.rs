@@ -248,8 +248,9 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    /// Parses a number token: an integer that fits `u64` (or, negative,
-    /// `i64`) stays exact; anything else parses as `f64`.
+    /// Parses a number token by the JSON grammar: an integer that fits
+    /// `u64` (or, negative, `i64`) stays exact; anything else parses as a
+    /// finite `f64`.
     #[inline]
     pub fn number(&mut self) -> Result<Number, DeError> {
         self.peek();
@@ -257,7 +258,7 @@ impl<'a> JsonReader<'a> {
         let start = self.pos;
         // Fast path: a plain run of at most 19 digits (so it cannot
         // overflow `u64`) ending the token is exactly what `parse::<u64>`
-        // below returns for it.
+        // below returns for it. A leading zero is only the number zero.
         let mut n = 0u64;
         let mut end = start;
         while let Some(d) = bytes.get(end).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
@@ -268,6 +269,7 @@ impl<'a> JsonReader<'a> {
             end += 1;
         }
         if end > start
+            && (bytes[start] != b'0' || end == start + 1)
             && !matches!(bytes.get(end), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
         {
             self.pos = end;
@@ -276,24 +278,40 @@ impl<'a> JsonReader<'a> {
         self.general_number(start)
     }
 
-    /// Any number token starting at `start` (= `self.pos`).
+    /// Any number token starting at `start` (= `self.pos`), following the
+    /// grammar `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn general_number(&mut self, start: usize) -> Result<Number, DeError> {
         let bytes = self.text.as_bytes();
-        if bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
+        let digits = |mut at: usize| {
+            while bytes.get(at).is_some_and(u8::is_ascii_digit) {
+                at += 1;
+            }
+            at
+        };
+        let invalid = || DeError::msg(format!("invalid number at byte {start}"));
+        let int = start + usize::from(bytes.get(start) == Some(&b'-'));
+        let mut end = digits(int);
+        if end == int || (bytes[int] == b'0' && end > int + 1) {
+            return Err(invalid());
         }
         let mut float = false;
-        while let Some(&b) = bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if bytes.get(end) == Some(&b'.') {
+            let frac = digits(end + 1);
+            if frac == end + 1 {
+                return Err(invalid());
             }
+            (end, float) = (frac, true);
         }
-        let text = self.slice(start, self.pos)?;
+        if matches!(bytes.get(end), Some(b'e' | b'E')) {
+            let sign = end + 1 + usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
+            let exp = digits(sign);
+            if exp == sign {
+                return Err(invalid());
+            }
+            (end, float) = (exp, true);
+        }
+        self.pos = end;
+        let text = &self.text[start..end];
         if !float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::U64(u));
@@ -302,9 +320,10 @@ impl<'a> JsonReader<'a> {
                 return Ok(Number::I64(i));
             }
         }
-        text.parse::<f64>()
-            .map(Number::F64)
-            .map_err(|_| DeError::msg(format!("invalid number `{text}` at byte {start}")))
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Number::F64(f)),
+            _ => Err(invalid()),
+        }
     }
 
     fn slice(&self, start: usize, end: usize) -> Result<&'a str, DeError> {

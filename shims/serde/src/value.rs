@@ -33,26 +33,29 @@ impl PartialEq for Number {
 }
 
 impl Number {
-    /// The number as a `u64`, if losslessly representable.
+    /// The number as a `u64`, if losslessly representable. A float
+    /// converts only when integral and below 2^64 (`u64::MAX as f64` is
+    /// 2^64 itself, which is out of range).
     #[inline]
     pub fn as_u64(self) -> Option<u64> {
         match self {
             Number::U64(n) => Some(n),
             Number::I64(n) => u64::try_from(n).ok(),
-            Number::F64(f) if f.fract() == 0.0 && f >= 0.0 && f <= u64::MAX as f64 => {
-                Some(f as u64)
-            }
+            Number::F64(f) if f.fract() == 0.0 && f >= 0.0 && f < u64::MAX as f64 => Some(f as u64),
             Number::F64(_) => None,
         }
     }
 
-    /// The number as an `i64`, if losslessly representable.
+    /// The number as an `i64`, if losslessly representable. A float
+    /// converts only when integral and strictly inside (−2^63, 2^63): the
+    /// integers just past `i64::MIN` round to −2^63 as floats, so that
+    /// float cannot say which integer it was.
     #[inline]
     pub fn as_i64(self) -> Option<i64> {
         match self {
             Number::I64(n) => Some(n),
             Number::U64(n) => i64::try_from(n).ok(),
-            Number::F64(f) if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 => {
+            Number::F64(f) if f.fract() == 0.0 && f > i64::MIN as f64 && f < i64::MAX as f64 => {
                 Some(f as i64)
             }
             Number::F64(_) => None,

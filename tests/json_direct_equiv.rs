@@ -730,9 +730,9 @@ fn number_spellings_convert_like_the_value_path() {
     assert_eq!(serde_json::from_str::<u64>("1.0").unwrap(), 1);
     assert_eq!(serde_json::from_str::<i64>("-0").unwrap(), 0);
     assert!(serde_json::from_str::<u64>("-1").is_err());
-    // 2^64 overflows the integer parse, becomes the float 2^64, and that
-    // float converts to `u64::MAX` — a quirk kept as is.
-    assert_eq!(serde_json::from_str::<u64>("18446744073709551616").unwrap(), u64::MAX);
+    // 2^64 overflows the integer parse and becomes the float 2^64, which
+    // is out of `u64`'s range.
+    assert!(serde_json::from_str::<u64>("18446744073709551616").is_err());
     assert!(serde_json::from_str::<u32>("18446744073709551616").is_err());
     assert_eq!(serde_json::from_str::<f64>("18446744073709551616").unwrap(), 1.8446744073709552e19);
     assert_eq!(serde_json::from_str::<String>(r#""aA\/\n""#).unwrap(), "aA/\n");

@@ -243,12 +243,26 @@ fn huge_and_odd_numbers_convert_or_fail_cleanly() {
     assert!(serde_json::from_str::<u64>(big).is_err());
     assert_eq!(serde_json::from_str::<f64>(big).unwrap(), 1.2345678901234568e29);
     assert_eq!(serde_json::from_str::<i64>("-0").unwrap(), 0);
-    // One past an integer type's range rounds to a float that converts
-    // back to the range's end: a kept quirk, pinned by the golden corpus.
-    assert_eq!(serde_json::from_str::<u64>("18446744073709551616").unwrap(), u64::MAX);
-    assert_eq!(serde_json::from_str::<i64>("-9223372036854775809").unwrap(), i64::MIN);
-    for bad in [".5", "-", "1e", "1e+", "01x", "+1", "--1"] {
+    // One past an integer type's range rounds to a float at the range's
+    // end, which is refused rather than saturated.
+    assert!(serde_json::from_str::<u64>("18446744073709551616").is_err());
+    assert!(serde_json::from_str::<i64>("-9223372036854775809").is_err());
+    assert!(serde_json::from_str::<i64>("9223372036854775808").is_err());
+    assert_eq!(serde_json::from_str::<u64>("18446744073709549568.0").unwrap(), u64::MAX - 2047);
+    assert_eq!(serde_json::from_str::<i64>("-9223372036854774784.0").unwrap(), i64::MIN + 1024);
+    // The JSON grammar: no leading zeros, a digit after `.` and in the
+    // exponent, no `+` sign, and no number beyond `f64`'s range.
+    for bad in [
+        ".5", "-", "1e", "1e+", "01x", "+1", "--1", "01", "00", "007", "-01", "1.", "1.e3",
+        "1e400", "-1e400", "-.5", "0x1",
+    ] {
         assert!(serde_json::from_str::<Value>(bad).is_err(), "{bad}");
+        assert!(serde_json::from_str::<f64>(bad).is_err(), "{bad}");
+    }
+    for (good, want) in
+        [("0", 0.0), ("-0", 0.0), ("0.5", 0.5), ("-0.0e0", 0.0), ("1E+2", 100.0), ("1e-400", 0.0)]
+    {
+        assert_eq!(serde_json::from_str::<f64>(good).unwrap(), want, "{good}");
     }
 }
 
