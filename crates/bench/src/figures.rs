@@ -1,16 +1,23 @@
 //! Computations behind every table and figure of the paper's evaluation
-//! (§IV). Each function returns plain data so the figure binaries only
-//! format, and the computations themselves are unit/integration testable.
+//! (§IV), its extension experiments and its ablations. Each function
+//! returns plain data, so `all_figures` only formats, and the computations
+//! themselves are unit/integration testable.
 
 use serde::Serialize;
 
+use simprof_core::sampling::strata_of;
 use simprof_core::{
-    baselines, classify_units, input_sensitivity, phase_type_distribution, relative_error,
-    second_points_by_cycles, srs_points, SamplerKind,
+    baselines, classify_units, estimate_hybrid, estimate_stratified, homogeneity,
+    input_sensitivity, phase_type_distribution, relative_error, second_points_by_cycles,
+    srs_points, systematic_points, FeatureSpace, SamplerKind, SimProf, SimProfConfig,
 };
-use simprof_engine::OpClass;
-use simprof_stats::split_seed;
-use simprof_workloads::{Benchmark, Framework, GraphInput, Kronecker, WorkloadId};
+use simprof_engine::{FaultPlan, MethodId, MethodRegistry, OpClass, SchedConfig, Scheduler};
+use simprof_profiler::SamplingManager;
+use simprof_sim::Machine;
+use simprof_stats::{
+    choose_k, choose_k_bic, proportional_allocation, seeded, split_seed, srs_indices,
+};
+use simprof_workloads::{Benchmark, Framework, GraphInput, Kronecker, TextInput, WorkloadId};
 
 use crate::harness::{run_workload, EvalConfig, WorkloadRun};
 
@@ -153,8 +160,8 @@ pub struct Fig07Row {
 
 impl Fig07Row {
     /// Error of the given sampler kind, or `None` for samplers that are not
-    /// part of the paper's Fig. 7 (the systematic baseline lives in the
-    /// `ext_systematic` experiment instead).
+    /// part of the paper's Fig. 7 (the systematic baseline lives in
+    /// [`ext_systematic`] instead).
     pub fn of(&self, kind: SamplerKind) -> Option<f64> {
         match kind {
             SamplerKind::Second => Some(self.second),
@@ -330,9 +337,7 @@ pub fn fig11(run: &WorkloadRun, n: usize, seed: u64) -> Vec<Fig11Row> {
             let top = a.model.top_methods(h, 1);
             let top_method = top
                 .first()
-                .map(|&(m, _)| {
-                    run.output.registry.name(simprof_engine::MethodId(m as u32)).to_owned()
-                })
+                .map(|&(m, _)| run.output.registry.name(MethodId(m as u32)).to_owned())
                 .unwrap_or_default();
             Fig11Row {
                 phase: rank,
@@ -436,6 +441,516 @@ pub fn fig14_15(run: &WorkloadRun) -> Vec<ScatterPoint> {
         .collect()
 }
 
+// ---------------------------------------------------------------------------
+// Extension experiments and ablations (beyond the paper's published
+// evaluation). Each returns the rows of one `EXPERIMENTS.md` section.
+// ---------------------------------------------------------------------------
+
+/// Finds the run of `id` in the evaluation matrix.
+fn run_of(runs: &[WorkloadRun], id: WorkloadId) -> &WorkloadRun {
+    runs.iter().find(|r| r.id == id).expect("every workload is in the matrix")
+}
+
+/// Systematic-baseline row: SMARTS-style systematic sampling against SRS
+/// and SimProf at the same budget (related work, §V).
+#[derive(Debug, Clone, Serialize)]
+pub struct SystematicRow {
+    /// Workload label ("average" for the summary row).
+    pub label: String,
+    /// Systematic error, mean over the scheme's start offsets.
+    pub systematic: f64,
+    /// SRS error (mean absolute over repetitions).
+    pub srs: f64,
+    /// SimProf error (mean absolute over repetitions).
+    pub simprof: f64,
+}
+
+/// Computes the systematic baseline at n = 20 per workload, with the
+/// average row appended last. Systematic sampling needs no call stacks but
+/// is blind to code structure.
+pub fn ext_systematic(runs: &[WorkloadRun], cfg: &EvalConfig) -> Vec<SystematicRow> {
+    let n = 20;
+    let reps = 30u64;
+    let offsets = 10u64;
+    let mut rows: Vec<SystematicRow> = runs
+        .iter()
+        .map(|r| {
+            let trace = &r.output.trace;
+            let oracle = r.analysis.oracle_cpi();
+            // Systematic: average error over offsets (the scheme's only freedom).
+            let mut systematic = 0.0;
+            for off in 0..offsets {
+                let s = systematic_points(trace, n, off as usize);
+                systematic += relative_error(s.predicted_cpi, oracle);
+            }
+            let mut srs = 0.0;
+            let mut simprof = 0.0;
+            for rep in 0..reps {
+                let seed = split_seed(cfg.simprof.seed, 0x5457 + rep);
+                srs += relative_error(srs_points(trace, n, seed).predicted_cpi, oracle);
+                let sp = baselines::simprof_points(&r.analysis.model, trace, n, seed);
+                simprof += relative_error(sp.predicted_cpi, oracle);
+            }
+            SystematicRow {
+                label: r.label.clone(),
+                systematic: systematic / offsets as f64,
+                srs: srs / reps as f64,
+                simprof: simprof / reps as f64,
+            }
+        })
+        .collect();
+    let n = rows.len().max(1) as f64;
+    rows.push(SystematicRow {
+        label: "average".into(),
+        systematic: rows.iter().map(|r| r.systematic).sum::<f64>() / n,
+        srs: rows.iter().map(|r| r.srs).sum::<f64>() / n,
+        simprof: rows.iter().map(|r| r.simprof).sum::<f64>() / n,
+    });
+    rows
+}
+
+/// Sub-unit strides of the hybrid extension; stride 1 simulates whole
+/// points.
+pub const HYBRID_STRIDES: [usize; 4] = [1, 2, 5, 10];
+
+/// Hybrid row: SimProf's points, each simulated only every `stride`-th
+/// intra-unit slice (the paper's future work, §III-C).
+#[derive(Debug, Clone, Serialize)]
+pub struct HybridRow {
+    /// Workload label ("average" for the summary row).
+    pub label: String,
+    /// CPI error per stride of [`HYBRID_STRIDES`].
+    pub error: [f64; 4],
+    /// Detailed-simulation reduction from slicing, per stride.
+    pub reduction: [f64; 4],
+}
+
+/// Computes the SimProf × systematic sub-unit sampling extension: 20
+/// stratified points per workload, estimated from every `stride`-th slice,
+/// averaged over 30 selections. The average row is appended last.
+pub fn ext_hybrid(runs: &[WorkloadRun], cfg: &EvalConfig) -> Vec<HybridRow> {
+    let reps = 30u64;
+    let mut rows: Vec<HybridRow> = runs
+        .iter()
+        .map(|r| {
+            let a = &r.analysis;
+            let oracle = a.oracle_cpi();
+            let mut row =
+                HybridRow { label: r.label.clone(), error: [0.0; 4], reduction: [0.0; 4] };
+            for (si, &stride) in HYBRID_STRIDES.iter().enumerate() {
+                for rep in 0..reps {
+                    let pts = a.select_points(20, split_seed(cfg.simprof.seed, 0x4871D + rep));
+                    let h =
+                        estimate_hybrid(&r.output.trace, &a.model.assignments, &pts, stride, 3.0);
+                    row.error[si] += relative_error(h.mean_cpi, oracle);
+                    row.reduction[si] += h.slice_reduction();
+                }
+                row.error[si] /= reps as f64;
+                row.reduction[si] /= reps as f64;
+            }
+            row
+        })
+        .collect();
+    let n = rows.len().max(1) as f64;
+    let mut avg = HybridRow { label: "average".into(), error: [0.0; 4], reduction: [0.0; 4] };
+    for si in 0..HYBRID_STRIDES.len() {
+        avg.error[si] = rows.iter().map(|r| r.error[si]).sum::<f64>() / n;
+        avg.reduction[si] = rows.iter().map(|r| r.reduction[si]).sum::<f64>() / n;
+    }
+    rows.push(avg);
+    rows
+}
+
+/// Fault-injection row: one wc_hp run under a seeded runtime [`FaultPlan`].
+#[derive(Debug, Clone, Serialize)]
+pub struct FaultRow {
+    /// Combined fault rate, as printed.
+    pub rate: &'static str,
+    /// Executor crashes (attempts re-queued).
+    pub crashes: usize,
+    /// Stragglers raced by speculative twins.
+    pub stragglers: usize,
+    /// Lost shuffle fetches (re-fetched).
+    pub lost_fetches: usize,
+    /// Sampling units profiled.
+    pub units: usize,
+    /// Units cut short by a crash.
+    pub truncated_units: usize,
+    /// Profiler snapshots dropped.
+    pub dropped_snapshots: u64,
+    /// Full-trace CPI.
+    pub oracle_cpi: f64,
+    /// Phases formed.
+    pub phases: usize,
+    /// Weighted per-phase CoV of CPI.
+    pub weighted_cov: f64,
+    /// SimProf error at n = 20, mean over 20 selections.
+    pub error: f64,
+}
+
+/// Runs wc_hp under runtime fault injection at 0/10/20/40 % combined
+/// rates: executors crash and are re-queued, stragglers are raced by
+/// speculative twins, shuffle fetches get lost, and the profiler drops
+/// snapshots. Recovered work repeats the same call stacks, so phase
+/// formation and the stratified estimate should stay stable.
+pub fn ext_faults(cfg: &EvalConfig) -> Vec<FaultRow> {
+    // More tasks than the default matrix so percent-level fault rates hit a
+    // meaningful number of attempts.
+    let mut wl = cfg.workload;
+    wl.partitions = 32;
+    wl.reducers = 8;
+    let id = WorkloadId { benchmark: Benchmark::WordCount, framework: Framework::Hadoop };
+    [("0%", 0u32), ("10%", 100_000), ("20%", 200_000), ("40%", 400_000)]
+        .into_iter()
+        .map(|(rate, ppm)| {
+            // Milder slowdown than the default 4x: wc_hp stragglers at 4x are
+            // outliers extreme enough to merge phases, which is a clustering
+            // stress test rather than the recovery stress this experiment is
+            // after.
+            let plan = FaultPlan { straggler_factor: 2, ..FaultPlan::uniform(ppm, 99) };
+            let mut machine = Machine::new(wl.machine);
+            let mut registry = MethodRegistry::new();
+            let job = id.benchmark.build(id.framework, &wl, &mut machine, &mut registry);
+            let mut manager = SamplingManager::new(wl.profiler).with_faults(plan);
+            let sched = Scheduler::new(SchedConfig { faults: plan, ..wl.sched });
+            let log = sched.run(&mut machine, &job, &mut manager);
+            let trace = manager.finish();
+            let analysis =
+                SimProf::new(cfg.simprof).analyze(&trace).expect("workload trace is valid");
+            let oracle = analysis.oracle_cpi();
+            let reps = 20u64;
+            let mut err = 0.0;
+            for rep in 0..reps {
+                let pts = analysis.select_points(20, 800 + rep);
+                err += relative_error(analysis.estimate(&pts, 3.0).mean_cpi, oracle);
+            }
+            FaultRow {
+                rate,
+                crashes: log.crashes(),
+                stragglers: log.stragglers(),
+                lost_fetches: log.lost_fetches(),
+                units: trace.units.len(),
+                truncated_units: trace.truncated_units(),
+                dropped_snapshots: trace.dropped_snapshots(),
+                oracle_cpi: oracle,
+                phases: analysis.k(),
+                weighted_cov: analysis.cov.weighted,
+                error: err / reps as f64,
+            }
+        })
+        .collect()
+}
+
+/// Text input-sensitivity study: wc_sp trained on the Base corpus,
+/// Algorithm 1 applied across corpora that vary word-frequency skew,
+/// vocabulary size and line length (the paper's future work, §IV-E).
+#[derive(Debug, Clone, Serialize)]
+pub struct TextSensitivity {
+    /// Sampling units of the training (Base) run.
+    pub train_units: usize,
+    /// Phases of the training run.
+    pub train_phases: usize,
+    /// Full-trace CPI of the training run.
+    pub train_oracle_cpi: f64,
+    /// One row per reference corpus.
+    pub references: Vec<TextReferenceRow>,
+    /// One row per training phase.
+    pub phases: Vec<TextPhaseRow>,
+    /// Share of a 20-point selection in input-sensitive phases.
+    pub sensitive_point_fraction: f64,
+}
+
+/// One reference corpus of the text sensitivity study.
+#[derive(Debug, Clone, Serialize)]
+pub struct TextReferenceRow {
+    /// Corpus label.
+    pub input: &'static str,
+    /// Sampling units profiled on it.
+    pub units: usize,
+    /// Its full-trace CPI.
+    pub oracle_cpi: f64,
+}
+
+/// One training phase of the text sensitivity study.
+#[derive(Debug, Clone, Serialize)]
+pub struct TextPhaseRow {
+    /// Phase id.
+    pub phase: usize,
+    /// Phase weight `N_h / N`.
+    pub weight: f64,
+    /// The phase's heaviest method.
+    pub top_method: String,
+    /// Reference corpora whose units move this phase (empty: insensitive).
+    pub moved_by: Vec<&'static str>,
+}
+
+/// Runs the text input-sensitivity study.
+pub fn ext_text_sensitivity(cfg: &EvalConfig) -> TextSensitivity {
+    let wl = cfg.workload;
+    let train_corpus = TextInput::Base.corpus(wl.text_bytes, wl.seed);
+    let train = Benchmark::WordCount.run_spark_on_text(&wl, &train_corpus);
+    let analysis =
+        SimProf::new(cfg.simprof).analyze(&train.trace).expect("workload trace is valid");
+    let mut names = Vec::new();
+    let mut refs = Vec::new();
+    let mut references = Vec::new();
+    for input in TextInput::ALL.into_iter().filter(|&i| i != TextInput::Base) {
+        let corpus = input.corpus(wl.text_bytes, wl.seed);
+        let out = Benchmark::WordCount.run_spark_on_text(&wl, &corpus);
+        references.push(TextReferenceRow {
+            input: input.label(),
+            units: out.trace.units.len(),
+            oracle_cpi: out.trace.oracle_cpi(),
+        });
+        refs.push(out.trace);
+        names.push(input.label());
+    }
+    let rr: Vec<&_> = refs.iter().collect();
+    let report = input_sensitivity(&analysis.model, &train.trace, &rr, 0.10);
+    let phases = (0..analysis.k())
+        .map(|h| TextPhaseRow {
+            phase: h,
+            weight: analysis.weights[h],
+            top_method: analysis
+                .model
+                .top_methods(h, 1)
+                .first()
+                .map(|&(m, _)| train.registry.name(MethodId(m as u32)).to_owned())
+                .unwrap_or_default(),
+            moved_by: report
+                .per_reference
+                .iter()
+                .zip(&names)
+                .filter(|(p, _)| p[h])
+                .map(|(_, &n)| n)
+                .collect(),
+        })
+        .collect();
+    let points = analysis.select_points(20, 7);
+    TextSensitivity {
+        train_units: train.trace.units.len(),
+        train_phases: analysis.k(),
+        train_oracle_cpi: train.trace.oracle_cpi(),
+        references,
+        phases,
+        sensitive_point_fraction: report.sensitive_point_fraction(&points),
+    }
+}
+
+/// Ablation 1 row: one allocation policy on wc_hp's phase model.
+#[derive(Debug, Clone, Serialize)]
+pub struct PolicyRow {
+    /// Policy name.
+    pub policy: String,
+    /// Mean absolute CPI error.
+    pub error: f64,
+}
+
+/// Ablation 1: Neyman (SimProf) vs proportional allocation over the same
+/// phases and stratified estimator (wc_hp, n = 20, 40 reps), plus CODE's
+/// one point per phase (the paper's central design choice, §III-C).
+pub fn ablation_allocation(runs: &[WorkloadRun]) -> Vec<PolicyRow> {
+    let run =
+        run_of(runs, WorkloadId { benchmark: Benchmark::WordCount, framework: Framework::Hadoop });
+    let a = &run.analysis;
+    let oracle = a.oracle_cpi();
+    let n = 20;
+    let reps = 40u64;
+    let strata = strata_of(&a.cpis, &a.model.assignments, a.k());
+    let mut rows = Vec::new();
+    for (name, proportional) in [("Neyman (SimProf)", false), ("proportional", true)] {
+        let mut err = 0.0;
+        for rep in 0..reps {
+            let mut points = a.select_points(n, 900 + rep);
+            if proportional {
+                // Re-draw with proportional allocation.
+                let alloc = proportional_allocation(n, &strata);
+                let mut members: Vec<Vec<u64>> = vec![Vec::new(); a.k()];
+                for (i, &ph) in a.model.assignments.iter().enumerate() {
+                    members[ph].push(i as u64);
+                }
+                let mut rng = seeded(900 + rep);
+                points.per_phase = members
+                    .iter()
+                    .zip(&alloc)
+                    .map(|(ids, &nh)| {
+                        srs_indices(ids.len(), nh, &mut rng).into_iter().map(|i| ids[i]).collect()
+                    })
+                    .collect();
+                points.allocation = alloc;
+                points.points = points.per_phase.iter().flatten().copied().collect();
+            }
+            let est = estimate_stratified(&a.cpis, &a.model.assignments, &points, 3.0);
+            err += relative_error(est.mean_cpi, oracle);
+        }
+        rows.push(PolicyRow { policy: name.to_string(), error: err / reps as f64 });
+    }
+    let code = baselines::code_points(&a.model, &run.output.trace);
+    rows.push(PolicyRow {
+        policy: format!("CODE (1/phase, {} pts)", code.points.len()),
+        error: relative_error(code.predicted_cpi, oracle),
+    });
+    rows
+}
+
+/// Ablation row: one variant's phase structure, and its error where the
+/// variant is judged on it.
+#[derive(Debug, Clone, Serialize)]
+pub struct VariantRow {
+    /// Variant label, as printed.
+    pub variant: String,
+    /// Sampling units profiled.
+    pub units: usize,
+    /// Call-stack snapshots in the first unit.
+    pub snapshots_per_unit: u32,
+    /// Phases formed.
+    pub phases: usize,
+    /// Weighted per-phase CoV of CPI.
+    pub weighted_cov: f64,
+    /// Largest per-phase CoV of CPI.
+    pub max_cov: f64,
+    /// SimProf error at n = 20, mean over 20 selections (`None` where the
+    /// ablation compares phase structure only).
+    pub error: Option<f64>,
+}
+
+/// Analyzes `trace` under `simprof`; with `seed0`, also measures the mean
+/// SimProf error at n = 20 over 20 selections seeded `seed0 + rep`.
+fn variant(
+    label: &str,
+    trace: &simprof_profiler::ProfileTrace,
+    simprof: SimProfConfig,
+    seed0: Option<u64>,
+) -> VariantRow {
+    let a = SimProf::new(simprof).analyze(trace).expect("workload trace is valid");
+    let error = seed0.map(|seed0| {
+        let oracle = a.oracle_cpi();
+        let reps = 20u64;
+        let mut err = 0.0;
+        for rep in 0..reps {
+            let pts = a.select_points(20.min(trace.units.len()), seed0 + rep);
+            err += relative_error(a.estimate(&pts, 3.0).mean_cpi, oracle);
+        }
+        err / reps as f64
+    });
+    VariantRow {
+        variant: label.to_string(),
+        units: trace.units.len(),
+        snapshots_per_unit: trace.units.first().map_or(0, |u| u.snapshots),
+        phases: a.k(),
+        weighted_cov: a.cov.weighted,
+        max_cov: a.cov.max,
+        error,
+    }
+}
+
+/// Ablation 2: the feature-selection K sweep (10 / 50 / 100 / all) on
+/// cc_sp (§III-B sets K = 100).
+pub fn ablation_feature_k(runs: &[WorkloadRun], cfg: &EvalConfig) -> Vec<VariantRow> {
+    let run = run_of(
+        runs,
+        WorkloadId { benchmark: Benchmark::ConnectedComponents, framework: Framework::Spark },
+    );
+    [("10", 10usize), ("50", 50), ("100", 100), ("all", 10_000)]
+        .into_iter()
+        .map(|(label, k)| {
+            variant(label, &run.output.trace, SimProfConfig { top_k: k, ..cfg.simprof }, Some(300))
+        })
+        .collect()
+}
+
+/// Ablation 3: snapshot frequency unit/5, unit/10 (the paper's), unit/50
+/// on wc_hp (§III-A tuning).
+pub fn ablation_snapshot_frequency(cfg: &EvalConfig) -> Vec<VariantRow> {
+    [("unit/5", 5u64), ("unit/10 (paper)", 10), ("unit/50", 50)]
+        .into_iter()
+        .map(|(label, divisor)| {
+            let mut wl = cfg.workload;
+            wl.profiler.snapshot_instrs = (wl.profiler.unit_instrs / divisor).max(1);
+            let out = Benchmark::WordCount.run_full(Framework::Hadoop, &wl);
+            variant(label, &out.trace, cfg.simprof, None)
+        })
+        .collect()
+}
+
+/// Ablation 4: OS-noise perturbations off / paper-like / strong on wc_sp
+/// (§III-B-1's heterogeneity sources).
+pub fn ablation_perturbations(cfg: &EvalConfig) -> Vec<VariantRow> {
+    [("off", 0u8), ("on (paper-like noise)", 1), ("strong (migrate every 400k instrs)", 2)]
+        .into_iter()
+        .map(|(label, level)| {
+            let mut wl = cfg.workload;
+            match level {
+                0 => {
+                    wl.sched.perturbations = simprof_sim::Perturbations::default();
+                    wl.gc_noise_ppm = 0;
+                }
+                2 => {
+                    wl.sched.perturbations = simprof_sim::Perturbations::with_period(400_000, 99);
+                    wl.gc_noise_ppm = 120_000;
+                }
+                _ => {}
+            }
+            let out = Benchmark::WordCount.run_full(Framework::Spark, &wl);
+            variant(label, &out.trace, cfg.simprof, None)
+        })
+        .collect()
+}
+
+/// Ablation 5: sampling-unit size 25k / 50k / 100k instructions on wc_sp.
+/// The paper picks 100 M instructions "to avoid the simulation start-up
+/// effect"; this shows the trade-off between unit count and per-unit
+/// stability at this scale.
+pub fn ablation_unit_size(cfg: &EvalConfig) -> Vec<VariantRow> {
+    [("25k", 25_000u64), ("50k (default)", 50_000), ("100k", 100_000)]
+        .into_iter()
+        .map(|(label, unit)| {
+            let mut wl = cfg.workload;
+            wl.profiler = simprof_profiler::ProfilerConfig::with_unit(unit);
+            let out = Benchmark::WordCount.run_full(Framework::Spark, &wl);
+            variant(label, &out.trace, cfg.simprof, Some(40))
+        })
+        .collect()
+}
+
+/// Ablation 6 row: the paper's silhouette rule against the BIC rule.
+#[derive(Debug, Clone, Serialize)]
+pub struct KRuleRow {
+    /// Workload label.
+    pub label: String,
+    /// k chosen by the silhouette-90 % rule.
+    pub silhouette_k: usize,
+    /// Weighted CoV of the silhouette clustering.
+    pub silhouette_cov: f64,
+    /// k chosen by the SimPoint/X-means BIC rule.
+    pub bic_k: usize,
+    /// Weighted CoV of the BIC clustering.
+    pub bic_cov: f64,
+}
+
+/// Ablation 6: k-selection by the paper's silhouette-90 % rule vs the
+/// SimPoint/X-means BIC rule (Perelman et al., related work §V), in
+/// catalog order.
+pub fn ablation_k_selection(runs: &[WorkloadRun], cfg: &EvalConfig) -> Vec<KRuleRow> {
+    WorkloadId::all()
+        .into_iter()
+        .map(|id| {
+            let trace = &run_of(runs, id).output.trace;
+            let (_, projected) = FeatureSpace::fit(trace, cfg.simprof.top_k);
+            let sil = choose_k(&projected, 20, 0.9, 0.25, cfg.simprof.seed);
+            let bic = choose_k_bic(&projected, 20, 0.9, cfg.simprof.seed);
+            let cpis = trace.cpis();
+            KRuleRow {
+                label: id.label(),
+                silhouette_k: sil.k,
+                silhouette_cov: homogeneity(&cpis, &sil.result.assignments).weighted,
+                bic_k: bic.k,
+                bic_cov: homogeneity(&cpis, &bic.result.assignments).weighted,
+            }
+        })
+        .collect()
+}
+
 /// Classifies a reference trace against a training model (shared by the
 /// integration tests and the sensitivity example).
 pub fn classify_reference(
@@ -464,6 +979,24 @@ mod tests {
         assert_eq!(fig10(&runs).len(), 12);
         assert_eq!(fig07(&runs, &cfg).len(), 13, "12 + average");
         assert_eq!(fig08(&runs, &cfg).len(), 13);
+        assert_eq!(ext_systematic(&runs, &cfg).len(), 13);
+        assert_eq!(ext_hybrid(&runs, &cfg).len(), 13);
+    }
+
+    #[test]
+    fn ablations_reuse_the_matrix_runs() {
+        let (runs, cfg) = runs();
+        let k_rule = ablation_k_selection(&runs, &cfg);
+        let catalog: Vec<String> = WorkloadId::all().into_iter().map(|id| id.label()).collect();
+        assert_eq!(k_rule.iter().map(|r| r.label.clone()).collect::<Vec<_>>(), catalog);
+        // At the matrix's own K, the feature sweep re-derives the run's analysis.
+        let cc_sp = runs.iter().find(|r| r.label == "cc_sp").unwrap();
+        let k100 = &ablation_feature_k(&runs, &cfg)[2];
+        assert_eq!((k100.variant.as_str(), k100.phases), ("100", cc_sp.analysis.k()));
+        assert_eq!(k100.weighted_cov.to_bits(), cc_sp.analysis.cov.weighted.to_bits());
+        let policies = ablation_allocation(&runs);
+        assert_eq!(policies.len(), 3);
+        assert!(policies.iter().all(|p| p.error.is_finite()));
     }
 
     #[test]

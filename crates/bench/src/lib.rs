@@ -1,10 +1,10 @@
 //! Benchmark harness for SimProf.
 //!
-//! Regenerates every table and figure of the paper's evaluation (§IV):
-//! the [`figures`] module computes each one as plain data (so the
-//! computations are unit-testable), the `src/bin/figNN_*` binaries print
-//! them, `src/bin/all_figures` runs the whole evaluation and emits the
-//! paper-vs-measured record for `EXPERIMENTS.md`, `benches/` holds the
+//! Regenerates every table and figure of the paper's evaluation (§IV),
+//! plus the extension experiments and ablations: the [`figures`] module
+//! computes each one as plain data (so the computations are
+//! unit-testable), `src/bin/all_figures` runs them all and writes the
+//! paper-vs-measured record `EXPERIMENTS.md`, `benches/` holds the
 //! Criterion micro/ablation benchmarks, and [`records`] types the JSON
 //! records `bench_pipeline` writes and `perf_gate` gates.
 

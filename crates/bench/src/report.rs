@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the figure binaries.
+//! Plain-text table rendering for `all_figures` and the bench binaries.
 
 /// Renders a fixed-width table: header row, separator, data rows.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -31,63 +31,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders an ASCII scatter of `(x, y)` series plus a phase step-line, the
-/// shape of the paper's Figs. 14–15: y-axis = CPI (dots), second series =
-/// phase id (marked with `▒` columns at phase boundaries).
-pub fn render_scatter(cpis: &[f64], phases: &[usize], width: usize, height: usize) -> String {
-    if cpis.is_empty() {
-        return String::from("(empty series)\n");
-    }
-    let n = cpis.len();
-    let width = width.max(10).min(n.max(10));
-    let height = height.max(5);
-    let max_cpi = cpis.iter().copied().fold(f64::MIN, f64::max).max(1e-9);
-    // Downsample x into `width` buckets (mean CPI, first phase id).
-    let mut ys = Vec::with_capacity(width);
-    let mut ps = Vec::with_capacity(width);
-    for b in 0..width {
-        let lo = b * n / width;
-        let hi = ((b + 1) * n / width).max(lo + 1);
-        let mean = cpis[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
-        ys.push(mean);
-        ps.push(phases[lo]);
-    }
-    let mut out = String::new();
-    for row in (0..height).rev() {
-        let thresh = max_cpi * (row as f64 + 0.5) / height as f64;
-        let label = if row == height - 1 {
-            format!("{max_cpi:>6.2} |")
-        } else if row == 0 {
-            format!("{:>6.2} |", 0.0)
-        } else {
-            String::from("       |")
-        };
-        out.push_str(&label);
-        for b in 0..width {
-            let boundary = b > 0 && ps[b] != ps[b - 1];
-            if ys[b] >= thresh {
-                out.push('●');
-            } else if boundary {
-                out.push('▒');
-            } else {
-                out.push(' ');
-            }
-        }
-        out.push('\n');
-    }
-    out.push_str("       +");
-    out.push_str(&"-".repeat(width));
-    out.push('\n');
-    out.push_str("        phases: ");
-    let mut last = usize::MAX;
-    for &p in ps.iter().take(width) {
-        out.push(if p != last { char::from_digit((p % 10) as u32, 10).unwrap() } else { '.' });
-        last = p;
-    }
-    out.push('\n');
-    out
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -113,19 +56,6 @@ mod tests {
         assert!(lines[0].contains("name"));
         assert!(lines[2].ends_with("1"));
         assert!(lines[3].starts_with("longer"));
-    }
-
-    #[test]
-    fn scatter_renders_shape() {
-        // Second phase is *cheaper*, leaving headroom above its dots for
-        // the boundary marker column.
-        let cpis: Vec<f64> = (0..100).map(|i| if i < 70 { 3.0 } else { 1.0 }).collect();
-        let phases: Vec<usize> = (0..100).map(|i| usize::from(i >= 70)).collect();
-        let s = render_scatter(&cpis, &phases, 50, 8);
-        assert!(s.contains('●'));
-        assert!(s.contains('▒'), "phase boundary marked");
-        assert!(s.lines().count() >= 10);
-        assert_eq!(render_scatter(&[], &[], 50, 8), "(empty series)\n");
     }
 
     #[test]

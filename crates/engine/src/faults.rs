@@ -5,8 +5,7 @@
 //! raced by speculative copies, shuffle fetches fail and are re-issued,
 //! and profiler snapshots get dropped under load. This module models those
 //! runtime faults as a seeded [`FaultPlan`] the scheduler consults while a
-//! job runs — unlike [`crate::work::inject_task_retries`], which rewrites
-//! the job statically before execution.
+//! job runs.
 //!
 //! Every decision is a pure SplitMix64 hash of `(seed, salt, coordinates)`,
 //! so a given plan replays bit-identically, and a plan whose rates are all

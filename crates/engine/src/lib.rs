@@ -48,4 +48,4 @@ pub use hdfs::Hdfs;
 pub use methods::{MethodId, MethodRegistry, OpClass};
 pub use net::Network;
 pub use sched::{ExecListener, SchedConfig, Scheduler};
-pub use work::{inject_task_retries, Job, Stage, Task, WorkItem};
+pub use work::{Job, Stage, Task, WorkItem};

@@ -164,32 +164,6 @@ impl Job {
     }
 }
 
-/// Injects task re-executions: with probability `ppm` per task, the task is
-/// duplicated within its stage — the cost shape of Hadoop/Spark speculative
-/// execution and failure retries (the frameworks "provide reliability to
-/// tolerate node failures", paper §I). Deterministic per `seed`.
-///
-/// Returns the number of retries injected.
-pub fn inject_task_retries(job: &mut Job, ppm: u32, seed: u64) -> usize {
-    let mut injected = 0;
-    let mut counter = 0u64;
-    for stage in &mut job.stages {
-        let mut retries = Vec::new();
-        for task in &stage.tasks {
-            counter += 1;
-            let mut z = seed ^ counter.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z ^= z >> 31;
-            if (z % 1_000_000) < ppm as u64 {
-                retries.push(task.clone());
-            }
-        }
-        injected += retries.len();
-        stage.tasks.extend(retries);
-    }
-    injected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,29 +184,6 @@ mod tests {
         let w = WorkItem::io(vec![], 100, 5000, region(), 0);
         assert_eq!(w.io_stall_cycles, 5000);
         assert_eq!(w.pattern, AccessPattern::Sequential);
-    }
-
-    #[test]
-    fn retry_injection_is_deterministic_and_bounded() {
-        let mk = |n| WorkItem::compute(vec![], n, 0, AccessPattern::Sequential, region(), 0);
-        let build = || {
-            Job::new(vec![Stage::new(
-                "s",
-                (0..200).map(|i| Task::new(vec![], vec![mk(100 + i)])).collect(),
-            )])
-        };
-        let mut a = build();
-        let mut b = build();
-        let na = inject_task_retries(&mut a, 100_000, 7); // ~10 %
-        let nb = inject_task_retries(&mut b, 100_000, 7);
-        assert_eq!(na, nb);
-        assert_eq!(a, b);
-        assert!(na > 5 && na < 50, "~10% of 200: {na}");
-        assert_eq!(a.total_tasks(), 200 + na);
-        // ppm = 0 injects nothing.
-        let mut c = build();
-        assert_eq!(inject_task_retries(&mut c, 0, 7), 0);
-        assert_eq!(c.total_tasks(), 200);
     }
 
     #[test]
