@@ -27,6 +27,15 @@
 //! Distance computations over all points are parallelized with rayon when the
 //! step is large enough to repay a pool region; results are identical to the
 //! sequential computation because each point's assignment is independent.
+//! [`kmeans`]'s restarts run as one parallel map, each deterministic in its
+//! own seed, folded in restart order.
+//!
+//! The update step skips work whose result is already known. A cluster
+//! whose members did not change since its center was computed as their
+//! mean keeps that center: the same members summed in the same order give
+//! the same bits. An empty cluster's reseed finds the scan's farthest point
+//! per row group instead of per point, falling back to the point scan when
+//! a distance is NaN (DESIGN.md §15.2).
 //!
 //! A Lloyd run that never converges often settles into an exact cycle of
 //! states (empty clusters reseeded, emptied again, …). The accelerated loop
@@ -43,8 +52,9 @@
 //! read back through `group[i]`, as are the ++-seeding distances.
 //! Everything that *adds* across points still walks the points in
 //! ascending order (the center sums, the `d2` totals and sampling scans,
-//! the reseed pick and the inertia sum), so no addition is reassociated
-//! and every result keeps its bits. [`kmeans_from_centers_reference`]
+//! and the inertia sum), so no addition is reassociated and every result
+//! keeps its bits. The reseed pick runs per group and returns the point
+//! the per-point scan would. [`kmeans_from_centers_reference`]
 //! groups nothing, which keeps it a per-point oracle.
 
 use rand::RngExt;
@@ -126,21 +136,42 @@ pub fn kmeans(data: &Matrix, config: KMeans) -> KMeansResult {
     kmeans_in(data, &RowGroups::of(data), config)
 }
 
-/// [`kmeans`] over `data`'s precomputed row groups.
+/// [`kmeans`] over `data`'s precomputed row groups. The restarts run as one
+/// parallel map; each is deterministic in its own seed, and they are folded
+/// in restart order.
 pub(crate) fn kmeans_in(data: &Matrix, rows: &RowGroups, config: KMeans) -> KMeansResult {
-    let restarts = config.n_init.max(1);
-    let mut best: Option<KMeansResult> = None;
-    for r in 0..restarts {
-        let seed = config.seed.wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let result = kmeans_once(data, rows, KMeans { seed, n_init: 1, ..config });
-        if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
-            best = Some(result);
-        }
-    }
-    best.expect("restarts >= 1")
+    let runs: Vec<KMeansResult> = (0..config.n_init.max(1))
+        .into_par_iter()
+        .map(|r| kmeans_once(data, rows, restart(config, r), true))
+        .collect();
+    lowest_inertia(runs)
 }
 
-fn kmeans_once(data: &Matrix, rows: &RowGroups, config: KMeans) -> KMeansResult {
+/// The reference arithmetic of [`kmeans`]: the restarts one after another,
+/// each through the per-point, unaccelerated Lloyd loop of
+/// [`kmeans_from_centers_reference`]. The sweep's reference chain
+/// (`kmeans_sweep_reference`) runs its cold starts through it.
+pub(crate) fn kmeans_reference(data: &Matrix, config: KMeans) -> KMeansResult {
+    let rows = RowGroups::identity(data.rows());
+    lowest_inertia(
+        (0..config.n_init.max(1)).map(|r| kmeans_once(data, &rows, restart(config, r), false)),
+    )
+}
+
+/// Restart `r` of `config`: its own seed, one run.
+fn restart(config: KMeans, r: usize) -> KMeans {
+    let seed = config.seed.wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    KMeans { seed, n_init: 1, ..config }
+}
+
+/// The run with the strictly lowest inertia; the earliest one on ties.
+fn lowest_inertia(runs: impl IntoIterator<Item = KMeansResult>) -> KMeansResult {
+    runs.into_iter()
+        .reduce(|best, run| if run.inertia < best.inertia { run } else { best })
+        .expect("restarts >= 1")
+}
+
+fn kmeans_once(data: &Matrix, rows: &RowGroups, config: KMeans, accel: bool) -> KMeansResult {
     let n = data.rows();
     let k = config.k.min(n);
     if k == 0 || n == 0 {
@@ -154,7 +185,7 @@ fn kmeans_once(data: &Matrix, rows: &RowGroups, config: KMeans) -> KMeansResult 
 
     let mut rng = seeded(config.seed);
     let centers = plus_plus_init(data, rows, k, &mut rng);
-    lloyd_impl(data, rows, centers, config.max_iter, true)
+    lloyd_impl(data, rows, centers, config.max_iter, accel)
 }
 
 /// Runs synchronous Lloyd iterations from the given initial `centers` until
@@ -322,6 +353,13 @@ fn lloyd_impl(
     let last = max_iter.max(1);
     let mut cycle = accel.then(CycleCheck::default);
     let mut skipped = 0;
+    // `fresh[c]`: center `c` is the mean of its current members (set by an
+    // update that averages them, cleared by a move in or out and by a
+    // reseed), so the next update would recompute the same bits. Only the
+    // accelerated loop sets it.
+    let mut fresh = vec![false; k];
+    // Built at the first per-group reseed (see `Members`).
+    let mut members: Option<Members> = None;
 
     let mut iter = 0;
     while iter < last {
@@ -351,7 +389,11 @@ fn lloyd_impl(
         let all_exact = evals.iter().all(|e| e.4);
         let mut changed = false;
         for (g, e) in evals.into_iter().enumerate() {
-            changed |= owner[g] != e.0;
+            if owner[g] != e.0 {
+                changed = true;
+                fresh[owner[g]] = false;
+                fresh[e.0] = false;
+            }
             owner[g] = e.0;
             upper[g] = e.1;
             lower[g] = e.2;
@@ -361,10 +403,15 @@ fn lloyd_impl(
             *a = owner[g];
         }
 
-        // Update step.
+        // Update step. A fresh cluster keeps its center: its members are
+        // the ones it was averaged from, summed in the same ascending order,
+        // so the mean would come out as the same bits (DESIGN.md §15.2).
         let mut sums = Matrix::zeros(k, cols);
         let mut counts = vec![0usize; k];
         for (i, &a) in assignments.iter().enumerate() {
+            if fresh[a] {
+                continue;
+            }
             counts[a] += 1;
             let row = data.row(i);
             let acc = sums.row_mut(a);
@@ -373,33 +420,52 @@ fn lloyd_impl(
             }
         }
         // Empty clusters reseed to the farthest point from its current
-        // center; `taken` keeps the picks distinct when several clusters go
-        // empty in the same iteration (reusing one point would collapse them
-        // right back together). At most k−1 clusters can be empty and k ≤ n,
-        // so a distinct point always exists. The distances are the same for
+        // center; distinct picks when several clusters go empty in the same
+        // iteration (reusing one point would collapse them right back
+        // together). At most k−1 clusters can be empty and k ≤ n, so a
+        // distinct point always exists. The distances are the same for
         // every empty cluster, so the first one computes them for all, once
         // per row group.
         let mut far_sq: Vec<f64> = Vec::new();
-        let mut taken: Vec<bool> = Vec::new();
+        let mut pick = Pick::Points(Vec::new());
         #[allow(clippy::needless_range_loop)] // `c` also indexes `sums` rows
         for c in 0..k {
+            if fresh[c] {
+                sums.row_mut(c).copy_from_slice(centers.row(c));
+                continue;
+            }
             if counts[c] == 0 {
                 if far_sq.is_empty() {
                     far_sq = (0..u)
                         .map(|g| Matrix::sq_dist(data.row(rows.reps[g]), centers.row(owner[g])))
                         .collect();
-                    taken = vec![false; n];
+                    pick = if accel && !far_sq.iter().any(|v| v.is_nan()) {
+                        let members = members.get_or_insert_with(|| Members::of(rows));
+                        Pick::Groups(members, members.start[..u].to_vec())
+                    } else {
+                        Pick::Points(vec![false; n])
+                    };
                 }
-                let far_of = |i: usize| far_sq[rows.group[i]];
-                let far = (0..n)
-                    .filter(|&i| !taken[i])
-                    .max_by(|&a, &b| {
-                        far_of(a).partial_cmp(&far_of(b)).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("more points than empty clusters");
-                taken[far] = true;
+                let far = match &mut pick {
+                    Pick::Groups(members, next) => members.pick(&far_sq, next),
+                    Pick::Points(taken) => {
+                        let far_of = |i: usize| far_sq[rows.group[i]];
+                        let far = (0..n)
+                            .filter(|&i| !taken[i])
+                            .max_by(|&a, &b| {
+                                far_of(a)
+                                    .partial_cmp(&far_of(b))
+                                    .unwrap_or(std::cmp::Ordering::Equal)
+                            })
+                            .expect("more points than empty clusters");
+                        taken[far] = true;
+                        far
+                    }
+                };
                 sums.row_mut(c).copy_from_slice(data.row(far));
                 counts[c] = 1;
+            } else {
+                fresh[c] = accel;
             }
             let inv = 1.0 / counts[c] as f64;
             for v in sums.row_mut(c) {
@@ -479,10 +545,76 @@ fn lloyd_impl(
     KMeansResult { centers, assignments, inertia, iterations }
 }
 
+/// How an update picks the points that reseed its empty clusters.
+enum Pick<'a> {
+    /// The point scan: `max_by` over every point not yet `taken`.
+    Points(Vec<bool>),
+    /// Per row group: each group's next unpicked member, as an index into
+    /// `Members::order` (starts at `Members::start[g]`).
+    Groups(&'a Members, Vec<usize>),
+}
+
+/// Every row group's members in descending point order, laid out flat:
+/// group `g` owns `order[start[g]..start[g + 1]]`.
+struct Members {
+    start: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl Members {
+    fn of(rows: &RowGroups) -> Self {
+        let u = rows.len();
+        let mut start = vec![0usize; u + 1];
+        for &g in &rows.group {
+            start[g + 1] += 1;
+        }
+        for g in 0..u {
+            start[g + 1] += start[g];
+        }
+        let mut next = start[..u].to_vec();
+        let mut order = vec![0usize; rows.group.len()];
+        for (i, &g) in rows.group.iter().enumerate().rev() {
+            order[next[g]] = i;
+            next[g] += 1;
+        }
+        Self { start, order }
+    }
+
+    /// The point the scan over unpicked points would pick — the *last*
+    /// point of largest `far_sq` (`max_by` keeps the last maximum) — found
+    /// per group: each group's candidate is its largest unpicked member, and
+    /// among the groups of largest `far_sq` the larger candidate wins.
+    /// Advances that group's cursor in `next`. `far_sq` must hold no NaN
+    /// (the scan's order is then total).
+    fn pick(&self, far_sq: &[f64], next: &mut [usize]) -> usize {
+        let mut best: Option<(usize, usize)> = None; // (group, point)
+        for (g, &at) in next.iter().enumerate() {
+            if at == self.start[g + 1] {
+                continue;
+            }
+            let i = self.order[at];
+            let wins = best.is_none_or(|(bg, bi)| {
+                far_sq[g] > far_sq[bg] || (far_sq[g] == far_sq[bg] && i > bi)
+            });
+            if wins {
+                best = Some((g, i));
+            }
+        }
+        let (g, i) = best.expect("more points than empty clusters");
+        next[g] += 1;
+        i
+    }
+}
+
 /// Exact assignment scan: bit-compatible with [`Matrix::nearest_row`]
 /// (same iteration order, same strict `<` tie-break toward the lower index),
 /// additionally returning the best and second-best squared distances for the
 /// Hamerly bounds. `second` is `∞` when `k == 1`.
+///
+/// When no distance is below `∞` (a row with a NaN, or one whose distances
+/// overflow), `best` stays 0 and the best distance is recomputed as the
+/// final inertia pass computes it, so reusing it there gives the same bits
+/// as recomputing it: NaN for a NaN row, not `∞`.
 fn nearest_two(centers: &Matrix, point: &[f64]) -> (usize, f64, f64) {
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
@@ -496,6 +628,9 @@ fn nearest_two(centers: &Matrix, point: &[f64]) -> (usize, f64, f64) {
         } else if d < second_d {
             second_d = d;
         }
+    }
+    if best_d == f64::INFINITY {
+        best_d = Matrix::sq_dist(point, centers.row(best));
     }
     (best, best_d, second_d)
 }

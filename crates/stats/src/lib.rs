@@ -51,7 +51,9 @@ pub use regression::{
 };
 pub use rng::{seeded, split_seed, SeedRng};
 pub use sampling::{srs_indices, srs_indices_seeded, systematic_indices};
-pub use silhouette::{choose_k, kmeans_sweep, silhouette_score, silhouette_scores, KSelection};
+pub use silhouette::{
+    choose_k, kmeans_sweep, kmeans_sweep_reference, silhouette_score, silhouette_scores, KSelection,
+};
 pub use stratified::{
     confidence_interval, optimal_allocation, proportional_allocation, required_sample_size,
     stratified_se, StratumStats,

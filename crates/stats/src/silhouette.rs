@@ -17,7 +17,12 @@
 //! `choose_k` runs in two stages. [`kmeans_sweep`] runs the warm-started
 //! k-means chain (each k starts from the previous k's centers plus one
 //! ++-seeded center) and keeps every candidate; no warm start depends on a
-//! score, so scoring waits until the chain ends. [`silhouette_scores`] then
+//! score, so scoring waits until the chain ends. Only the warm start needs
+//! the previous k: each k's cold restart runs beside it (`rayon::join`),
+//! and `k = 2`'s restarts run as one parallel map, so the chain uses a
+//! second thread without any run's bits depending on which thread ran it.
+//! [`kmeans_sweep_reference`] keeps the serial, per-point, unaccelerated
+//! chain as reference arithmetic. [`silhouette_scores`] then
 //! scores every candidate in **one distance pass**: each pairwise distance
 //! from a scored row is computed once, on the fly, and scattered into
 //! per-(candidate, cluster, lane) sums — no `n × n` matrix.
@@ -56,7 +61,10 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::groups::RowGroups;
-use crate::kmeans::{kmeans_from_centers_in, kmeans_in, sample_by_sq_dist, KMeans, KMeansResult};
+use crate::kmeans::{
+    kmeans_from_centers_in, kmeans_from_centers_reference, kmeans_in, kmeans_reference,
+    sample_by_sq_dist, KMeans, KMeansResult,
+};
 use crate::matrix::Matrix;
 use crate::rng::{seeded, split_seed};
 
@@ -317,8 +325,9 @@ fn extend_centers(data: &Matrix, rows: &RowGroups, prev: &Matrix, seed: u64) -> 
 /// `k = 2` runs the full [`KMeans::new`] default; each later `k` races a
 /// warm start (previous centers + one ++-seeded center) against
 /// [`SWEEP_COLD_RESTARTS`] cold restarts and keeps whichever converges to
-/// the lower inertia. Deterministic in `seed` and bit-identical at every
-/// worker count.
+/// the lower inertia. The cold run depends only on the seed, so it runs
+/// beside the warm start (`rayon::join`). Deterministic in `seed` and
+/// bit-identical to [`kmeans_sweep_reference`] at every worker count.
 pub fn kmeans_sweep(data: &Matrix, k_max: usize, seed: u64) -> Vec<KMeansResult> {
     kmeans_sweep_in(data, &RowGroups::of(data), k_max, seed)
 }
@@ -333,10 +342,13 @@ fn kmeans_sweep_in(data: &Matrix, rows: &RowGroups, k_max: usize, seed: u64) -> 
             None => kmeans_in(data, rows, config),
             Some(prev) => {
                 config.n_init = SWEEP_COLD_RESTARTS;
-                let cold = kmeans_in(data, rows, config);
-                let init =
-                    extend_centers(data, rows, &prev.centers, split_seed(seed, 0x3A9E ^ k as u64));
-                let warm = kmeans_from_centers_in(data, rows, init, config.max_iter);
+                let (cold, warm) = rayon::join(
+                    || kmeans_in(data, rows, config),
+                    || {
+                        let init = extend_centers(data, rows, &prev.centers, warm_seed(seed, k));
+                        kmeans_from_centers_in(data, rows, init, config.max_iter)
+                    },
+                );
                 if warm.inertia < cold.inertia {
                     warm
                 } else {
@@ -345,6 +357,43 @@ fn kmeans_sweep_in(data: &Matrix, rows: &RowGroups, k_max: usize, seed: u64) -> 
             }
         };
         simprof_obs::histogram_observe("stats.kmeans.iterations", result.iterations as f64);
+        candidates.push(result);
+    }
+    candidates
+}
+
+/// The seed of the ++ draw that extends the `k − 1` solution to `k`.
+fn warm_seed(seed: u64, k: usize) -> u64 {
+    split_seed(seed, 0x3A9E ^ k as u64)
+}
+
+/// The reference arithmetic of [`kmeans_sweep`]: the same chain run one
+/// step after another on the calling thread, with every row its own group
+/// and every Lloyd run the per-point, unaccelerated loop
+/// ([`kmeans_from_centers_reference`]), which recomputes every center and
+/// reseeds by scanning points. Exists so the sweep can be property-tested
+/// bit-identical against it (`tests/parallel_equivalence.rs`); prefer
+/// [`kmeans_sweep`] for real work.
+pub fn kmeans_sweep_reference(data: &Matrix, k_max: usize, seed: u64) -> Vec<KMeansResult> {
+    let rows = RowGroups::identity(data.rows());
+    let k_max = k_max.min(data.rows());
+    let mut candidates: Vec<KMeansResult> = Vec::with_capacity(k_max.saturating_sub(1));
+    for k in 2..=k_max {
+        let mut config = KMeans::new(k, seed);
+        let result = match candidates.last() {
+            None => kmeans_reference(data, config),
+            Some(prev) => {
+                config.n_init = SWEEP_COLD_RESTARTS;
+                let cold = kmeans_reference(data, config);
+                let init = extend_centers(data, &rows, &prev.centers, warm_seed(seed, k));
+                let warm = kmeans_from_centers_reference(data, init, config.max_iter);
+                if warm.inertia < cold.inertia {
+                    warm
+                } else {
+                    cold
+                }
+            }
+        };
         candidates.push(result);
     }
     candidates

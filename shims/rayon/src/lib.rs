@@ -21,6 +21,9 @@
 //!   count), because floating-point addition is not associative. The
 //!   single-threaded fallback uses the exact same chunking, so a 1-thread
 //!   run and an N-thread run associate additions identically.
+//! * [`join`] runs each of its two closures whole on one thread, so a
+//!   closure that is deterministic on its own returns the same bits
+//!   whichever thread ran it.
 //!
 //! # Worker-count resolution
 //!
@@ -98,6 +101,9 @@ impl<V> Slot<V> {
     }
     fn into_inner(self) -> V {
         self.0.into_inner()
+    }
+    fn get(&self) -> *mut V {
+        self.0.get()
     }
 }
 
@@ -330,11 +336,11 @@ where
         }
         // Safety: `ci` values are unique across participants, so each input
         // slot is taken and each output slot written by exactly one thread.
-        let chunk = unsafe { (*input[ci].0.get()).take().expect("chunk taken once") };
+        let chunk = unsafe { (*input[ci].get()).take().expect("chunk taken once") };
         match std::panic::catch_unwind(AssertUnwindSafe(|| {
             chunk.into_iter().map(f).collect::<Vec<T>>()
         })) {
-            Ok(r) => unsafe { *out[ci].0.get() = Some(r) },
+            Ok(r) => unsafe { *out[ci].get() = Some(r) },
             Err(_) => panicked.store(true, Ordering::SeqCst),
         }
     };
@@ -344,6 +350,58 @@ where
         panic!("parallel worker panicked");
     }
     out.into_iter().map(|c| c.into_inner().expect("every chunk produced")).collect()
+}
+
+/// Runs `oper_a` and `oper_b`, potentially in parallel, and returns both
+/// results (crates.io rayon's signature).
+///
+/// The two closures form one two-task pool region: one pool worker is
+/// offered, and the submitter runs whichever task it claims first, then the
+/// other if no worker has claimed it yet. Each task runs to completion on
+/// one thread, so its result cannot depend on which thread that was. Like
+/// every region, `join` runs inline — `oper_a` then `oper_b` on the caller
+/// — at one thread or inside another region, and the submitter's
+/// observability context reaches the worker. Unlike `map`, it ignores the
+/// small-input threshold: two tasks are the whole point. A panic in either
+/// closure is re-raised once both have finished.
+pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    if current_threads() <= 1 || IN_PARALLEL.with(Cell::get) {
+        return (oper_a(), oper_b());
+    }
+    type Outcome<R> = Option<std::thread::Result<R>>;
+    let a = Slot::new(Some(oper_a));
+    let b = Slot::new(Some(oper_b));
+    let ra: Slot<Outcome<RA>> = Slot::new(None);
+    let rb: Slot<Outcome<RB>> = Slot::new(None);
+    let next = AtomicUsize::new(0);
+    // Safety: `fetch_add` hands task 0 and task 1 to one participant each,
+    // so each closure slot is taken and each result slot written once.
+    let work = || loop {
+        match next.fetch_add(1, Ordering::Relaxed) {
+            0 => unsafe {
+                let f = (*a.get()).take().expect("task a taken once");
+                *ra.get() = Some(std::panic::catch_unwind(AssertUnwindSafe(f)));
+            },
+            1 => unsafe {
+                let f = (*b.get()).take().expect("task b taken once");
+                *rb.get() = Some(std::panic::catch_unwind(AssertUnwindSafe(f)));
+            },
+            _ => break,
+        }
+    };
+    pool_run(1, &work);
+    let ra = ra.into_inner().expect("task a ran");
+    let rb = rb.into_inner().expect("task b ran");
+    match (ra, rb) {
+        (Ok(ra), Ok(rb)) => (ra, rb),
+        (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
+    }
 }
 
 /// An order-preserving parallel iterator over owned items.
@@ -609,6 +667,83 @@ mod tests {
                 }
             });
         });
+    }
+
+    #[test]
+    fn join_returns_both_results() {
+        for threads in [1, 2, 4] {
+            let (a, b) = with_threads(threads, || join(|| 6 * 7, || "b".to_string()));
+            assert_eq!((a, b.as_str()), (42, "b"), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn join_reraises_a_panic_from_either_side() {
+        for side in [0, 1] {
+            let caught = with_threads(2, || {
+                std::panic::catch_unwind(|| {
+                    join(
+                        || if side == 0 { panic!("a") } else { 1 },
+                        || if side == 1 { panic!("b") } else { 2 },
+                    )
+                })
+            });
+            let payload = caught.expect_err("the panic must surface");
+            let expect = if side == 0 { "a" } else { "b" };
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&expect));
+            // The pool still serves the next region.
+            let ok: Vec<usize> = with_threads(2, || (0..100usize).into_par_iter().collect());
+            assert_eq!(ok.len(), 100);
+            assert_eq!(with_threads(2, || join(|| 1, || 2)), (1, 2));
+        }
+    }
+
+    #[test]
+    fn join_inside_a_region_runs_inline() {
+        let inline: Vec<bool> = with_threads(4, || {
+            (0..16usize)
+                .into_par_iter()
+                .map(|_| {
+                    let me = std::thread::current().id();
+                    let (a, b) =
+                        join(|| std::thread::current().id(), || std::thread::current().id());
+                    a == me && b == me
+                })
+                .collect()
+        });
+        assert!(inline.iter().all(|&same| same));
+    }
+
+    #[test]
+    fn join_at_one_thread_runs_on_the_caller() {
+        let me = std::thread::current().id();
+        let (a, b) = with_threads(1, || {
+            join(|| std::thread::current().id(), || std::thread::current().id())
+        });
+        assert_eq!((a, b), (me, me));
+    }
+
+    #[test]
+    fn join_carries_the_submitter_context() {
+        fn has_span(nodes: &[simprof_obs::SpanNode], name: &str) -> bool {
+            nodes.iter().any(|n| n.name == name || has_span(&n.children, name))
+        }
+        let report = with_threads(2, || {
+            let ctx = simprof_obs::ObsContext::new();
+            let installed = ctx.install();
+            let (a, b) = join(
+                || 1,
+                || {
+                    let _span = simprof_obs::span!("test.join_b");
+                    2
+                },
+            );
+            assert_eq!((a, b), (1, 2));
+            let report = ctx.finish_report();
+            drop(installed);
+            report
+        });
+        assert!(has_span(&report.spans, "test.join_b"), "spans: {:?}", report.spans);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 
 use simprof::engine::FaultPlan;
 use simprof::stats::{
-    choose_k, kmeans_from_centers, kmeans_from_centers_reference, kmeans_sweep, silhouette_score,
-    silhouette_scores, KMeansResult, Matrix,
+    choose_k, kmeans_from_centers, kmeans_from_centers_reference, kmeans_sweep,
+    kmeans_sweep_reference, silhouette_score, silhouette_scores, KMeansResult, Matrix,
 };
 use simprof::workloads::{Benchmark, Framework, WorkloadConfig};
 
@@ -39,31 +39,45 @@ fn one_vs_many<R>(threads: usize, f: impl Fn() -> R) -> (R, R) {
     (one, many)
 }
 
+/// Runs `f` pinned to `threads` workers, restoring the default afterwards.
+fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let _guard = THREADS_LOCK.lock().unwrap();
+    rayon::set_threads(threads);
+    let r = f();
+    rayon::set_threads(0);
+    r
+}
+
 /// Strategy: a feature matrix with latent block structure — `rows` points,
 /// `cols` features, values loud on one band per latent behaviour. Rows
 /// reach past several 64-point silhouette chunks (and are mostly not
 /// multiples of the 8-point lane block); columns cover both `Matrix::dot`
 /// shapes, tail only (< 16) and full 16-lane blocks (≥ 16).
 fn matrix_strategy() -> impl Strategy<Value = Matrix> {
-    (3usize..150, 1usize..40, 2usize..5, any::<u64>()).prop_map(|(rows, cols, bands, seed)| {
-        let data: Vec<Vec<f64>> = (0..rows)
-            .map(|i| {
-                (0..cols)
-                    .map(|j| {
-                        let loud = j % bands == i % bands;
-                        let noise =
-                            ((i * 31 + j * 7) as u64 ^ seed).wrapping_mul(0x9E37_79B9) % 1000;
-                        if loud {
-                            5.0 + noise as f64 * 1e-3
-                        } else {
-                            noise as f64 * 1e-3
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        Matrix::from_rows(&data)
-    })
+    (3usize..150, 1usize..40, 2usize..5, any::<u64>())
+        .prop_map(|(rows, cols, bands, seed)| banded(rows, cols, bands, seed))
+}
+
+/// The banded matrix behind [`matrix_strategy`]: row `i` is loud on the
+/// columns `j ≡ i (mod bands)`, plus a small seeded noise that keeps the
+/// rows distinct.
+fn banded(rows: usize, cols: usize, bands: usize, seed: u64) -> Matrix {
+    let data: Vec<Vec<f64>> = (0..rows)
+        .map(|i| {
+            (0..cols)
+                .map(|j| {
+                    let loud = j % bands == i % bands;
+                    let noise = ((i * 31 + j * 7) as u64 ^ seed).wrapping_mul(0x9E37_79B9) % 1000;
+                    if loud {
+                        5.0 + noise as f64 * 1e-3
+                    } else {
+                        noise as f64 * 1e-3
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Matrix::from_rows(&data)
 }
 
 /// Strategy: a duplicate-heavy feature matrix like a profiled trace's —
@@ -86,6 +100,60 @@ fn quantized_matrix_strategy() -> impl Strategy<Value = Matrix> {
             (0..rows).map(|i| pool[mix((i as u64) << 20) % patterns].clone()).collect();
         Matrix::from_rows(&data)
     })
+}
+
+/// Strategy: 3..200 rows drawn from a pool of 1..7 patterns, with a `k_max`
+/// of one to six above the pattern count, so the sweep's later runs empty
+/// clusters, reseed them and cycle. With `nan`, one entry of one row is
+/// NaN, which makes the reseed distances NaN and sends the reseed back to
+/// the point scan.
+fn few_distinct_strategy(nan: bool) -> impl Strategy<Value = (Matrix, usize)> {
+    (3usize..200, 1usize..20, 1usize..7, any::<u64>()).prop_map(
+        move |(rows, cols, patterns, seed)| {
+            let mix = |x: u64| ((x ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize;
+            let pool: Vec<Vec<f64>> = (0..patterns)
+                .map(|p| (0..cols).map(|j| (mix((p * 64 + j) as u64) % 50) as f64 * 0.1).collect())
+                .collect();
+            let mut data: Vec<Vec<f64>> =
+                (0..rows).map(|i| pool[mix((i as u64) << 20) % patterns].clone()).collect();
+            if nan {
+                data[mix(1 << 50) % rows][mix(1 << 51) % cols] = f64::NAN;
+            }
+            (Matrix::from_rows(&data), patterns + 1 + seed as usize % 6)
+        },
+    )
+}
+
+/// Holds `kmeans_sweep` and `choose_k` at 1, 2 and 8 threads to the serial,
+/// per-point, unaccelerated `kmeans_sweep_reference`, bit for bit: every
+/// candidate's assignments, centers, inertia and iteration count, every
+/// score, and the chosen clustering.
+fn assert_sweep_matches_reference(m: &Matrix, k_max: usize, seed: u64) {
+    let reference = kmeans_sweep_reference(m, k_max, seed);
+    let labels: Vec<&[usize]> = reference.iter().map(|r| r.assignments.as_slice()).collect();
+    let scores = silhouette_scores(m, &labels);
+    for threads in [1, 2, 8] {
+        let (sweep, sel) = at_threads(threads, || {
+            (kmeans_sweep(m, k_max, seed), choose_k(m, k_max, 0.9, 0.25, seed))
+        });
+        assert_eq!(sweep.len(), reference.len());
+        for (k, (got, want)) in (2..).zip(sweep.iter().zip(&reference)) {
+            assert_eq!(got.assignments, want.assignments, "{threads} threads, k = {k}");
+            assert_eq!(center_bits(got), center_bits(want), "{threads} threads, k = {k}");
+            assert_eq!(got.inertia.to_bits(), want.inertia.to_bits(), "{threads} threads, k = {k}");
+            assert_eq!(got.iterations, want.iterations, "{threads} threads, k = {k}");
+        }
+        assert_eq!(sel.scores.len(), scores.len());
+        for (&(k, got), want) in sel.scores.iter().zip(&scores) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{threads} threads, score at k = {k}");
+        }
+        if sel.k >= 2 {
+            let want = &reference[sel.k - 2];
+            assert_eq!(sel.result.assignments, want.assignments, "{threads} threads");
+            assert_eq!(center_bits(&sel.result), center_bits(want), "{threads} threads");
+            assert_eq!(sel.result.inertia.to_bits(), want.inertia.to_bits(), "{threads} threads");
+        }
+    }
 }
 
 /// The bits of a k-means result's centers (NaN-safe, unlike `==`).
@@ -289,6 +357,50 @@ proptest! {
             let reference = silhouette_score_cached(&cache, &r.assignments).to_bits();
             prop_assert_eq!(sa.to_bits(), reference, "score differs from reference at k = {}", ka);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Few distinct rows and more candidates than distinct rows: the runs
+    /// that empty clusters reseed per row group, keep unchanged centers and
+    /// cycle, and the warm and cold runs of a `k` often tie on inertia.
+    #[test]
+    fn sweep_on_few_distinct_rows_bit_identical_to_reference(
+        (m, k_max) in few_distinct_strategy(false),
+        seed in any::<u64>(),
+    ) {
+        assert_sweep_matches_reference(&m, k_max, seed);
+    }
+
+    /// One NaN entry: the reseed falls back to the point scan.
+    #[test]
+    fn sweep_with_a_nan_row_bit_identical_to_reference(
+        (m, k_max) in few_distinct_strategy(true),
+        seed in any::<u64>(),
+    ) {
+        assert_sweep_matches_reference(&m, k_max, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// All-distinct rows wide enough that the Lloyd assignment step reaches
+    /// its pool-region size at `k = 8` (`u · k · cols ≥ 2¹⁷`, the stats
+    /// crate's `SERIAL_ASSIGN_WORK`); inside the sweep's `join` that region
+    /// runs inline.
+    #[test]
+    fn sweep_on_wide_distinct_rows_bit_identical_to_reference(
+        rows in 240usize..320,
+        cols in 80usize..100,
+        bands in 2usize..5,
+        seed in any::<u64>(),
+    ) {
+        let m = banded(rows, cols, bands, seed);
+        prop_assert!(rows * 8 * cols >= 1 << 17);
+        assert_sweep_matches_reference(&m, 8, seed);
     }
 }
 
