@@ -256,8 +256,9 @@ fn bench_build(c: &mut Criterion) {
 /// every 32-unit chunk of a paper-scale `wc_sp` profile at 10 000-instruction
 /// units (the granularity of stored analysis traces): `chunk_decode` parses
 /// each chunk's JSON into units, `chunk_encode` renders it, `lz_decode`
-/// inflates each chunk's LZ frame payload, and `lz_encode` compresses each
-/// chunk's JSON into one reused buffer, as the writer does into its frame
+/// inflates each chunk's LZ frame payload into one reused buffer, as the
+/// reader does, and `lz_encode` compresses each chunk's JSON into one
+/// reused buffer with one encoder, as the writer does into its frame
 /// scratch. One iteration covers the whole trace; the per-MB figure is per
 /// MB of raw chunk JSON.
 fn bench_trace(c: &mut Criterion) {
@@ -269,7 +270,7 @@ fn bench_trace(c: &mut Criterion) {
         .iter()
         .map(|t| {
             let mut p = Vec::new();
-            codec::encode(Codec::Lz, t.as_bytes(), &mut p);
+            codec::Encoder::new(Codec::Lz).encode(t.as_bytes(), &mut p);
             p
         })
         .collect();
@@ -293,21 +294,24 @@ fn bench_trace(c: &mut Criterion) {
             }
         })
     });
+    let mut inflated = Vec::new();
     g.bench_function("lz_decode", |b| {
         b.iter(|| {
             for p in &packed {
                 black_box(
-                    codec::decode(codec::CODEC_LZ, black_box(p), MAX_FRAME_LEN).expect("inflates"),
+                    codec::decode(codec::CODEC_LZ, black_box(p), MAX_FRAME_LEN, &mut inflated)
+                        .expect("inflates"),
                 );
             }
         })
     });
     let mut scratch = Vec::new();
+    let mut encoder = codec::Encoder::new(Codec::Lz);
     g.bench_function("lz_encode", |b| {
         b.iter(|| {
             for t in &texts {
                 scratch.clear();
-                black_box(codec::encode(Codec::Lz, black_box(t.as_bytes()), &mut scratch));
+                black_box(encoder.encode(black_box(t.as_bytes()), &mut scratch));
             }
         })
     });

@@ -232,12 +232,20 @@ pub fn analyze(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `simprof select -i trace.sptrc|trace.json -n 20 [-o points.json]`.
+/// `simprof select -i trace.sptrc|trace.json -n 20 [-o points.json]
+/// [--report run.json]` — with `--report` (or `--events`/`--timeline`) the
+/// read, analysis and selection run inside an observability session, whose
+/// span tree splits the trace scan into `trace.decompress` and
+/// `trace.parse`.
 pub fn select(opts: &Options) -> Result<(), String> {
+    let session = obs_session(opts)?;
     let input = TraceInput::open(opts.require_input("select")?)?;
     let analysis = input.analyze(&pipeline(opts))?;
     let points = analysis.select_points(opts.points, split_seed(opts.seed, 0x5E1E));
     let est = analysis.estimate(&points, opts.z);
+    if let Some(session) = session {
+        write_obs_outputs(opts, &session.finish())?;
+    }
     let oracle = analysis.oracle_cpi();
     println!(
         "selected {} simulation points across {} phases (allocation {:?})",

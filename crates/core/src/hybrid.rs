@@ -2,7 +2,7 @@
 //!
 //! > "Since SimProf uses the large size of sampling units, the simulation
 //! > time can still be significant, users can combine other sampling
-//! > approaches, e.g., systematic sampling [SMARTS] to reduce the simulation
+//! > approaches, e.g., systematic sampling \[SMARTS\] to reduce the simulation
 //! > time of each simulation point."
 //!
 //! The profiler records per-snapshot-interval counter slices inside every

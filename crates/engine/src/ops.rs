@@ -350,7 +350,7 @@ fn partition<T: Ord>(data: &mut [T], lo: usize, hi: usize) -> usize {
 const MERGE_CHUNK: usize = 8_192;
 
 /// The cost items of k-way merging sorted runs of `run_lens` elements: one
-/// item per [`MERGE_CHUNK`] merged elements plus one for the remainder,
+/// item per `MERGE_CHUNK` merged elements plus one for the remainder,
 /// each charged per element by the merge fan-in (the non-empty runs). The
 /// k advancing read frontiers stream through the runs' combined region
 /// once, so the pattern is a (prefetch-friendly) sequential walk of the

@@ -10,7 +10,7 @@
 //! event hooks) resolve "the current context" instead of touching process
 //! globals:
 //!
-//! 1. a fast global count of recording contexts ([`ACTIVE`]) — when zero,
+//! 1. a fast global count of recording contexts (`ACTIVE`) — when zero,
 //!    every hook is a single relaxed atomic load, exactly as before;
 //! 2. the calling thread's context stack (installed via
 //!    [`ObsContext::install`], propagated into pool workers by the

@@ -35,7 +35,7 @@
 //! `tests/obs_determinism.rs` pins that enabling the event log leaves
 //! pipeline output bit-identical.
 //!
-//! Sink state lives in the owning [`crate::ObsContext`] (one [`SinkSlot`]
+//! Sink state lives in the owning [`crate::ObsContext`] (one `SinkSlot`
 //! per context), so concurrent jobs stream to independent logs with
 //! independent `seq` counters. The free functions here operate on the
 //! calling thread's current context.

@@ -8,7 +8,7 @@
 //! * [`context`] — job-scoped [`ObsContext`] handles owning all recorded
 //!   state (spans, metrics, event sink, allocation budget). Many contexts
 //!   record concurrently; nothing here is process-exclusive.
-//! * [`span`] — hierarchical RAII span timing on monotonic clocks. Spans
+//! * [`span`](mod@span) — hierarchical RAII span timing on monotonic clocks. Spans
 //!   nest through a thread-local stack, so each thread (including the
 //!   parallel substrate's workers) gets its own correctly attributed
 //!   subtree, tagged with a stable per-context thread id.

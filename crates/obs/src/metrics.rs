@@ -7,7 +7,7 @@
 //! Nothing in the sampling pipeline consults a metric, which is what keeps
 //! the determinism contract intact (DESIGN.md §11).
 //!
-//! Each [`crate::ObsContext`] owns its own [`MetricsStore`]; the free
+//! Each [`crate::ObsContext`] owns its own `MetricsStore`; the free
 //! functions here resolve the calling thread's current context, so two
 //! concurrent jobs tally into disjoint registries.
 //!

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use crate::metrics::MetricsSnapshot;
 use crate::span::SpanRecord;
 
-/// Version of the report schema emitted by [`RunReport::assemble`].
+/// Version of the report schema emitted by `RunReport::assemble`.
 ///
 /// Version history: 1 = span tree + counters/gauges/min-max histograms;
 /// 2 = histogram summaries gained p50/p95/p99 and the metrics snapshot

@@ -7,7 +7,7 @@
 //!   container throughout the pipeline.
 //! * [`descriptive`] — means, variances, coefficient of variation (CoV) and
 //!   the weighted-CoV summary used by the paper's Fig. 6.
-//! * [`kmeans`] — k-means clustering with k-means++ seeding (phase formation,
+//! * [`kmeans`](mod@kmeans) — k-means clustering with k-means++ seeding (phase formation,
 //!   §III-B of the paper).
 //! * [`silhouette`] — silhouette-coefficient model selection implementing the
 //!   paper's "smallest k with at least 90 % of the best score" rule: a

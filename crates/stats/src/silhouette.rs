@@ -31,7 +31,7 @@
 //! distance matrix of the same `Matrix::norm_sq_dist` distances with a
 //! forced `0.0` diagonal, per-cluster sums from `+0.0` in ascending `j`,
 //! per-point silhouettes summed in ascending `i` within fixed
-//! [`SIL_CHUNK`]-sized chunks, and the chunk partials folded in chunk
+//! `SIL_CHUNK`-sized chunks, and the chunk partials folded in chunk
 //! order. The chunking never depends on the worker count, so every score
 //! is bit-identical at every thread count. (The reference lives with the
 //! tests that check it.)
@@ -179,7 +179,7 @@ struct Scored<'a> {
 /// in one pass over the pairwise distances.
 ///
 /// Each distance is computed once and never stored: the distinct rows are
-/// walked in blocks of [`LANES`] against all `j`, adding each distance into
+/// walked in blocks of `LANES` against all `j`, adding each distance into
 /// per-(clustering, cluster, lane) sums, and every point takes the
 /// silhouettes of its group (see the module docs). The result is
 /// bit-identical to the dense-matrix reference on each clustering at every
@@ -324,7 +324,7 @@ fn extend_centers(data: &Matrix, rows: &RowGroups, prev: &Matrix, seed: u64) -> 
 ///
 /// `k = 2` runs the full [`KMeans::new`] default; each later `k` races a
 /// warm start (previous centers + one ++-seeded center) against
-/// [`SWEEP_COLD_RESTARTS`] cold restarts and keeps whichever converges to
+/// `SWEEP_COLD_RESTARTS` cold restarts and keeps whichever converges to
 /// the lower inertia. The cold run depends only on the seed, so it runs
 /// beside the warm start (`rayon::join`). Deterministic in `seed` and
 /// bit-identical to [`kmeans_sweep_reference`] at every worker count.

@@ -74,7 +74,6 @@
 //! profiler falls back to memory-only collection instead of panicking
 //! (DESIGN.md §14.4).
 
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, Cursor, Read, Seek, SeekFrom, Write};
 
@@ -237,7 +236,7 @@ pub struct TraceWriter<W: Write + Seek = File> {
     dropped_snapshots: u64,
     error: Option<String>,
     finished: bool,
-    codec: Codec,
+    encoder: codec::Encoder,
 }
 
 impl TraceWriter<File> {
@@ -296,7 +295,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             dropped_snapshots: 0,
             error: None,
             finished: false,
-            codec,
+            encoder: codec::Encoder::new(codec),
         };
         this.scratch.extend_from_slice(MAGIC);
         this.commit_scratch()?;
@@ -327,7 +326,7 @@ impl<W: Write + Seek> TraceWriter<W> {
 
     /// The frame codec this writer applies.
     pub fn codec(&self) -> Codec {
-        self.codec
+        self.encoder.codec()
     }
 
     /// The latched I/O error, if writing has already failed.
@@ -405,7 +404,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         const HEAD: usize = 6;
         self.scratch.clear();
         self.scratch.extend_from_slice(&[kind, 0, 0, 0, 0, 0]);
-        let codec_id = codec::encode(self.codec, payload, &mut self.scratch);
+        let codec_id = self.encoder.encode(payload, &mut self.scratch);
         self.scratch[1] = codec_id;
         let len = (self.scratch.len() - HEAD) as u32;
         self.scratch[2..HEAD].copy_from_slice(&len.to_le_bytes());
@@ -537,6 +536,7 @@ pub struct TraceReader<R: Read + Seek = BufReader<File>> {
     meta: TraceMeta,
     layout: Layout,
     data_start: u64,
+    frame: FrameBuf,
     chunk: Vec<SamplingUnit>,
     pos: usize,
     done: bool,
@@ -582,12 +582,14 @@ impl<R: Read + Seek> TraceReader<R> {
                  layouts v1 to v{FORMAT_VERSION})"
             )
         })?;
-        let (kind, payload, codec_id, stored_len) = read_frame(&mut file, path, layout)?;
-        if kind != FRAME_HEADER {
-            return Err(format!("{path}: expected header frame, found {:?}", kind as char));
+        let mut frame = FrameBuf::default();
+        let head = frame.read(&mut file, path, layout)?;
+        if head.kind != FRAME_HEADER {
+            return Err(format!("{path}: expected header frame, found {:?}", head.kind as char));
         }
-        let raw_len = payload.len() as u64;
-        let meta: TraceMeta = parse_payload(path, "header", &payload)?;
+        let meta: TraceMeta = parse_payload(path, "header", head.payload)?;
+        let (codecs_seen, stored_payload_bytes, raw_payload_bytes) =
+            (1 << head.codec_id.min(7), head.stored_len, head.payload.len() as u64);
         let data_start = file.stream_position().map_err(|e| io_err(path, "seek", e))?;
         Ok(Self {
             file,
@@ -595,12 +597,13 @@ impl<R: Read + Seek> TraceReader<R> {
             meta,
             layout,
             data_start,
+            frame,
             chunk: Vec::new(),
             pos: 0,
             done: false,
-            codecs_seen: 1 << codec_id.min(7),
-            stored_payload_bytes: stored_len,
-            raw_payload_bytes: raw_len,
+            codecs_seen,
+            stored_payload_bytes,
+            raw_payload_bytes,
         })
     }
 
@@ -675,17 +678,17 @@ impl<R: Read + Seek> TraceReader<R> {
         self.file
             .seek(SeekFrom::End(-12 - frame_len as i64))
             .map_err(|e| io_err(&path, "seek", e))?;
-        let (kind, payload, codec_id, stored_len) = read_frame(&mut self.file, &path, self.layout)?;
-        self.codecs_seen |= 1 << codec_id.min(7);
-        self.stored_payload_bytes += stored_len;
-        self.raw_payload_bytes += payload.len() as u64;
-        if kind != FRAME_FOOTER {
+        let frame = self.frame.read(&mut self.file, &path, self.layout)?;
+        self.codecs_seen |= 1 << frame.codec_id.min(7);
+        self.stored_payload_bytes += frame.stored_len;
+        self.raw_payload_bytes += frame.payload.len() as u64;
+        if frame.kind != FRAME_FOOTER {
             return Err(format!(
                 "{path}: corrupt footer frame (kind {:?}); {SALVAGE_HINT}",
-                kind as char
+                frame.kind as char
             ));
         }
-        let footer: TraceFooter = parse_payload(&path, "footer", &payload)?;
+        let footer: TraceFooter = parse_payload(&path, "footer", frame.payload)?;
         if footer.version > FORMAT_VERSION {
             return Err(format!(
                 "{path}: trace schema version {} was written by a newer simprof (this build \
@@ -732,14 +735,15 @@ impl<R: Read + Seek> TraceReader<R> {
             if self.done {
                 return Ok(false);
             }
-            let (kind, payload, codec_id, stored_len) =
-                read_frame(&mut self.file, &self.path, self.layout)?;
-            self.codecs_seen |= 1 << codec_id.min(7);
-            self.stored_payload_bytes += stored_len;
-            self.raw_payload_bytes += payload.len() as u64;
-            match kind {
+            let frame = self.frame.read(&mut self.file, &self.path, self.layout)?;
+            self.codecs_seen |= 1 << frame.codec_id.min(7);
+            self.stored_payload_bytes += frame.stored_len;
+            self.raw_payload_bytes += frame.payload.len() as u64;
+            match frame.kind {
                 FRAME_UNITS => {
-                    let units: Vec<SamplingUnit> = parse_payload(&self.path, "chunk", &payload)?;
+                    let _span = simprof_obs::span!("trace.parse");
+                    let units: Vec<SamplingUnit> =
+                        parse_payload(&self.path, "chunk", frame.payload)?;
                     if units.is_empty() {
                         continue;
                     }
@@ -748,7 +752,10 @@ impl<R: Read + Seek> TraceReader<R> {
                     return Ok(true);
                 }
                 FRAME_FOOTER => {
+                    // The stream is read: its frame buffers are not needed
+                    // until a rewind reads it again.
                     self.done = true;
+                    self.frame = FrameBuf::default();
                     return Ok(false);
                 }
                 other => {
@@ -803,53 +810,72 @@ pub fn read_trace(path: &str) -> Result<(ProfileTrace, TraceFooter), String> {
     Ok((trace, footer))
 }
 
-/// Reads one frame, returning `(kind, decoded payload, codec id, stored
-/// payload length)`. The codec id is [`codec::CODEC_RAW`] for layouts
-/// without a codec byte; the stored length is what the frame occupies on
-/// disk before decoding, so readers can account compression without
-/// re-encoding. Validates the length against [`MAX_FRAME_LEN`] *before*
-/// allocating, verifies the frame's CRC32 (when the layout has one) over
-/// the *stored* bytes, and only then decodes — so a corrupt frame fails
-/// the checksum, not the decompressor. A raw frame's payload is the buffer
-/// it was read into.
-fn read_frame<R: Read>(
-    file: &mut R,
-    path: &str,
-    layout: Layout,
-) -> Result<(u8, Vec<u8>, u8, u64), String> {
-    let mut head_buf = [0u8; 6];
-    let head = &mut head_buf[..layout.head_len()];
-    file.read_exact(head).map_err(|e| io_err(path, "read", e))?;
-    let (kind, codec_id, len) = layout.parse_head(head);
-    if len > MAX_FRAME_LEN {
-        return Err(format!(
-            "{path}: frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt or \
-             hostile trace); {SALVAGE_HINT}"
-        ));
-    }
-    let mut stored = vec![0u8; len];
-    file.read_exact(&mut stored).map_err(|e| io_err(path, "read", e))?;
-    if layout.has_crc {
-        let mut crc_bytes = [0u8; 4];
-        file.read_exact(&mut crc_bytes).map_err(|e| io_err(path, "read", e))?;
-        let expected = u32::from_le_bytes(crc_bytes);
-        let mut hasher = crc32::Hasher::new();
-        hasher.update(head);
-        hasher.update(&stored);
-        let actual = hasher.finalize();
-        if actual != expected {
+/// A reader's frame buffers, reused from frame to frame: the stored bytes
+/// as read, and the inflated payload of an LZ frame. Each holds at most one
+/// frame, so neither grows past [`MAX_FRAME_LEN`].
+#[derive(Debug, Default)]
+struct FrameBuf {
+    stored: Vec<u8>,
+    inflated: Vec<u8>,
+}
+
+/// One frame as [`FrameBuf::read`] decoded it.
+struct Frame<'a> {
+    kind: u8,
+    /// [`codec::CODEC_RAW`] for layouts without a codec byte.
+    codec_id: u8,
+    /// What the frame's payload occupies on disk before decoding, so
+    /// readers can account compression without re-encoding.
+    stored_len: u64,
+    /// The decoded payload: the stored bytes themselves for a raw frame.
+    payload: &'a [u8],
+}
+
+impl FrameBuf {
+    /// Reads and decodes the next frame. Validates the length against
+    /// [`MAX_FRAME_LEN`] *before* allocating, verifies the frame's CRC32
+    /// (when the layout has one) over the *stored* bytes, and only then
+    /// decodes (span `trace.decompress`) — so a corrupt frame fails the
+    /// checksum, not the decompressor.
+    fn read<R: Read>(
+        &mut self,
+        file: &mut R,
+        path: &str,
+        layout: Layout,
+    ) -> Result<Frame<'_>, String> {
+        let mut head_buf = [0u8; 6];
+        let head = &mut head_buf[..layout.head_len()];
+        file.read_exact(head).map_err(|e| io_err(path, "read", e))?;
+        let (kind, codec_id, len) = layout.parse_head(head);
+        if len > MAX_FRAME_LEN {
             return Err(format!(
-                "{path}: frame checksum mismatch (stored {expected:#010x}, computed \
-                 {actual:#010x}); {SALVAGE_HINT}"
+                "{path}: frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt or \
+                 hostile trace); {SALVAGE_HINT}"
             ));
         }
+        // `read_exact` overwrites every byte kept, so only growth is zeroed.
+        self.stored.resize(len, 0);
+        file.read_exact(&mut self.stored).map_err(|e| io_err(path, "read", e))?;
+        if layout.has_crc {
+            let mut crc_bytes = [0u8; 4];
+            file.read_exact(&mut crc_bytes).map_err(|e| io_err(path, "read", e))?;
+            let expected = u32::from_le_bytes(crc_bytes);
+            let mut hasher = crc32::Hasher::new();
+            hasher.update(head);
+            hasher.update(&self.stored);
+            let actual = hasher.finalize();
+            if actual != expected {
+                return Err(format!(
+                    "{path}: frame checksum mismatch (stored {expected:#010x}, computed \
+                     {actual:#010x}); {SALVAGE_HINT}"
+                ));
+            }
+        }
+        let _span = simprof_obs::span!("trace.decompress");
+        let payload = codec::decode(codec_id, &self.stored, MAX_FRAME_LEN, &mut self.inflated)
+            .map_err(|e| format!("{path}: decode frame: {e}; {SALVAGE_HINT}"))?;
+        Ok(Frame { kind, codec_id, stored_len: len as u64, payload })
     }
-    let payload = match codec::decode(codec_id, &stored, MAX_FRAME_LEN) {
-        Ok(Cow::Owned(decoded)) => decoded,
-        Ok(Cow::Borrowed(_)) => stored,
-        Err(e) => return Err(format!("{path}: decode frame: {e}; {SALVAGE_HINT}")),
-    };
-    Ok((kind, payload, codec_id, len as u64))
 }
 
 pub(crate) fn parse_payload<T: Deserialize>(
@@ -1305,7 +1331,7 @@ mod tests {
             dropped_snapshots: 0,
             error: None,
             finished: false,
-            codec: Codec::Raw,
+            encoder: codec::Encoder::new(Codec::Raw),
         };
         w2.push(&unit(0));
         assert!(w2.error().is_some());

@@ -113,11 +113,12 @@ fn probe_frame(data: &[u8], at: usize, layout: Layout) -> Option<(Recovered, usi
     }
     // CRC validated over the stored bytes; only now decode and parse. A
     // frame that checksums but fails either step is still bad.
-    let payload = codec::decode(codec_id, stored, MAX_FRAME_LEN).ok()?;
+    let mut inflated = Vec::new();
+    let payload = codec::decode(codec_id, stored, MAX_FRAME_LEN, &mut inflated).ok()?;
     let rec = match kind {
-        FRAME_HEADER => Recovered::Header(parse_payload("salvage", "header", &payload).ok()?),
-        FRAME_UNITS => Recovered::Units(parse_payload("salvage", "chunk", &payload).ok()?),
-        _ => Recovered::Footer(parse_payload("salvage", "footer", &payload).ok()?, len),
+        FRAME_HEADER => Recovered::Header(parse_payload("salvage", "header", payload).ok()?),
+        FRAME_UNITS => Recovered::Units(parse_payload("salvage", "chunk", payload).ok()?),
+        _ => Recovered::Footer(parse_payload("salvage", "footer", payload).ok()?, len),
     };
     Some((rec, end))
 }

@@ -7,7 +7,7 @@
 //! many messages each partition received — sizes that superstep's work
 //! items, so later supersteps shrink and the `aggregateUsingIndex` phase
 //! shows the time-varying behaviour the paper highlights (§IV-E: the phase
-//! "ha[s] different performances at different execution stages").
+//! "ha\[s\] different performances at different execution stages").
 //!
 //! **Spark** (GraphX-like): per superstep, an `aggregateMessages` stage over
 //! edge partitions and an `aggregateUsingIndex`/`innerJoin` stage over

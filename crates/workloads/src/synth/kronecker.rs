@@ -1,5 +1,5 @@
 //! Kronecker graph synthesis (Leskovec et al., JMLR 2010 — the paper's
-//! reference [20]) and the Table II input catalogue.
+//! reference \[20\]) and the Table II input catalogue.
 //!
 //! A stochastic Kronecker graph is defined by a 2×2 initiator matrix
 //! `[[a, b], [c, d]]` Kronecker-powered `scale` times; each edge is placed

@@ -145,9 +145,28 @@ impl<'a> JsonReader<'a> {
     #[inline]
     pub fn key(&mut self) -> Result<Cow<'a, str>, DeError> {
         let key = self.string()?;
+        if self.peek() == Some(b':') {
+            self.pos += 1;
+            return Ok(key);
+        }
+        Err(self.unexpected("`:`"))
+    }
+
+    /// Consumes the next key and its `:` when they are spelled exactly
+    /// `quoted` (`"name":`, no escapes, no whitespace before the colon);
+    /// otherwise consumes nothing but whitespace and returns `false`.
+    /// Derived structs try their next declared field this way before
+    /// falling back to [`key`](Self::key): the text matched is the one
+    /// spelling of that key which `key` would also accept, so either path
+    /// reads the same entry to the same field.
+    #[inline]
+    pub fn key_is(&mut self, quoted: &str) -> bool {
         self.peek();
-        self.expect(b':')?;
-        Ok(key)
+        let hit = self.text.as_bytes()[self.pos..].starts_with(quoted.as_bytes());
+        if hit {
+            self.pos += quoted.len();
+        }
+        hit
     }
 
     /// After an entry's value: consumes `,` (another entry follows, `true`)
@@ -174,9 +193,10 @@ impl<'a> JsonReader<'a> {
     /// holds escapes.
     #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, DeError> {
-        self.peek();
-        self.expect(b'"')?;
-        let start = self.pos;
+        if self.peek() != Some(b'"') {
+            return Err(self.unexpected("`\"`"));
+        }
+        let start = self.pos + 1;
         self.pos = plain_run(self.text.as_bytes(), start);
         if self.text.as_bytes().get(self.pos) == Some(&b'"') {
             let s = self.slice(start, self.pos)?;
@@ -253,29 +273,45 @@ impl<'a> JsonReader<'a> {
     /// finite `f64`.
     #[inline]
     pub fn number(&mut self) -> Result<Number, DeError> {
-        self.peek();
+        match self.plain_u64() {
+            Some(n) => Ok(Number::U64(n)),
+            None => self.general_number(self.pos),
+        }
+    }
+
+    /// Consumes the next token when it is a plain run of at most 19 digits
+    /// (so it cannot overflow `u64`) that ends the token, and returns its
+    /// value: exactly what [`number`](Self::number) returns for it, as
+    /// `Number::U64`. Consumes nothing but whitespace and returns `None`
+    /// for any other token (signs, fractions, exponents, leading zeros,
+    /// longer runs), which the caller hands to `number` for the full
+    /// grammar and its errors. The integer impls read their values here.
+    #[inline]
+    pub fn plain_u64(&mut self) -> Option<u64> {
+        let first = self.peek()?.wrapping_sub(b'0');
+        if first >= 10 {
+            return None;
+        }
         let bytes = self.text.as_bytes();
         let start = self.pos;
-        // Fast path: a plain run of at most 19 digits (so it cannot
-        // overflow `u64`) ending the token is exactly what `parse::<u64>`
-        // below returns for it. A leading zero is only the number zero.
-        let mut n = 0u64;
-        let mut end = start;
-        while let Some(d) = bytes.get(end).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
-            if end - start == 19 {
-                break;
+        let mut n = u64::from(first);
+        let mut end = start + 1;
+        // A leading zero is only the number zero.
+        if first != 0 {
+            for &b in &bytes[end..bytes.len().min(start + 19)] {
+                let d = b.wrapping_sub(b'0');
+                if d >= 10 {
+                    break;
+                }
+                n = n * 10 + u64::from(d);
+                end += 1;
             }
-            n = n * 10 + u64::from(d);
-            end += 1;
         }
-        if end > start
-            && (bytes[start] != b'0' || end == start + 1)
-            && !matches!(bytes.get(end), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos = end;
-            return Ok(Number::U64(n));
+        if matches!(bytes.get(end), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+            return None;
         }
-        self.general_number(start)
+        self.pos = end;
+        Some(n)
     }
 
     /// Any number token starting at `start` (= `self.pos`), following the
@@ -339,17 +375,8 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    #[inline]
-    fn expect(&mut self, b: u8) -> Result<(), DeError> {
-        if self.text.as_bytes().get(self.pos) == Some(&b) {
-            self.pos += 1;
-            return Ok(());
-        }
-        Err(self.unexpected(&format!("`{}`", b as char)))
-    }
-
     #[cold]
-    fn unexpected(&self, want: &str) -> DeError {
+    fn unexpected(&self, want: impl std::fmt::Display) -> DeError {
         DeError::msg(format!(
             "expected {want} at byte {}, got {:?}",
             self.pos,
@@ -359,9 +386,11 @@ impl<'a> JsonReader<'a> {
 
     #[inline]
     fn open(&mut self, open: u8, close: u8) -> Result<bool, DeError> {
-        self.peek();
+        if self.peek() != Some(open) {
+            return Err(self.unexpected(format_args!("`{}`", open as char)));
+        }
         let at = self.pos;
-        self.expect(open)?;
+        self.pos += 1;
         if self.depth == MAX_DEPTH {
             return Err(DeError::too_deep(at));
         }
@@ -386,7 +415,7 @@ impl<'a> JsonReader<'a> {
                 self.depth -= 1;
                 Ok(false)
             }
-            _ => Err(self.unexpected(&format!("`,` or `{}`", close as char))),
+            _ => Err(self.unexpected(format_args!("`,` or `{}`", close as char))),
         }
     }
 }

@@ -115,6 +115,11 @@ macro_rules! impl_serde_int {
         impl Deserialize for $t {
             #[inline]
             fn from_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+                // A plain digit run converts straight to `Self`; every
+                // other token takes the full grammar, with the same result.
+                if let Some(n) = r.plain_u64() {
+                    return int_from(Number::U64(n).$as(), $want);
+                }
                 match r.number_if_next()? {
                     Some(n) => int_from(n.$as(), $want),
                     None => Err(r.expected($want)),
@@ -254,8 +259,11 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        let mut items = Vec::new();
         let mut more = r.begin_array()?;
+        // Most decoded sequences are short (a unit's histogram and slices):
+        // sixteen up front saves them the growth steps, reallocations that
+        // cost the most under a tracking allocator.
+        let mut items = Vec::with_capacity(if more { 16 } else { 0 });
         while more {
             items.push(T::from_json(r)?);
             more = r.array_next()?;

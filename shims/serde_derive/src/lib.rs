@@ -257,25 +257,41 @@ fn write_elements(binds: &[String]) -> String {
 
 /// An expression (a `Result`) parsing a JSON object into the named-field
 /// constructor `ctor`, with `owner` naming it in errors.
+///
+/// Each entry first tries the key of the field declared after the last one
+/// read, spelled exactly (`"name":`, `JsonReader::key_is`); writers emit
+/// fields in declaration order, so that one byte compare usually names the
+/// entry. Only when it fails does the entry's key go through the general
+/// match, which handles reordered, escaped, unknown and repeated keys.
 fn read_fields(owner: &str, ctor: &str, fields: &[Field]) -> String {
+    let n = fields.len();
     let mut s = String::from("{\n");
-    for i in 0..fields.len() {
+    for i in 0..n {
         s.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
     }
     s.push_str(
-        "let mut __more = __r.begin_object()?;\n\
+        "let mut __next = 0usize;\n\
+         let mut __more = __r.begin_object()?;\n\
          while __more {\n\
-           match &*__r.key()? {\n",
+           let __i = match __next {\n",
     );
     for (i, f) in fields.iter().enumerate() {
+        s.push_str(&format!("{i} if __r.key_is({:?}) => {i},\n", format!("\"{}\":", f.name)));
+    }
+    s.push_str("_ => match &*__r.key()? {\n");
+    for (i, f) in fields.iter().enumerate() {
+        s.push_str(&format!("{:?} => {i},\n", f.name));
+    }
+    s.push_str(&format!("_ => {n},\n}},\n}};\nmatch __i {{\n"));
+    for i in 0..n {
         s.push_str(&format!(
-            "{:?} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(::serde::Deserialize::from_json(__r)?),\n",
-            f.name
+            "{i} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(::serde::Deserialize::from_json(__r)?),\n"
         ));
     }
     s.push_str(&format!(
         "_ => __r.skip_value()?,\n\
            }}\n\
+           __next = __i + 1;\n\
            __more = __r.object_next()?;\n\
          }}\n\
          Ok({ctor} {{\n"

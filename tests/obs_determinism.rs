@@ -160,3 +160,34 @@ fn job_construction_is_its_own_span_under_the_profile_span() {
         "the job is built before it runs"
     );
 }
+
+#[test]
+fn select_report_splits_the_trace_scan_into_decompress_and_parse() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = std::env::temp_dir().join("simprof_obs_select_spans");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.sptrc").to_string_lossy().into_owned();
+    let report_path = dir.join("select_report.json").to_string_lossy().into_owned();
+    let argv = |args: &[&str]| args.iter().map(|s| (*s).to_owned()).collect::<Vec<String>>();
+    simprof_cli::dispatch(&argv(&[
+        "profile", "-w", "wc_sp", "--scale", "tiny", "--seed", "5", "--codec", "lz", "-o", &trace,
+    ]))
+    .expect("profile succeeds");
+    simprof_cli::dispatch(&argv(&["select", "-i", &trace, "-n", "5", "--report", &report_path]))
+        .expect("select succeeds");
+    let text = std::fs::read_to_string(&report_path).unwrap();
+    let report: obs::RunReport = serde_json::from_str(text.trim_end()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Every unit frame the scan reads is one decompress span then one
+    // parse span, directly under `core.scan`.
+    let scan = report.find_span("core.scan").expect("select records the scan");
+    let names: Vec<&str> = scan.children.iter().map(|c| c.name.as_str()).collect();
+    assert!(names.len() >= 2, "the scan read at least one frame: {names:?}");
+    let (pairs, footer) = names.split_at(names.len() - 1);
+    assert_eq!(footer, ["trace.decompress"], "the footer frame ends the stream");
+    assert!(
+        pairs.chunks(2).all(|p| p == ["trace.decompress", "trace.parse"]),
+        "one decompress/parse pair per unit frame: {names:?}"
+    );
+}
