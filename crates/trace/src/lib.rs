@@ -741,14 +741,20 @@ impl<R: Read + Seek> TraceReader<R> {
             self.raw_payload_bytes += frame.payload.len() as u64;
             match frame.kind {
                 FRAME_UNITS => {
+                    // Parsed over the previous chunk, whose units (and
+                    // their vectors) are reused; a failed parse leaves it
+                    // empty, so no half-parsed unit is ever yielded.
                     let _span = simprof_obs::span!("trace.parse");
-                    let units: Vec<SamplingUnit> =
-                        parse_payload(&self.path, "chunk", frame.payload)?;
-                    if units.is_empty() {
+                    self.pos = 0;
+                    let parsed =
+                        parse_payload_into(&self.path, "chunk", frame.payload, &mut self.chunk);
+                    if let Err(e) = parsed {
+                        self.chunk.clear();
+                        return Err(e);
+                    }
+                    if self.chunk.is_empty() {
                         continue;
                     }
-                    self.chunk = units;
-                    self.pos = 0;
                     return Ok(true);
                 }
                 FRAME_FOOTER => {
@@ -883,9 +889,24 @@ pub(crate) fn parse_payload<T: Deserialize>(
     what: &str,
     payload: &[u8],
 ) -> Result<T, String> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| format!("{path}: {what} frame is not UTF-8: {e}"))?;
-    serde_json::from_str(text).map_err(|e| format!("{path}: parse {what} frame: {e}"))
+    serde_json::from_str(payload_text(path, what, payload)?)
+        .map_err(|e| format!("{path}: parse {what} frame: {e}"))
+}
+
+/// [`parse_payload`] into `into`, reusing its allocations; `into` is
+/// unspecified after an error.
+fn parse_payload_into<T: Deserialize>(
+    path: &str,
+    what: &str,
+    payload: &[u8],
+    into: &mut T,
+) -> Result<(), String> {
+    serde_json::from_str_into(payload_text(path, what, payload)?, into)
+        .map_err(|e| format!("{path}: parse {what} frame: {e}"))
+}
+
+fn payload_text<'a>(path: &str, what: &str, payload: &'a [u8]) -> Result<&'a str, String> {
+    std::str::from_utf8(payload).map_err(|e| format!("{path}: {what} frame is not UTF-8: {e}"))
 }
 
 #[cfg(test)]

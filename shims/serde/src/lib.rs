@@ -7,7 +7,10 @@
 //! in [`json`]). The visitor architecture of real serde is replaced by one
 //! method per trait, both working on JSON text with no intermediate
 //! [`Value`]: `Serialize::write_json` appends compact JSON and
-//! `Deserialize::from_json` pulls tokens from a [`JsonReader`].
+//! `Deserialize::from_json` pulls tokens from a [`JsonReader`]
+//! (`Deserialize::from_json_in_place` parses into an existing value,
+//! reusing its allocations: by default through `from_json`, field by field
+//! for derived structs, element by element for `Vec`).
 //! `serde_json::to_string` / `from_str` call them directly, pretty printing
 //! re-indents the compact text ([`json::indent`]), and [`Value`] is just
 //! another type with impls of its own: a dynamic document that
@@ -86,6 +89,16 @@ pub trait Serialize {
 pub trait Deserialize: Sized {
     /// Parses `Self` from the next value in `r`.
     fn from_json(r: &mut JsonReader<'_>) -> Result<Self, DeError>;
+
+    /// Parses the next value in `r` into `place`, reusing what `place`
+    /// holds where it can (real serde's `deserialize_in_place`). On
+    /// success `place` is what [`from_json`](Self::from_json) would
+    /// return and an error is the same; after an error `place` is
+    /// unspecified.
+    fn from_json_in_place(r: &mut JsonReader<'_>, place: &mut Self) -> Result<(), DeError> {
+        *place = Self::from_json(r)?;
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -269,6 +282,22 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             more = r.array_next()?;
         }
         Ok(items)
+    }
+
+    /// Reuses the elements already in `place` (and their allocations).
+    fn from_json_in_place(r: &mut JsonReader<'_>, place: &mut Self) -> Result<(), DeError> {
+        let mut n = 0;
+        let mut more = r.begin_array()?;
+        while more {
+            match place.get_mut(n) {
+                Some(item) => T::from_json_in_place(r, item)?,
+                None => place.push(T::from_json(r)?),
+            }
+            n += 1;
+            more = r.array_next()?;
+        }
+        place.truncate(n);
+        Ok(())
     }
 }
 

@@ -9,7 +9,8 @@
 //! * named-field structs (a JSON object, fields in declaration order; on
 //!   decode the first occurrence of a key wins, unknown and repeated keys
 //!   are syntax-checked and dropped, and `#[serde(default)]` fills an
-//!   absent field),
+//!   absent field; `from_json_in_place` decodes each field in place, with
+//!   the same outcome),
 //! * tuple structs (newtypes transparent, wider tuples as arrays),
 //! * enums with unit / tuple / struct variants (externally tagged exactly
 //!   like real serde: `"Variant"`, `{"Variant": value}`,
@@ -219,9 +220,19 @@ impl Item {
         };
         // Newtypes are one call deep; let them inline into their callers.
         let inline = if matches!(self.body, Body::Tuple(1)) { "#[inline]\n" } else { "" };
+        // A named-field struct decodes into its fields in place, so the
+        // vectors it holds keep their allocations.
+        let into = match &self.body {
+            Body::Struct(fields) => format!(
+                "fn from_json_in_place(__r: &mut ::serde::JsonReader<'_>, __place: &mut Self) -> ::std::result::Result<(), ::serde::DeError> {{\n{}\n}}\n",
+                read_fields_into(name, fields)
+            ),
+            _ => String::new(),
+        };
         format!(
             "impl ::serde::Deserialize for {name} {{\n\
                {inline}fn from_json(__r: &mut ::serde::JsonReader<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n\
+               {into}\
              }}\n"
         )
     }
@@ -257,19 +268,73 @@ fn write_elements(binds: &[String]) -> String {
 
 /// An expression (a `Result`) parsing a JSON object into the named-field
 /// constructor `ctor`, with `owner` naming it in errors.
+fn read_fields(owner: &str, ctor: &str, fields: &[Field]) -> String {
+    let mut s = String::from("{\n");
+    for i in 0..fields.len() {
+        s.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+    }
+    s.push_str(&entry_loop(fields, |i| {
+        format!(
+            "{i} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(::serde::Deserialize::from_json(__r)?),\n"
+        )
+    }));
+    s.push_str(&format!("Ok({ctor} {{\n"));
+    for (i, f) in fields.iter().enumerate() {
+        let missing = missing_field(owner, f);
+        s.push_str(&format!(
+            "{}: match __f{i} {{\n\
+                ::std::option::Option::Some(__fv) => __fv,\n\
+                ::std::option::Option::None => {missing},\n\
+             }},\n",
+            f.name
+        ));
+    }
+    s.push_str("})\n}");
+    s
+}
+
+/// Statements parsing a JSON object into the fields of `__place`
+/// (`from_json_in_place`), with the same outcome and errors as
+/// [`read_fields`].
+fn read_fields_into(owner: &str, fields: &[Field]) -> String {
+    let mut s = String::new();
+    for i in 0..fields.len() {
+        s.push_str(&format!("let mut __s{i} = false;\n"));
+    }
+    s.push_str(&entry_loop(fields, |i| {
+        format!(
+            "{i} if !__s{i} => {{\n\
+               ::serde::Deserialize::from_json_in_place(__r, &mut __place.{})?;\n\
+               __s{i} = true;\n\
+             }}\n",
+            fields[i].name
+        )
+    }));
+    for (i, f) in fields.iter().enumerate() {
+        let missing = if f.default {
+            format!("__place.{} = ::std::default::Default::default()", f.name)
+        } else {
+            missing_field(owner, f)
+        };
+        s.push_str(&format!("if !__s{i} {{\n{missing};\n}}\n"));
+    }
+    s.push_str("Ok(())");
+    s
+}
+
+/// The loop over a JSON object's entries for a named-field struct: each
+/// entry's key picks a field index (`n` for an unknown key), and
+/// `store(i)` is the match arm that takes field `i`'s value when it has
+/// none yet; any other entry is parsed and dropped.
 ///
 /// Each entry first tries the key of the field declared after the last one
 /// read, spelled exactly (`"name":`, `JsonReader::key_is`); writers emit
 /// fields in declaration order, so that one byte compare usually names the
 /// entry. Only when it fails does the entry's key go through the general
 /// match, which handles reordered, escaped, unknown and repeated keys.
-fn read_fields(owner: &str, ctor: &str, fields: &[Field]) -> String {
+fn entry_loop(fields: &[Field], store: impl Fn(usize) -> String) -> String {
     let n = fields.len();
-    let mut s = String::from("{\n");
-    for i in 0..n {
-        s.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
-    }
-    s.push_str(
+    let mut s = String::from(
         "let mut __next = 0usize;\n\
          let mut __more = __r.begin_object()?;\n\
          while __more {\n\
@@ -284,29 +349,15 @@ fn read_fields(owner: &str, ctor: &str, fields: &[Field]) -> String {
     }
     s.push_str(&format!("_ => {n},\n}},\n}};\nmatch __i {{\n"));
     for i in 0..n {
-        s.push_str(&format!(
-            "{i} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(::serde::Deserialize::from_json(__r)?),\n"
-        ));
+        s.push_str(&store(i));
     }
-    s.push_str(&format!(
+    s.push_str(
         "_ => __r.skip_value()?,\n\
-           }}\n\
+           }\n\
            __next = __i + 1;\n\
            __more = __r.object_next()?;\n\
-         }}\n\
-         Ok({ctor} {{\n"
-    ));
-    for (i, f) in fields.iter().enumerate() {
-        let missing = missing_field(owner, f);
-        s.push_str(&format!(
-            "{}: match __f{i} {{\n\
-                ::std::option::Option::Some(__fv) => __fv,\n\
-                ::std::option::Option::None => {missing},\n\
-             }},\n",
-            f.name
-        ));
-    }
-    s.push_str("})\n}");
+         }\n",
+    );
     s
 }
 

@@ -62,6 +62,17 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     Ok(v)
 }
 
+/// Parses JSON text into `place`, reusing what it holds
+/// (`Deserialize::from_json_in_place`): on success `place` is what
+/// [`from_str`] returns, with the same errors; after an error it is
+/// unspecified.
+pub fn from_str_into<T: serde::Deserialize>(s: &str, place: &mut T) -> Result<(), Error> {
+    let mut reader = serde::JsonReader::new(s);
+    T::from_json_in_place(&mut reader, place)?;
+    reader.end()?;
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // json! macro
 // ---------------------------------------------------------------------------
